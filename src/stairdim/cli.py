@@ -263,12 +263,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    cfg = TrainConfig(epochs=args.epochs, seed=args.seed if args.seed is not None else 0)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = Path(args.dataset) if args.dataset else out_dir / "dataset.csv"
     samples = read_dataset(dataset_path)
     train_split, _ = split_dataset(samples, split_seed=args.split_seed)
-    cfg = TrainConfig(epochs=args.epochs, seed=args.seed if args.seed is not None else 0)
     result = train(train_split, cfg)
     save_model(
         result.model,
@@ -440,8 +440,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
-        print(f"stairdim: {exc}", file=sys.stderr)
+    except (ValueError, KeyError) as exc:  # a KeyError is a field an input file lacks
+        msg = f"missing required key {exc}" if isinstance(exc, KeyError) else exc
+        print(f"stairdim: {msg}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"stairdim: {exc}", file=sys.stderr)

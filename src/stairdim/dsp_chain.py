@@ -11,10 +11,11 @@ Stage order for one frame:
    anything with |net radial velocity| >= v_res falls into other bins.
 3. Magnitudes are accumulated (summed) across the virtual channels into a
    single range profile, and CA-CFAR picks the target range bins.
-4. For the detected range bins only, an AoA FFT across the channels
-   (rectangular window, zero-padded to 64 bins) gives the angular power
-   profile; a second CA-CFAR on it yields this range's angles. Centered bin
-   b maps to theta = arcsin(2 b / fft_len).
+4. For the detected range bins only, one AoA FFT across the channels
+   (rectangular window, zero-padded to 64 bins) gives each bin's angular
+   power profile as a row of one batch; a second CA-CFAR along the rows
+   yields each range's angles. Centered bin b maps to theta = arcsin(2 b /
+   fft_len). Exhaustive AoA runs the batch over every bin and masks it.
 5. Every entry also carries sub-bin positions of its peaks: a three-point
    parabola through the range peak of the accumulated profile and through
    each angle peak of the angular power profile. The reported range and
@@ -32,6 +33,7 @@ spectra exceed the threshold across a target's whole mainlobe.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -225,28 +227,41 @@ def accumulate_range_profile(sl: StationarySlice) -> np.ndarray:
     return np.abs(sl.samples).sum(axis=1)
 
 
-def _cfar_threshold(profile: np.ndarray, cfg: CfarConfig) -> np.ndarray:
-    """Per-cell CA-CFAR threshold with one-sided fallback at the edges."""
-    n = profile.size
+def _cfar_mask(power: np.ndarray, cfg: CfarConfig) -> np.ndarray:
+    """CA-CFAR along the last axis, one-sided at the edges; each row sees only its own cells."""
+    n = power.shape[-1]
     t, g = cfg.training_cells, cfg.guard_cells
     if n <= 2 * (t + g) + 1:
-        raise ValueError(
-            f"profile length {n} too short for training {t} + guard {g} per side"
-        )
-    cs = np.concatenate(([0.0], np.cumsum(profile, dtype=np.float64)))
-    idx = np.arange(n)
+        raise ValueError(f"profile length {n} too short for training {t} + guard {g} per side")
+    if not np.isfinite(power).all():
+        raise ValueError("profile contains non-finite values")
+    cs = np.zeros(power.shape[:-1] + (n + 1,))
+    np.cumsum(power, axis=-1, out=cs[..., 1:])
+    (lo_a, lo_b, hi_a, hi_b), counts, alpha = _cfar_window(n, cfg)
+    sums = (cs[..., lo_b] - cs[..., lo_a]) + (cs[..., hi_b] - cs[..., hi_a])
+    return power > alpha * sums / counts
+
+
+@functools.lru_cache(maxsize=16)
+def _cfar_window(n: int, cfg: CfarConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Training-window bounds (4, n), cell counts and alpha per cell; cached, read-only."""
+    t, g, idx = cfg.training_cells, cfg.guard_cells, np.arange(n)
     # training windows: [i-g-t, i-g) on the left, (i+g, i+g+t] on the right
-    lo_a = np.clip(idx - g - t, 0, n)
-    lo_b = np.clip(idx - g, 0, n)
-    hi_a = np.clip(idx + g + 1, 0, n)
-    hi_b = np.clip(idx + g + 1 + t, 0, n)
-    sums = (cs[lo_b] - cs[lo_a]) + (cs[hi_b] - cs[hi_a])
-    counts = (lo_b - lo_a) + (hi_b - hi_a)
-    if cfg.scale_factor is not None:
-        alpha = np.full(n, cfg.scale_factor)
-    else:
-        alpha = counts * (cfg.pfa ** (-1.0 / counts) - 1.0)
-    return alpha * sums / counts
+    bounds = np.clip(np.stack((idx - g - t, idx - g, idx + g + 1, idx + g + 1 + t)), 0, n)
+    counts = (bounds[1] - bounds[0]) + (bounds[3] - bounds[2])
+    alpha = (np.full(n, cfg.scale_factor) if cfg.pfa is None
+             else counts * (cfg.pfa ** (-1.0 / counts) - 1.0))
+    for a in (bounds, counts, alpha):
+        a.flags.writeable = False
+    return bounds, counts, alpha
+
+
+def _local_max_mask(power: np.ndarray) -> np.ndarray:
+    """Cells >= the left and > the right neighbour along the last axis; edges compare inward."""
+    mask = np.ones(power.shape, dtype=bool)
+    mask[..., 1:] = power[..., 1:] >= power[..., :-1]
+    mask[..., :-1] &= power[..., :-1] > power[..., 1:]
+    return mask
 
 
 def cfar_detect(profile: np.ndarray, cfg: CfarConfig) -> np.ndarray:
@@ -258,89 +273,63 @@ def cfar_detect(profile: np.ndarray, cfg: CfarConfig) -> np.ndarray:
     profile = np.asarray(profile, dtype=np.float64)
     if profile.ndim != 1:
         raise ValueError(f"profile must be 1-D, got shape {profile.shape}")
-    if not np.isfinite(profile).all():
-        raise ValueError("profile contains non-finite values")
-    threshold = _cfar_threshold(profile, cfg)
-    return np.nonzero(profile > threshold)[0]
+    return np.nonzero(_cfar_mask(profile, cfg))[0]
 
 
 def local_maxima(profile: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Filter indices to local maxima of the profile.
+    """Filter indices to cells >= their left and > their right neighbour; edges compare inward."""
+    indices = np.asarray(indices, dtype=int)
+    return indices[_local_max_mask(np.asarray(profile))[indices]]
 
-    A cell qualifies when it is >= its left neighbor and > its right neighbor,
-    so an exact two-cell plateau resolves to its right edge, deterministically.
-    Edge cells compare only toward the interior.
+
+def _parabolic_offset(profile: np.ndarray, k) -> np.ndarray:
+    """Three-point parabolic peak refinement along the last axis, clamped to half a bin.
+
+    Fitted at every cell (0 at the edges and for flat triples); ``k`` indexes the result.
     """
-    profile = np.asarray(profile)
-    keep = []
-    n = profile.size
-    for k in indices:
-        left_ok = k == 0 or profile[k] >= profile[k - 1]
-        right_ok = k == n - 1 or profile[k] > profile[k + 1]
-        if left_ok and right_ok:
-            keep.append(k)
-    return np.asarray(keep, dtype=int)
-
-
-def _parabolic_offset(profile: np.ndarray, k: int) -> float:
-    """Three-point parabolic peak refinement, clamped to half a bin."""
-    if k <= 0 or k >= profile.size - 1:
-        return 0.0
-    a, b, c = profile[k - 1 : k + 2].tolist()  # Python floats: cheap scalar math
+    a, b, c = profile[..., :-2], profile[..., 1:-1], profile[..., 2:]
     denom = a - 2.0 * b + c
-    if denom == 0.0:
-        return 0.0
-    return min(max(0.5 * (a - c) / denom, -0.5), 0.5)
+    offset = np.zeros(profile.shape)
+    np.divide(0.5 * (a - c), denom, out=offset[..., 1:-1], where=denom != 0.0)
+    return np.minimum(np.maximum(offset, -0.5), 0.5)[k]  # np.clip costs more on small arrays
 
 
-def _aoa_bins(
-    channels: np.ndarray, cfg: DspConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """AoA power profile (fftshifted) and its detected local-max bins."""
-    n_a = channels.size
-    w = numerics.window(cfg.aoa_window, n_a)
-    spectrum = numerics.fft(channels * w, n=cfg.aoa_fft_len)
-    power = np.abs(np.fft.fftshift(spectrum)) ** 2
-    det = cfar_detect(power, cfg.aoa_cfar)
-    det = local_maxima(power, det)
-    return power, det
+def _aoa_spectra(channels: np.ndarray, cfg: DspConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Angular power rows (fftshifted) of channel snapshots, and their CFAR local-max mask."""
+    w = numerics.window(cfg.aoa_window, channels.shape[-1])
+    spectra = numerics.fft(channels * w, n=cfg.aoa_fft_len)
+    half = cfg.aoa_fft_len // 2  # fftshift, without np.roll's overhead on a single row
+    power = np.abs(np.concatenate((spectra[..., -half:], spectra[..., :-half]), axis=-1)) ** 2
+    return power, _cfar_mask(power, cfg.aoa_cfar) & _local_max_mask(power)
 
 
-def _entries_for_bins(
-    sl: StationarySlice,
-    range_bins: Iterable[int],
-    cfg: DspConfig,
-    profile: np.ndarray,
-) -> list[tuple[int, TargetEntry]]:
-    """(bin, entry) pairs for each range bin that yields AoA detections."""
-    half = cfg.aoa_fft_len // 2
-    out = []
-    for k in sorted(int(k) for k in range_bins):
-        power, det = _aoa_bins(sl.samples[k, :], cfg)
-        if det.size == 0:
-            continue
-        # det is ascending and arcsin is monotonic, so the angles come sorted
-        centered = det - half
-        fine_centered = centered + np.array([_parabolic_offset(power, b) for b in det])
-        fine_r = (float(k) + _parabolic_offset(profile, k)) * sl.range_bin_m
-        out.append(
-            (
-                k,
+def _target_list(sl: StationarySlice, bins: np.ndarray, power: np.ndarray, peaks: np.ndarray,
+                 cfg: DspConfig, profile: np.ndarray) -> TargetList:
+    """Entries for ascending range ``bins`` from their :func:`_aoa_spectra` rows (none without peaks)."""
+    rows, cols = np.nonzero(peaks)
+    # nonzero walks row by row with ascending columns, and arcsin is
+    # monotonic, so every entry's angles come sorted; theta = arcsin(2 b / fft_len)
+    centered = cols - cfg.aoa_fft_len // 2
+    fine_centered = centered + _parabolic_offset(power, (rows, cols))
+    angles = np.arcsin(2.0 * centered / cfg.aoa_fft_len).tolist()
+    fine_angles = np.arcsin(2.0 * fine_centered / cfg.aoa_fft_len).tolist()
+    fine_r = ((bins + _parabolic_offset(profile, bins)) * sl.range_bin_m).tolist()
+    bin_r = (bins * sl.range_bin_m).tolist()
+    mags = np.max(power, axis=-1, where=peaks, initial=0.0).tolist()
+    entries, start = [], 0
+    for i, end in enumerate(np.cumsum(peaks.sum(axis=-1)).tolist()):
+        if end > start:
+            entries.append(
                 TargetEntry(
-                    range_m=fine_r if cfg.peak_interp else float(k) * sl.range_bin_m,
-                    angles_rad=_bin_angles(centered, cfg.aoa_fft_len),
-                    magnitude=float(power[det].max()),
-                    fine_range_m=fine_r,
-                    fine_angles_rad=_bin_angles(fine_centered, cfg.aoa_fft_len),
-                ),
+                    range_m=fine_r[i] if cfg.peak_interp else bin_r[i],
+                    angles_rad=tuple(angles[start:end]),
+                    magnitude=mags[i],
+                    fine_range_m=fine_r[i],
+                    fine_angles_rad=tuple(fine_angles[start:end]),
+                )
             )
-        )
-    return out
-
-
-def _bin_angles(centered: np.ndarray, fft_len: int) -> tuple[float, ...]:
-    """theta = arcsin(2 b / fft_len) for (possibly fractional) centered bins."""
-    return tuple(float(a) for a in np.arcsin(2.0 * centered / fft_len))
+        start = end
+    return TargetList(tuple(entries), gamma_rad=sl.meta.gamma_rad, timestamp_s=sl.meta.timestamp_s)
 
 
 def aoa_on_targets(
@@ -351,10 +340,11 @@ def aoa_on_targets(
 ) -> TargetList:
     """Angle estimation on the detected range bins only.
 
-    For each range bin the channel snapshot is zero-padded to ``aoa_fft_len``
-    bins; CFAR survivors that are local maxima of the angular power profile
-    become the entry's angles, theta = arcsin(2 b / fft_len) for the centered
-    bin b. The entry magnitude is the strongest detected angular power.
+    The channel snapshots of all selected range bins go through one AoA FFT,
+    zero-padded to ``aoa_fft_len`` bins; CFAR survivors that are local maxima
+    of a bin's angular power profile become its entry's angles,
+    theta = arcsin(2 b / fft_len) for the centered bin b. The entry magnitude
+    is the strongest detected angular power.
 
     Sub-bin positions are fitted for every entry: ``fine_range_m`` from a
     three-point parabola on the accumulated range ``profile`` (computed from
@@ -362,17 +352,15 @@ def aoa_on_targets(
     detected peak of the angular power profile. With ``cfg.peak_interp`` the
     reported range is the fitted one; otherwise it is the bin centre.
 
-    Each range bin is handled independently, so running this over every bin
-    and keeping the detected subset yields entries identical to the selective
-    pass.
+    Each row of the batch is handled independently, so a range bin gets the
+    same entry whatever else is selected with it.
     """
     cfg = cfg or DspConfig()
     if profile is None:
         profile = accumulate_range_profile(sl)
-    entries = tuple(e for _, e in _entries_for_bins(sl, range_bins, cfg, profile))
-    return TargetList(
-        entries=entries, gamma_rad=sl.meta.gamma_rad, timestamp_s=sl.meta.timestamp_s
-    )
+    bins = np.sort(np.asarray(range_bins, dtype=np.intp))
+    power, peaks = _aoa_spectra(sl.samples[bins], cfg)
+    return _target_list(sl, bins, power, peaks, cfg, profile)
 
 
 def process_frame(cube: ChirpCube, cfg: DspConfig | None = None) -> TargetList:
@@ -381,16 +369,12 @@ def process_frame(cube: ChirpCube, cfg: DspConfig | None = None) -> TargetList:
     rd = range_doppler_transform(cube, cfg)
     sl = extract_stationary_slice(rd)
     profile = accumulate_range_profile(sl)
-    det = cfar_detect(profile, cfg.range_cfar)
-    det = local_maxima(profile, det)
-    if cfg.exhaustive_aoa:
-        det_set = set(int(k) for k in det)
-        pairs = _entries_for_bins(sl, range(profile.size), cfg, profile)
-        entries = tuple(e for k, e in pairs if k in det_set)
-        return TargetList(
-            entries=entries, gamma_rad=sl.meta.gamma_rad, timestamp_s=sl.meta.timestamp_s
-        )
-    return aoa_on_targets(sl, det, cfg, profile=profile)
+    det = local_maxima(profile, cfar_detect(profile, cfg.range_cfar))
+    if not cfg.exhaustive_aoa:
+        return aoa_on_targets(sl, det, cfg, profile=profile)
+    # AoA on every range bin; the range detections then mask its rows
+    power, peaks = _aoa_spectra(sl.samples, cfg)
+    return _target_list(sl, det, power[det], peaks[det], cfg, profile)
 
 
 def target_list_to_json(tl: TargetList) -> str:

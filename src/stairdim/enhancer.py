@@ -310,6 +310,12 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
     def to_dict(self) -> dict:
         return {
             "epochs": self.epochs,

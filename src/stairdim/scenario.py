@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -146,9 +146,16 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
     }
 
 
+def _radar_from_dict(d: dict) -> RadarConfig:
+    unknown = sorted(set(d) - {f.name for f in fields(RadarConfig)})
+    if unknown:
+        raise ValueError(f"scenario section 'radar' has unknown key {unknown[0]!r}")
+    return RadarConfig(**d)
+
+
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     base = ScenarioConfig()
-    radar = RadarConfig(**d["radar"]) if "radar" in d else base.radar
+    radar = _radar_from_dict(d["radar"]) if "radar" in d else base.radar
     dsp = base.dsp
     if "dsp" in d:
         dd = d["dsp"]

@@ -199,6 +199,62 @@ def test_train_rejects_underpopulated_dataset(tmp_path):
     assert cli.main(["train", "--out", str(run), "--epochs", "1"]) == 1
 
 
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("stairdim: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    return err
+
+
+def test_train_rejects_zero_epochs(tmp_path, capsys):
+    # a dataset the split accepts, so that only the epoch count is at fault
+    rng = np.random.default_rng(56)
+    rows = [
+        EnhancerSample(
+            r1_m=2.0 + rng.uniform(0, 0.5),
+            theta1_rad=-0.2,
+            r2_m=2.4,
+            theta2_rad=-0.1,
+            hr_m=0.45,
+            gamma_rad=-0.35,
+            d_true_m=d / 100,
+            h_true_m=h / 100,
+            scenario_id=f"d{d}h{h}_w{w}",
+            frame_id=0,
+            r1_fine_m=2.01,
+            theta1_fine_rad=-0.21,
+            r2_fine_m=2.39,
+            theta2_fine_rad=-0.11,
+        )
+        for d in range(26, 40, 2)
+        for h in range(10, 20, 2)
+        for w in range(3)
+    ]
+    run = tmp_path / "run"
+    run.mkdir()
+    write_dataset(rows, run / "dataset.csv")
+    assert cli.main(["train", "--out", str(run), "--epochs", "1"]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--out", str(run), "--epochs", "0"]) == 1
+    assert "epochs must be >= 1" in _one_line_error(capsys)
+
+
+def test_scenario_with_unknown_radar_key(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"radar": {"bandwidth_hz": 4.0e9, "bogus": 1}}))
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    err = _one_line_error(capsys)
+    assert "'radar'" in err and "'bogus'" in err
+
+
+def test_scenario_missing_staircase_height(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"staircase": {"depth_m": 0.3, "step_count": 4}}))
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    err = _one_line_error(capsys)
+    assert "missing" in err and "'height_m'" in err
+
+
 def test_sweep_train_evaluate_chain(tmp_path, capsys):
     run = tmp_path / "run"
     assert cli.main(["sweep", "--out", str(run), "--walks-per-combo", "2", "--seed", "0"]) == 0

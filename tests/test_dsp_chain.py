@@ -3,8 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import dft_matrix, hann_periodic, naive_dft
+from stairdim import numerics
 from stairdim.chirp_sim import (
     NOISELESS,
     ChirpCube,
@@ -20,6 +24,7 @@ from stairdim.dsp_chain import (
     StationarySlice,
     TargetEntry,
     TargetList,
+    _cfar_mask,
     _parabolic_offset,
     accumulate_range_profile,
     aoa_on_targets,
@@ -208,6 +213,35 @@ def test_cfar_validation():
         cfar_detect(np.ones((10, 10)), DEFAULT_RANGE_CFAR)
 
 
+@st.composite
+def _cfar_cases(draw, rows=st.integers(1, 6)):
+    t = draw(st.integers(1, 8))
+    g = draw(st.integers(0, 6))
+    n = draw(st.integers(2 * (t + g) + 2, 80))
+    power = draw(arrays(np.float64, (draw(rows), n), elements=st.floats(0.0, 1.0e3)))
+    return power, CfarConfig(training_cells=t, guard_cells=g, pfa=1e-3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cfar_cases())
+def test_cfar_rows_of_the_batch_kernel_equal_one_row_detection(case):
+    power, cfg = case
+    for pinned in (cfg, replace(cfg, pfa=None, scale_factor=2.5)):
+        mask = _cfar_mask(power, pinned)
+        for row, row_mask in zip(power, mask):
+            assert np.array_equal(np.nonzero(row_mask)[0], cfar_detect(row, pinned))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cfar_cases(rows=st.just(1)), st.floats(1e-9, 0.5), st.floats(1e-9, 0.5))
+def test_cfar_detections_grow_with_pfa(case, pfa_a, pfa_b):
+    power, cfg = case
+    lo, hi = sorted((pfa_a, pfa_b))
+    fewer = set(cfar_detect(power[0], replace(cfg, pfa=lo)).tolist())
+    more = set(cfar_detect(power[0], replace(cfg, pfa=hi)).tolist())
+    assert fewer <= more
+
+
 def test_local_maxima_selection():
     profile = np.array([1.0, 3.0, 3.0, 2.0, 5.0, 4.0, 4.0, 6.0])
     keep = local_maxima(profile, np.arange(profile.size))
@@ -322,6 +356,37 @@ def test_aoa_per_bin_results_independent_of_selection():
     subset = [48, 55, 62, 100]
     part = aoa_on_targets(sl, subset)
     assert list(part.entries) == [by_bin[k] for k in subset if k in by_bin]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    corners=st.lists(
+        st.tuples(st.floats(1.0, 5.0), st.floats(-0.7, 0.7)), min_size=1, max_size=4
+    ),
+    bins=st.one_of(st.just(list(range(144))), st.lists(st.integers(0, 143), max_size=40)),
+    peak_interp=st.booleans(),
+)
+def test_batched_aoa_equals_one_bin_calls(seed, corners, bins, peak_interp):
+    scs = [Scatterer(r * math.cos(th), r * math.sin(th)) for r, th in corners]
+    cube = synthesize_frame(CFG, _frame(), scs, NoiseConfig(snr_db=15.0), seed=seed)
+    sl = extract_stationary_slice(range_doppler_transform(cube))
+    cfg = DspConfig(peak_interp=peak_interp)
+    batched = aoa_on_targets(sl, bins, cfg).entries
+    one_by_one = tuple(e for k in sorted(bins) for e in aoa_on_targets(sl, [k], cfg).entries)
+    assert repr(batched) == repr(one_by_one)  # repr tells every float bit apart, -0.0 too
+
+
+def test_exhaustive_frame_makes_one_aoa_fft(monkeypatch):
+    # range, Doppler and one batched AoA transform, however many bins
+    calls = []
+    fft = numerics.fft
+    monkeypatch.setattr(numerics, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
+    cube, _, _ = _staircase_cube(seed=2)
+    for cfg in (DspConfig(exhaustive_aoa=True), DspConfig()):
+        calls.clear()
+        assert len(process_frame(cube, cfg).entries) >= 2
+        assert len(calls) == 3
 
 
 # --- full frame pipeline ---
