@@ -21,6 +21,7 @@ tight tolerances, and the wire format quantizes to complex64.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -84,6 +85,9 @@ class ChirpCube:
     meta: FrameMeta
 
     def __post_init__(self) -> None:
+        # C order whatever the source: reductions over other layouts may sum
+        # in another order and change DSP results in the last bit
+        self.samples = np.ascontiguousarray(self.samples)
         expected = (
             self.config.samples_per_chirp,
             self.config.chirps_per_frame,
@@ -93,6 +97,13 @@ class ChirpCube:
             raise ValueError(f"cube shape {self.samples.shape} != config shape {expected}")
         if not np.isfinite(self.samples).all():
             raise ValueError("cube contains non-finite samples")
+
+
+@functools.lru_cache(maxsize=32)
+def _einsum_path(n_s: int, n_p: int, n_a: int, k: int) -> tuple:
+    """The contraction order ``optimize=True`` would pick for these axis sizes, found once."""
+    shapes = ((n_s, k), (n_p, k), (n_a, k))
+    return tuple(np.einsum_path("sk,pk,ak->spa", *map(np.empty, shapes), optimize=True)[0])
 
 
 def synthesize_frame(
@@ -125,7 +136,6 @@ def synthesize_frame(
     n_s = cfg.samples_per_chirp
     n_p = cfg.chirps_per_frame
     n_a = cfg.virtual_antennas
-    cube = np.zeros((n_s, n_p, n_a), dtype=np.complex128)
 
     nearest_amp = 0.0
     if scatterers:
@@ -157,9 +167,12 @@ def synthesize_frame(
         fast = np.exp(2j * math.pi * np.outer(s_t, f_beat)) * amp  # (N_S, K)
         slow = np.exp(2j * math.pi * np.outer(p_t, f_dopp))  # (N_P, K)
         aper = np.exp(1j * math.pi * np.outer(a_i, np.sin(theta)))  # (N_A, K)
-        cube = np.einsum("sk,pk,ak->spa", fast, slow, aper, optimize=True)
+        path = _einsum_path(n_s, n_p, n_a, len(scatterers))
+        cube = np.einsum("sk,pk,ak->spa", fast, slow, aper, optimize=path, order="C")
 
         nearest_amp = float(amp[np.argmin(r)])
+    else:
+        cube = np.zeros((n_s, n_p, n_a), dtype=np.complex128)
 
     sigma2 = 0.0
     if noise.power is not None:
@@ -167,11 +180,12 @@ def synthesize_frame(
     elif noise.snr_db is not None and nearest_amp > 0.0:
         sigma2 = nearest_amp**2 / 10.0 ** (noise.snr_db / 10.0)
     if sigma2 > 0.0:
-        rng = rng_for(seed, 0x01)
-        scale = math.sqrt(sigma2 / 2.0)
-        cube = cube + scale * (
-            rng.standard_normal(cube.shape) + 1j * rng.standard_normal(cube.shape)
-        )
+        # one draw holds the real then the imaginary parts, the stream two
+        # draws of the cube's shape would give
+        draw = rng_for(seed, 0x01).standard_normal((2,) + cube.shape)
+        draw *= math.sqrt(sigma2 / 2.0)
+        cube.real += draw[0]
+        cube.imag += draw[1]
 
     meta = FrameMeta(
         timestamp_s=frame.timestamp_s,
@@ -203,9 +217,7 @@ def save_cube(cube: ChirpCube, path: str | Path) -> None:
         cube.meta.v_host_mps,
     )
     # file order: s fastest, then p, then a -> contiguous (N_A, N_P, N_S)
-    body = np.ascontiguousarray(
-        cube.samples.astype(np.complex64).transpose(2, 1, 0)
-    ).tobytes()
+    body = cube.samples.transpose(2, 1, 0).astype(np.complex64, order="C").tobytes()
     Path(path).write_bytes(header + body)
 
 
@@ -233,8 +245,7 @@ def load_cube(path: str | Path, config: RadarConfig) -> ChirpCube:
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")
     flat = np.frombuffer(raw, dtype=np.complex64, offset=_HEADER.size)
-    # C order, as synthesis produces: numpy reductions over a strided view
-    # may sum in another order and differ from in-memory frames in the last bit
+    # widened straight into C order, so ChirpCube need not copy it again
     samples = flat.reshape(n_a, n_p, n_s).transpose(2, 1, 0).astype(np.complex128, order="C")
     return ChirpCube(
         samples=samples,

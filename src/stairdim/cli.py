@@ -10,9 +10,7 @@ Subcommands map to the pipeline stages:
 
 Every command honors --seed and writes a manifest.json entry (config hash,
 seed, versions; no timestamps, so fixed-seed reruns are byte-identical).
-DIMRAD_THREADS caps the worker threads used for frame- and scenario-level
-parallelism (default 1, fully serial). Exit codes: 0 success, 1 validation
-error, 2 I/O error.
+Exit codes: 0 success, 1 validation error, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -21,19 +19,17 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
 from . import __version__
 from .chirp_sim import load_cube, save_cube
 from .dimension import aggregate_estimates, estimate_initial
-from .dsp_chain import process_frame, read_target_lists, write_target_lists
+from .dsp_chain import DspConfig, process_frame, write_target_lists
 from .enhancer import (
     EnhancerSample,
     TrainConfig,
@@ -61,27 +57,6 @@ from .scenario import (
     synthesize_scenario_frame,
 )
 
-_T = TypeVar("_T")
-_U = TypeVar("_U")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("DIMRAD_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn: Callable[[_T], _U], items: Sequence[_T]) -> list[_U]:
-    """Map preserving input order; thread count from DIMRAD_THREADS."""
-    threads = _thread_count()
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _versions() -> dict:
     return {
         "stairdim": __version__,
@@ -104,17 +79,21 @@ def _write_manifest(out_dir: Path, command: str, entry: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _apply_overrides(sc: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    if getattr(args, "seed", None) is not None:
-        sc = replace(sc, seed=args.seed)
-    dsp = sc.dsp
+def _dsp_overrides(dsp: DspConfig, args: argparse.Namespace) -> DspConfig:
+    """``dsp`` with the --exhaustive-aoa, --peak-interp and --cfar-pfa options applied."""
     if getattr(args, "exhaustive_aoa", False):
         dsp = replace(dsp, exhaustive_aoa=True)
     if getattr(args, "peak_interp", False):
         dsp = replace(dsp, peak_interp=True)
     if getattr(args, "cfar_pfa", None) is not None:
         dsp = dsp.with_pfa(args.cfar_pfa)
-    return replace(sc, dsp=dsp)
+    return dsp
+
+
+def _apply_overrides(sc: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
+    if getattr(args, "seed", None) is not None:
+        sc = replace(sc, seed=args.seed)
+    return replace(sc, dsp=_dsp_overrides(sc.dsp, args))
 
 
 def _load_scenario_arg(args: argparse.Namespace) -> ScenarioConfig:
@@ -142,12 +121,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cube_dir = out_dir / "cubes"
     cube_dir.mkdir(parents=True, exist_ok=True)
     trajectory = scenario_trajectory(sc)
-
-    def emit(i: int) -> None:
-        cube = synthesize_scenario_frame(sc, trajectory, i)
-        save_cube(cube, cube_dir / f"frame_{i:05d}.bin")
-
-    _parallel_map(emit, range(len(trajectory.frames)))
+    for i in range(len(trajectory.frames)):
+        save_cube(synthesize_scenario_frame(sc, trajectory, i), cube_dir / f"frame_{i:05d}.bin")
     _write_sidecar(sc, out_dir)
     _write_manifest(
         out_dir,
@@ -196,16 +171,15 @@ def cmd_process(args: argparse.Namespace) -> int:
         if not paths:
             raise ValueError(f"no cube files under {cube_dir}")
 
-        def one(path: Path):
+        target_lists, estimates = [], []
+        for path in paths:
             cube = load_cube(path, sc.radar)
             tl = process_frame(cube, sc.dsp)
             h_r = radar_height(sc.walk.mount_height_m, cube.meta.gamma_rad)
-            est = estimate_initial(tl, cube.meta.gamma_rad, sc.standards, radar_height_m=h_r)
-            return tl, est
-
-        results = _parallel_map(one, paths)
-        target_lists = [tl for tl, _ in results]
-        estimates = [est for _, est in results]
+            target_lists.append(tl)
+            estimates.append(
+                estimate_initial(tl, cube.meta.gamma_rad, sc.standards, radar_height_m=h_r)
+            )
     else:
         sc = _load_scenario_arg(args)
         result = run_scenario(sc)
@@ -231,19 +205,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else 0
-    scenarios = build_sweep(base_seed=seed, walks_per_combo=args.walks_per_combo)
-    if args.cfar_pfa is not None or args.exhaustive_aoa or args.peak_interp:
-        dsp = scenarios[0].dsp
-        if args.exhaustive_aoa:
-            dsp = replace(dsp, exhaustive_aoa=True)
-        if args.peak_interp:
-            dsp = replace(dsp, peak_interp=True)
-        if args.cfar_pfa is not None:
-            dsp = dsp.with_pfa(args.cfar_pfa)
-        scenarios = [replace(sc, dsp=dsp) for sc in scenarios]
-
-    chunks = _parallel_map(lambda sc: assemble_dataset([sc]), scenarios)
-    samples = [s for chunk in chunks for s in chunk]
+    scenarios = build_sweep(
+        base_seed=seed, walks_per_combo=args.walks_per_combo, dsp=_dsp_overrides(DspConfig(), args)
+    )
+    samples = assemble_dataset(scenarios)
     if not samples:
         raise ValueError("sweep produced no dataset rows")
     write_dataset(samples, out_dir / "dataset.csv")

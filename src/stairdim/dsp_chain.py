@@ -201,8 +201,9 @@ def range_doppler_transform(cube: ChirpCube, cfg: DspConfig | None = None) -> Ra
     n_s = cube.config.samples_per_chirp
     w = numerics.window(cfg.range_window, n_s)
     spectra = numerics.fft(cube.samples * w[:, None, None], axis=0)
-    wd = numerics.window(cfg.doppler_window, cube.config.chirps_per_frame)
-    spectra = numerics.fft(spectra * wd[None, :, None], axis=1)
+    if cfg.doppler_window != "rect":  # all ones: weighting would only copy the cube
+        spectra *= numerics.window(cfg.doppler_window, cube.config.chirps_per_frame)[:, None]
+    spectra = numerics.fft(spectra, axis=1)
     return RangeDopplerCube(
         samples=spectra,
         range_bin_m=attrs.range_resolution_m,
@@ -378,18 +379,25 @@ def process_frame(cube: ChirpCube, cfg: DspConfig | None = None) -> TargetList:
 
 
 def target_list_to_json(tl: TargetList) -> str:
-    """One-line JSON record (the targets.jsonl row format)."""
+    """One-line JSON record (the targets.jsonl row format).
+
+    Angles are written in radians, which read back exactly, and in degrees
+    for readers of the file.
+    """
     return json.dumps(
         {
             "t": tl.timestamp_s,
             "gamma_deg": math.degrees(tl.gamma_rad),
+            "gamma_rad": tl.gamma_rad,
             "targets": [
                 {
                     "r_m": e.range_m,
                     "theta_deg": [math.degrees(a) for a in e.angles_rad],
+                    "theta_rad": list(e.angles_rad),
                     "mag": e.magnitude,
                     "fine_r_m": e.fine_range_m,
                     "fine_theta_deg": [math.degrees(a) for a in e.fine_angles_rad],
+                    "fine_theta_rad": list(e.fine_angles_rad),
                 }
                 for e in tl.entries
             ],
@@ -404,14 +412,14 @@ def target_list_from_json(line: str) -> TargetList:
         entries=tuple(
             TargetEntry(
                 range_m=float(t["r_m"]),
-                angles_rad=tuple(math.radians(a) for a in t["theta_deg"]),
+                angles_rad=tuple(map(float, t["theta_rad"])),
                 magnitude=float(t["mag"]),
                 fine_range_m=float(t["fine_r_m"]),
-                fine_angles_rad=tuple(math.radians(a) for a in t["fine_theta_deg"]),
+                fine_angles_rad=tuple(map(float, t["fine_theta_rad"])),
             )
             for t in d["targets"]
         ),
-        gamma_rad=math.radians(float(d["gamma_deg"])),
+        gamma_rad=float(d["gamma_rad"]),
         timestamp_s=float(d["t"]),
     )
 

@@ -10,8 +10,8 @@ evaluation order.
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional
@@ -28,6 +28,7 @@ from .enhancer import radar_height
 from .numerics import rng_for
 from .rf_params import RadarConfig, derive_attributes
 from .scene import (
+    Scatterer,
     StaircaseSpec,
     Trajectory,
     WalkConfig,
@@ -207,13 +208,14 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     return scenario_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def scenario_scatterers(sc: ScenarioConfig):
-    """Corner scatterers plus this scenario's seeded clutter, if any."""
+@functools.lru_cache(maxsize=8)
+def scenario_scatterers(sc: ScenarioConfig) -> tuple[Scatterer, ...]:
+    """Corner scatterers plus this scenario's seeded clutter, if any; built once per scenario."""
     scatterers = corner_scatterers(sc.staircase)
     if sc.clutter.count > 0:
         rng = rng_for(sc.seed, 0xC1)
         scatterers += clutter_scatterers(sc.staircase, sc.clutter.count, sc.clutter.reflectivity, rng)
-    return scatterers
+    return tuple(scatterers)
 
 
 def synthesize_scenario_frame(sc: ScenarioConfig, trajectory: Trajectory, frame_idx: int) -> ChirpCube:

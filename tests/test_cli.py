@@ -114,34 +114,6 @@ def test_seed_override_reaches_the_synthesis(tmp_path, short_config):
     assert (a / "cubes/frame_00000.bin").read_bytes() != (b / "cubes/frame_00000.bin").read_bytes()
 
 
-def test_thread_count_parsing(monkeypatch):
-    monkeypatch.delenv("DIMRAD_THREADS", raising=False)
-    assert cli._thread_count() == 1
-    monkeypatch.setenv("DIMRAD_THREADS", "8")
-    assert cli._thread_count() == 8
-    monkeypatch.setenv("DIMRAD_THREADS", "abc")
-    assert cli._thread_count() == 1
-    monkeypatch.setenv("DIMRAD_THREADS", "0")
-    assert cli._thread_count() == 1
-
-
-def test_threaded_runs_match_serial(tmp_path, short_config, monkeypatch):
-    serial_sim = tmp_path / "s1"
-    assert cli.main(["simulate", "--config", str(short_config), "--out", str(serial_sim)]) == 0
-    serial_proc = tmp_path / "p1"
-    assert cli.main(["process", "--cubes", str(serial_sim), "--out", str(serial_proc)]) == 0
-
-    monkeypatch.setenv("DIMRAD_THREADS", "4")
-    threaded_sim = tmp_path / "s4"
-    assert cli.main(["simulate", "--config", str(short_config), "--out", str(threaded_sim)]) == 0
-    threaded_proc = tmp_path / "p4"
-    assert cli.main(["process", "--cubes", str(threaded_sim), "--out", str(threaded_proc)]) == 0
-
-    for name in ("frame_00000.bin", "frame_00007.bin", "frame_00011.bin"):
-        assert (serial_sim / "cubes" / name).read_bytes() == (threaded_sim / "cubes" / name).read_bytes()
-    assert (serial_proc / "targets.jsonl").read_bytes() == (threaded_proc / "targets.jsonl").read_bytes()
-
-
 def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
         cli.main(["simulate"])  # --out is required

@@ -1,13 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stairdim.chirp_sim import NOISELESS, NoiseConfig
+from stairdim import scenario
+from stairdim.chirp_sim import NOISELESS, ChirpCube, NoiseConfig, quantize_to_wire
 from stairdim.dimension import SWEEP_STANDARDS
-from stairdim.dsp_chain import DspConfig
+from stairdim.dsp_chain import DspConfig, process_frame, read_target_lists, write_target_lists
 from stairdim.rf_params import RadarConfig, derive_attributes
-from stairdim.scene import WalkConfig
+from stairdim.scene import WalkConfig, corner_scatterers
 from stairdim.scenario import (
     SWEEP_DEPTHS_M,
     SWEEP_HEIGHTS_M,
@@ -165,3 +167,43 @@ def test_run_scenario_is_deterministic():
     r2 = run_scenario(sc)
     assert r1.target_lists == r2.target_lists
     assert r1.aggregate() == r2.aggregate()
+
+
+@pytest.fixture(scope="module")
+def noisy_interp_walk():
+    """A noisy 50-frame sweep walk processed with sub-bin range refinement."""
+    return replace(build_sweep(3, 1)[1], dsp=DspConfig(peak_interp=True))
+
+
+def test_run_scenario_builds_the_scatterers_once(monkeypatch, noisy_interp_walk):
+    calls = []
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec)
+        return corner_scatterers(spec, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "corner_scatterers", counting)
+    sc = replace(noisy_interp_walk, name="scatterers-once", seed=noisy_interp_walk.seed + 1)
+    result = run_scenario(sc)
+    assert len(result.target_lists) == 50
+    assert calls == [sc.staircase]
+    # the cached value is a tuple, so no caller can change it for the next frame
+    assert isinstance(scenario_scatterers(sc), tuple)
+
+
+def test_process_frame_does_not_depend_on_cube_layout(noisy_interp_walk):
+    sc = noisy_interp_walk
+    traj = scenario_trajectory(sc)
+    assert len(traj.frames) == 50
+    for i in range(len(traj.frames)):
+        cube = quantize_to_wire(synthesize_scenario_frame(sc, traj, i))
+        fortran = ChirpCube(np.asfortranarray(cube.samples), cube.config, cube.meta)
+        assert process_frame(fortran, sc.dsp) == process_frame(cube, sc.dsp), i
+
+
+def test_targets_jsonl_round_trip_is_exact(tmp_path, noisy_interp_walk):
+    tls = run_scenario(noisy_interp_walk).target_lists
+    assert len(tls) == 50 and sum(len(tl.entries) for tl in tls) > 50
+    path = tmp_path / "targets.jsonl"
+    write_target_lists(tls, path)
+    assert read_target_lists(path) == tls
