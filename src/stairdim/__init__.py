@@ -11,6 +11,7 @@ corrected stair dimensions:
 - `enhancer`: the small neural network that shrinks systematic errors
 - `evaluation`: error statistics and histograms
 - `scenario`: end-to-end runs and the dimension sweep grid
+- `codec`: the JSON form of every config dataclass
 """
 
 from .chirp_sim import (

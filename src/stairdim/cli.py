@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .chirp_sim import load_cube, save_cube
+from .codec import to_dict
 from .dimension import aggregate_estimates, estimate_initial
 from .dsp_chain import DspConfig, process_frame, write_target_lists
 from .enhancer import (
@@ -45,7 +46,7 @@ from .enhancer import (
     write_dataset,
 )
 from .evaluation import build_error_report, report_to_dict, write_histogram_csv
-from .scene import corners_of, trajectory_to_dict
+from .scene import corners_of
 from .scenario import (
     ScenarioConfig,
     build_sweep,
@@ -105,7 +106,7 @@ def _write_sidecar(sc: ScenarioConfig, out_dir: Path) -> None:
     trajectory = scenario_trajectory(sc)
     sidecar = {
         "scenario": scenario_to_dict(sc),
-        "trajectory": trajectory_to_dict(trajectory),
+        "trajectory": to_dict(trajectory),
         "true_corners_m": [[float(x), float(y)] for x, y in corners_of(sc.staircase)],
         "d_true_m": sc.staircase.depth_m,
         "h_true_m": sc.staircase.height_m,

@@ -1,0 +1,103 @@
+"""One codec between the config dataclasses and their JSON form.
+
+``to_dict`` writes every field: nested dataclasses as objects, tuples as
+lists, ``*_rad`` fields in degrees under ``*_deg`` keys. ``from_dict`` lays a
+JSON object over a default instance, checks each value against its field's
+annotation and rejects unknown keys; ``scenario`` lists the file rules. Every
+failure is a ValueError, or a KeyError naming a missing key that a field's
+``metadata={"required": True}`` demands.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import math
+import sys
+import types
+import typing
+
+__all__ = ["to_dict", "from_dict"]
+
+_BAD = object()  # _check's verdict on a value that does not fit
+
+
+def _key(name: str) -> str:
+    return name[: -len("_rad")] + "_deg" if name.endswith("_rad") else name
+
+
+def _encode(name: str, value):
+    if dataclasses.is_dataclass(value):
+        return to_dict(value)
+    if isinstance(value, tuple):
+        return [_encode(name, v) for v in value]
+    if name.endswith("_rad"):
+        return math.degrees(value)
+    return value
+
+
+def to_dict(obj) -> dict:
+    """``obj`` (a dataclass instance) as plain JSON-ready data."""
+    return {_key(f.name): _encode(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
+@functools.cache
+def _fields(cls) -> tuple:
+    # resolving the string annotations costs more than the rest of a decode
+    hints = typing.get_type_hints(cls)
+    return tuple((f, _key(f.name), hints[f.name]) for f in dataclasses.fields(cls))
+
+
+def _check(tp, value):
+    """``value`` converted to annotation ``tp``, or _BAD."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        if value is None:
+            return None if type(None) in args else _BAD
+        (tp,) = [a for a in args if a is not type(None)]
+        return _check(tp, value)
+    if origin is tuple:
+        if not isinstance(value, list):
+            return _BAD
+        item_types = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(item_types) != len(value):
+            return _BAD
+        items = tuple(_check(t, v) for t, v in zip(item_types, value))
+        return _BAD if any(v is _BAD for v in items) else items
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is float and number and (isinstance(value, float) or abs(value) <= sys.float_info.max):
+        return float(value)
+    if tp is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if tp in (bool, str) and isinstance(value, tp):
+        return value
+    return _BAD
+
+
+def from_dict(base, d, section: str = ""):
+    """The dataclass instance ``base`` with the JSON object ``d`` laid over it.
+
+    ``section`` is the dotted path of ``d`` within the file, for messages.
+    """
+    where = f"scenario section {section!r}" if section else "scenario"
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be an object, got {d!r}")
+    known = _fields(type(base))
+    unknown = sorted(set(d) - {key for _, key, _ in known})
+    if unknown:
+        raise ValueError(f"{where} has unknown key {unknown[0]!r}")
+    changes = {}
+    for f, key, tp in known:
+        if key not in d:
+            if f.metadata.get("required"):
+                raise KeyError(key)
+            continue
+        path = f"{section}.{key}" if section else key
+        if dataclasses.is_dataclass(tp):
+            changes[f.name] = from_dict(getattr(base, f.name), d[key], path)
+            continue
+        value = _check(tp, d[key])
+        if value is _BAD:
+            raise ValueError(f"scenario key {path!r} must be {f.type}, got {d[key]!r}")
+        changes[f.name] = math.radians(value) if f.name.endswith("_rad") else value
+    return dataclasses.replace(base, **changes)

@@ -35,6 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .codec import to_dict
 from .dimension import DimensionEstimate
 from .numerics import rng_for
 
@@ -316,22 +317,6 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "hidden": list(self.hidden),
-            "activation": self.activation,
-            "val_fraction": self.val_fraction,
-            "early_stop": self.early_stop,
-            "patience": self.patience,
-            "seed": self.seed,
-        }
-
 
 @dataclass(eq=False)
 class EnhancerModel:
@@ -593,7 +578,7 @@ def save_model(
             "mean": [float(v) for v in model.norm_mean],
             "scale": [float(v) for v in model.norm_scale],
         },
-        "train_config": train_config.to_dict() if train_config else None,
+        "train_config": to_dict(train_config) if train_config else None,
         "dataset_fingerprint": fingerprint,
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

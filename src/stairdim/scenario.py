@@ -2,28 +2,37 @@
 
 A scenario bundles everything one simulated acquisition needs: the radar
 parametrization, the staircase, the walk, noise and clutter settings, the
-extraction-chain configuration, and a master seed. Scenario files are JSON
-with angles in degrees (``*_deg`` keys). Per-frame seeds derive from the
-master seed and the frame index, so frames are reproducible independently of
-evaluation order.
+extraction-chain configuration, and a master seed. Per-frame seeds derive
+from the master seed and the frame index, so frames are reproducible
+independently of evaluation order.
+
+Scenario files are JSON shaped like ``scenario_to_dict`` output, read by
+``codec.from_dict``. An absent key takes the default at that position in
+``ScenarioConfig()`` (a partial ``dsp.range_cfar`` fills from the default
+range CFAR, a partial ``standards`` from ``SWEEP_STANDARDS``). An unknown key
+in any section is an error. A ``staircase`` section must state ``depth_m``,
+``height_m`` and ``step_count``. Angles are degrees under ``*_deg`` keys.
+Integer fields take integral numbers only; ``null`` only where a field may be
+unset.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
 from .chirp_sim import ChirpCube, NoiseConfig, quantize_to_wire, synthesize_frame
+from .codec import from_dict, to_dict
 from .dimension import (
     SWEEP_STANDARDS,
     DimensionEstimate,
     StairStandards,
     estimate_initial,
 )
-from .dsp_chain import CfarConfig, DspConfig, TargetList, process_frame
+from .dsp_chain import DspConfig, TargetList, process_frame
 from .enhancer import radar_height
 from .numerics import rng_for
 from .rf_params import RadarConfig, derive_attributes
@@ -35,10 +44,6 @@ from .scene import (
     clutter_scatterers,
     corner_scatterers,
     generate_walk,
-    staircase_from_dict,
-    staircase_to_dict,
-    walk_from_dict,
-    walk_to_dict,
 )
 
 __all__ = [
@@ -95,107 +100,12 @@ class ScenarioResult:
         return aggregate_estimates(self.estimates)
 
 
-def _cfar_to_dict(c: CfarConfig) -> dict:
-    return {
-        "training_cells": c.training_cells,
-        "guard_cells": c.guard_cells,
-        "pfa": c.pfa,
-        "scale_factor": c.scale_factor,
-    }
-
-
-def _cfar_from_dict(d: dict, base: CfarConfig) -> CfarConfig:
-    return CfarConfig(
-        training_cells=int(d.get("training_cells", base.training_cells)),
-        guard_cells=int(d.get("guard_cells", base.guard_cells)),
-        pfa=d.get("pfa", base.pfa if "scale_factor" not in d else None),
-        scale_factor=d.get("scale_factor"),
-    )
-
-
 def scenario_to_dict(sc: ScenarioConfig) -> dict:
-    return {
-        "name": sc.name,
-        "seed": sc.seed,
-        "radar": {
-            "carrier_frequency_hz": sc.radar.carrier_frequency_hz,
-            "bandwidth_hz": sc.radar.bandwidth_hz,
-            "chirp_duration_s": sc.radar.chirp_duration_s,
-            "samples_per_chirp": sc.radar.samples_per_chirp,
-            "chirps_per_frame": sc.radar.chirps_per_frame,
-            "tx_count": sc.radar.tx_count,
-            "rx_count": sc.radar.rx_count,
-        },
-        "staircase": staircase_to_dict(sc.staircase),
-        "walk": walk_to_dict(sc.walk),
-        "noise": {"snr_db": sc.noise.snr_db, "power": sc.noise.power},
-        "clutter": {"count": sc.clutter.count, "reflectivity": sc.clutter.reflectivity},
-        "dsp": {
-            "range_window": sc.dsp.range_window,
-            "doppler_window": sc.dsp.doppler_window,
-            "aoa_window": sc.dsp.aoa_window,
-            "aoa_fft_len": sc.dsp.aoa_fft_len,
-            "range_cfar": _cfar_to_dict(sc.dsp.range_cfar),
-            "aoa_cfar": _cfar_to_dict(sc.dsp.aoa_cfar),
-            "peak_interp": sc.dsp.peak_interp,
-            "exhaustive_aoa": sc.dsp.exhaustive_aoa,
-        },
-        "standards": {
-            "depth_range_m": list(sc.standards.depth_range_m),
-            "height_range_m": list(sc.standards.height_range_m),
-        },
-    }
-
-
-def _radar_from_dict(d: dict) -> RadarConfig:
-    unknown = sorted(set(d) - {f.name for f in fields(RadarConfig)})
-    if unknown:
-        raise ValueError(f"scenario section 'radar' has unknown key {unknown[0]!r}")
-    return RadarConfig(**d)
+    return to_dict(sc)
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
-    base = ScenarioConfig()
-    radar = _radar_from_dict(d["radar"]) if "radar" in d else base.radar
-    dsp = base.dsp
-    if "dsp" in d:
-        dd = d["dsp"]
-        dsp = DspConfig(
-            range_window=dd.get("range_window", dsp.range_window),
-            doppler_window=dd.get("doppler_window", dsp.doppler_window),
-            aoa_window=dd.get("aoa_window", dsp.aoa_window),
-            aoa_fft_len=int(dd.get("aoa_fft_len", dsp.aoa_fft_len)),
-            range_cfar=_cfar_from_dict(dd.get("range_cfar", {}), dsp.range_cfar),
-            aoa_cfar=_cfar_from_dict(dd.get("aoa_cfar", {}), dsp.aoa_cfar),
-            peak_interp=bool(dd.get("peak_interp", dsp.peak_interp)),
-            exhaustive_aoa=bool(dd.get("exhaustive_aoa", dsp.exhaustive_aoa)),
-        )
-    standards = base.standards
-    if "standards" in d:
-        standards = StairStandards(
-            depth_range_m=tuple(d["standards"]["depth_range_m"]),
-            height_range_m=tuple(d["standards"]["height_range_m"]),
-        )
-    noise = base.noise
-    if "noise" in d:
-        noise = NoiseConfig(snr_db=d["noise"].get("snr_db"), power=d["noise"].get("power"))
-    clutter = base.clutter
-    if "clutter" in d:
-        clutter = ClutterConfig(
-            count=int(d["clutter"].get("count", 0)),
-            reflectivity=float(d["clutter"].get("reflectivity", 0.3)),
-        )
-    return ScenarioConfig(
-        name=str(d.get("name", base.name)),
-        seed=int(d.get("seed", base.seed)),
-        radar=radar,
-        staircase=staircase_from_dict(d["staircase"]) if "staircase" in d else base.staircase,
-        walk=walk_from_dict(d["walk"]) if "walk" in d else base.walk,
-        noise=noise,
-        clutter=clutter,
-        dsp=dsp,
-        standards=standards,
-    )
+    return from_dict(ScenarioConfig(), d)
 
 
 def save_scenario(sc: ScenarioConfig, path: str | Path) -> None:

@@ -17,7 +17,7 @@ it equals h_i * cos(gamma + 20 deg).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,12 +33,6 @@ __all__ = [
     "corner_scatterers",
     "clutter_scatterers",
     "generate_walk",
-    "staircase_to_dict",
-    "staircase_from_dict",
-    "walk_to_dict",
-    "walk_from_dict",
-    "trajectory_to_dict",
-    "trajectory_from_dict",
 ]
 
 _MOUNT_TILT_DEFAULT_RAD = math.radians(-20.0)
@@ -48,9 +42,9 @@ _MOUNT_TILT_DEFAULT_RAD = math.radians(-20.0)
 class StaircaseSpec:
     """Geometry of an ascending staircase (meters)."""
 
-    depth_m: float = 0.30
-    height_m: float = 0.15
-    step_count: int = 4
+    depth_m: float = field(default=0.30, metadata={"required": True})
+    height_m: float = field(default=0.15, metadata={"required": True})
+    step_count: int = field(default=4, metadata={"required": True})
     foot_x_m: float = 0.0
 
     def __post_init__(self) -> None:
@@ -78,8 +72,8 @@ def corners_of(spec: StaircaseSpec) -> np.ndarray:
 class WalkConfig:
     """Walk of the sensor toward the staircase foot.
 
-    Angles are radians internally; serialization uses degrees with _deg
-    suffixes. ``mount_height_m`` is h_i, the shin attachment height.
+    Angles are radians internally; files hold them in degrees under _deg
+    keys. ``mount_height_m`` is h_i, the shin attachment height.
     """
 
     start_standoff_m: float = 4.0
@@ -243,99 +237,3 @@ def generate_walk(
     )
     return Trajectory(frames=frames, walk=cfg, staircase=spec)
 
-
-# --- serialization (scenario files store angles in degrees, *_deg keys) ---
-
-
-def staircase_to_dict(spec: StaircaseSpec) -> dict:
-    return {
-        "depth_m": spec.depth_m,
-        "height_m": spec.height_m,
-        "step_count": spec.step_count,
-        "foot_x_m": spec.foot_x_m,
-    }
-
-
-def staircase_from_dict(d: dict) -> StaircaseSpec:
-    return StaircaseSpec(
-        depth_m=float(d["depth_m"]),
-        height_m=float(d["height_m"]),
-        step_count=int(d["step_count"]),
-        foot_x_m=float(d.get("foot_x_m", 0.0)),
-    )
-
-
-def walk_to_dict(cfg: WalkConfig) -> dict:
-    return {
-        "start_standoff_m": cfg.start_standoff_m,
-        "end_standoff_m": cfg.end_standoff_m,
-        "duration_s": cfg.duration_s,
-        "rate_hz": cfg.rate_hz,
-        "mount_height_m": cfg.mount_height_m,
-        "mount_tilt_deg": math.degrees(cfg.mount_tilt_rad),
-        "sway_amplitude_deg": math.degrees(cfg.sway_amplitude_rad),
-        "sway_frequency_hz": cfg.sway_frequency_hz,
-        "sway_noise_sigma_deg": math.degrees(cfg.sway_noise_sigma_rad),
-        "imu_noise_sigma_deg": math.degrees(cfg.imu_noise_sigma_rad),
-        "seed": cfg.seed,
-    }
-
-
-def walk_from_dict(d: dict) -> WalkConfig:
-    base = WalkConfig()
-    return WalkConfig(
-        start_standoff_m=float(d.get("start_standoff_m", base.start_standoff_m)),
-        end_standoff_m=float(d.get("end_standoff_m", base.end_standoff_m)),
-        duration_s=float(d.get("duration_s", base.duration_s)),
-        rate_hz=float(d.get("rate_hz", base.rate_hz)),
-        mount_height_m=float(d.get("mount_height_m", base.mount_height_m)),
-        mount_tilt_rad=math.radians(float(d.get("mount_tilt_deg", math.degrees(base.mount_tilt_rad)))),
-        sway_amplitude_rad=math.radians(
-            float(d.get("sway_amplitude_deg", math.degrees(base.sway_amplitude_rad)))
-        ),
-        sway_frequency_hz=float(d.get("sway_frequency_hz", base.sway_frequency_hz)),
-        sway_noise_sigma_rad=math.radians(
-            float(d.get("sway_noise_sigma_deg", math.degrees(base.sway_noise_sigma_rad)))
-        ),
-        imu_noise_sigma_rad=math.radians(
-            float(d.get("imu_noise_sigma_deg", math.degrees(base.imu_noise_sigma_rad)))
-        ),
-        seed=int(d.get("seed", base.seed)),
-    )
-
-
-def trajectory_to_dict(traj: Trajectory) -> dict:
-    return {
-        "staircase": staircase_to_dict(traj.staircase),
-        "walk": walk_to_dict(traj.walk),
-        "frames": [
-            {
-                "timestamp_s": f.timestamp_s,
-                "x_m": f.x_m,
-                "y_m": f.y_m,
-                "tilt_deg": math.degrees(f.tilt_rad),
-                "gamma_deg": math.degrees(f.gamma_rad),
-                "v_host_mps": f.v_host_mps,
-            }
-            for f in traj.frames
-        ],
-    }
-
-
-def trajectory_from_dict(d: dict) -> Trajectory:
-    frames = tuple(
-        GaitFrame(
-            timestamp_s=float(f["timestamp_s"]),
-            x_m=float(f["x_m"]),
-            y_m=float(f["y_m"]),
-            tilt_rad=math.radians(float(f["tilt_deg"])),
-            gamma_rad=math.radians(float(f["gamma_deg"])),
-            v_host_mps=float(f["v_host_mps"]),
-        )
-        for f in d["frames"]
-    )
-    return Trajectory(
-        frames=frames,
-        walk=walk_from_dict(d["walk"]),
-        staircase=staircase_from_dict(d["staircase"]),
-    )

@@ -227,6 +227,43 @@ def test_scenario_missing_staircase_height(tmp_path, capsys):
     assert "missing" in err and "'height_m'" in err
 
 
+_STAIRS = {"depth_m": 0.3, "height_m": 0.15}
+
+
+@pytest.mark.parametrize(
+    "doc, fragment",
+    [
+        ({"radar": {"bandwidth_hz": "x"}}, "'radar.bandwidth_hz'"),
+        ({"staircase": {**_STAIRS, "depth_m": None, "step_count": 4}}, "'staircase.depth_m'"),
+        (
+            {"standards": {"depth_range_m": 5, "height_range_m": [0.1, 0.2]}},
+            "'standards.depth_range_m'",
+        ),
+        ([1, 2], "scenario must be an object"),
+        (5, "scenario must be an object"),
+        ({"radar": 5}, "section 'radar' must be an object"),
+        ({"walk": {"bogus": 1}}, "section 'walk' has unknown key 'bogus'"),
+        ({"dsp": {"range_cfar": {"bogus": 1}}}, "section 'dsp.range_cfar' has unknown key 'bogus'"),
+        ({"noise": {"snr_db": "loud"}}, "'noise.snr_db'"),
+        ({"walk": {"duration_s": 10**400}}, "'walk.duration_s'"),
+        ({"staircase": {**_STAIRS, "step_count": 4.7}}, "'staircase.step_count'"),
+        ({"dsp": {"range_cfar": {"training_cells": 2.5}}}, "'dsp.range_cfar.training_cells'"),
+        ({"dsp": {"aoa_cfar": {"scale_factor": 3.0}}}, "exactly one of pfa and scale_factor"),
+    ],
+)
+def test_malformed_scenario_exits_with_one_line(tmp_path, capsys, doc, fragment):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["process", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert fragment in _one_line_error(capsys)
+    # the same scenario in the sidecar of a simulate run
+    run = tmp_path / "run"
+    (run / "cubes").mkdir(parents=True)
+    (run / "sidecar.json").write_text(json.dumps({"scenario": doc}))
+    assert cli.main(["process", "--cubes", str(run), "--out", str(tmp_path / "o")]) == 1
+    assert fragment in _one_line_error(capsys)
+
+
 def test_sweep_train_evaluate_chain(tmp_path, capsys):
     run = tmp_path / "run"
     assert cli.main(["sweep", "--out", str(run), "--walks-per-combo", "2", "--seed", "0"]) == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stairdim.chirp_sim import NOISELESS, synthesize_frame
 from stairdim.dimension import (
@@ -144,6 +146,41 @@ def test_pair_search_order_independence():
     targets = [_ct(2.6, 0.45), _ct(2.15, 0.22), _ct(2.0, 0.15), _ct(2.3, 0.30)]
     pair = find_consecutive_corners(targets)
     assert (pair[0].x_m, pair[1].x_m) == (2.0, 2.3)
+
+
+def _pair_key(a, b):
+    return (a.x_m, b.x_m - a.x_m, -(a.magnitude + b.magnitude))
+
+
+def _coord(hi, step):
+    # a coarse grid makes exact ties in x_A, dx and the magnitudes common
+    return st.integers(0, round(hi / step)).map(lambda k: k * step) | st.floats(0.0, hi)
+
+
+_TARGETS = st.lists(
+    st.builds(
+        _ct, _coord(1.6, 0.1), _coord(0.6, 0.02), st.sampled_from([0.5, 1.0]) | st.floats(0.0, 10.0)
+    ),
+    max_size=9,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TARGETS, st.data())
+def test_pair_search_returns_the_brute_force_minimum(targets, data):
+    keys = [
+        _pair_key(a, b)
+        for a in targets
+        for b in targets
+        if b.x_m > a.x_m and SWEEP_STANDARDS.accepts(b.x_m - a.x_m, b.y_m - a.y_m)
+    ]
+    pair = find_consecutive_corners(targets, SWEEP_STANDARDS)
+    if not keys:
+        assert pair is None
+        return
+    assert pair is not None and _pair_key(*pair) == min(keys)
+    shuffled = data.draw(st.permutations(targets))
+    assert _pair_key(*find_consecutive_corners(shuffled, SWEEP_STANDARDS)) == min(keys)
 
 
 def test_exact_injection_recovers_all_grid_dimensions():

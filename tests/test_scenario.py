@@ -1,15 +1,24 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stairdim import scenario
 from stairdim.chirp_sim import NOISELESS, ChirpCube, NoiseConfig, quantize_to_wire
-from stairdim.dimension import SWEEP_STANDARDS
-from stairdim.dsp_chain import DspConfig, process_frame, read_target_lists, write_target_lists
+from stairdim.dimension import SWEEP_STANDARDS, StairStandards
+from stairdim.dsp_chain import (
+    CfarConfig,
+    DspConfig,
+    process_frame,
+    read_target_lists,
+    write_target_lists,
+)
 from stairdim.rf_params import RadarConfig, derive_attributes
-from stairdim.scene import WalkConfig, corner_scatterers
+from stairdim.scene import StaircaseSpec, WalkConfig, corner_scatterers
 from stairdim.scenario import (
     SWEEP_DEPTHS_M,
     SWEEP_HEIGHTS_M,
@@ -114,6 +123,156 @@ def test_scenario_file_round_trip(tmp_path):
     assert back.name == "file" and back.seed == 7
     assert back.radar == sc.radar
     assert scenario_from_dict({}) == ScenarioConfig()  # everything defaults
+
+
+def _positive(hi):
+    return st.floats(1e-3, hi, allow_nan=False, allow_infinity=False)
+
+
+def _angle():
+    return st.floats(-math.pi, math.pi, allow_nan=False, allow_infinity=False)
+
+
+def _band():
+    return st.tuples(_positive(1.0), _positive(1.0)).map(lambda t: (t[0], t[0] + t[1]))
+
+
+def _cfar():
+    return st.builds(
+        CfarConfig,
+        training_cells=st.integers(1, 16),
+        guard_cells=st.integers(0, 8),
+        pfa=st.none(),
+        scale_factor=_positive(100.0),
+    ) | st.builds(
+        CfarConfig,
+        training_cells=st.integers(1, 16),
+        guard_cells=st.integers(0, 8),
+        pfa=st.floats(1e-12, 0.999),
+        scale_factor=st.none(),
+    )
+
+
+def _walk():
+    return st.tuples(_positive(2.0), _positive(4.0)).flatmap(
+        lambda ends: st.builds(
+            WalkConfig,
+            start_standoff_m=st.just(ends[0] + ends[1]),
+            end_standoff_m=st.just(ends[0]),
+            duration_s=_positive(20.0),
+            rate_hz=_positive(100.0),
+            mount_height_m=_positive(1.0),
+            mount_tilt_rad=_angle(),
+            sway_amplitude_rad=_angle(),
+            sway_frequency_hz=st.floats(0.0, 5.0),
+            sway_noise_sigma_rad=_angle(),
+            imu_noise_sigma_rad=_angle(),
+            seed=st.integers(-(2**63), 2**63),
+        )
+    )
+
+
+_SCENARIOS = st.builds(
+    ScenarioConfig,
+    name=st.text(max_size=20),
+    seed=st.integers(-(2**63), 2**63),
+    radar=st.builds(
+        RadarConfig,
+        carrier_frequency_hz=_positive(1e11),
+        bandwidth_hz=_positive(1e10),
+        samples_per_chirp=st.integers(1, 1024),
+        tx_count=st.integers(1, 4),
+    ),
+    staircase=st.builds(
+        StaircaseSpec,
+        depth_m=_positive(1.0),
+        height_m=_positive(1.0),
+        step_count=st.integers(1, 12),
+        foot_x_m=st.floats(-5.0, 5.0),
+    ),
+    walk=_walk(),
+    noise=st.builds(
+        NoiseConfig,
+        snr_db=st.none() | st.floats(-20.0, 60.0),
+        power=st.none() | _positive(10.0),
+    ),
+    clutter=st.builds(ClutterConfig, count=st.integers(0, 50), reflectivity=st.floats(0.0, 1.0)),
+    dsp=st.builds(
+        DspConfig,
+        range_window=st.sampled_from(["hann", "rect"]),
+        doppler_window=st.sampled_from(["hann", "rect"]),
+        aoa_window=st.sampled_from(["hann", "rect"]),
+        aoa_fft_len=st.integers(1, 512),
+        range_cfar=_cfar(),
+        aoa_cfar=_cfar(),
+        peak_interp=st.booleans(),
+        exhaustive_aoa=st.booleans(),
+    ),
+    standards=st.builds(StairStandards, depth_range_m=_band(), height_range_m=_band()),
+)
+
+
+def _through_json(d):
+    return json.loads(json.dumps(d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SCENARIOS)
+def test_scenario_codec_round_trip(sc):
+    back = scenario_from_dict(_through_json(scenario_to_dict(sc)))
+    # everything but the degree-encoded walk angles comes back exactly
+    assert replace(back, walk=sc.walk) == sc
+    for f in fields(WalkConfig):
+        a, b = getattr(sc.walk, f.name), getattr(back.walk, f.name)
+        if f.name.endswith("_rad"):
+            assert abs(a - b) <= 1e-12, f.name
+        else:
+            assert a == b, f.name
+    # after one pass the dict form is a fixpoint
+    d = _through_json(scenario_to_dict(back))
+    assert scenario_to_dict(scenario_from_dict(d)) == d
+
+
+def test_partial_scenario_fills_from_the_default_at_that_position():
+    sc = scenario_from_dict({"dsp": {"range_cfar": {"pfa": 1e-4}}})
+    assert sc.dsp.range_cfar.training_cells == 2  # DEFAULT_RANGE_CFAR, not CfarConfig()
+    assert sc.dsp.range_cfar.pfa == 1e-4
+    assert replace(sc, dsp=DspConfig()) == ScenarioConfig()
+    partial = scenario_from_dict({"standards": {"depth_range_m": [0.2, 0.4]}})
+    assert partial.standards.height_range_m == SWEEP_STANDARDS.height_range_m
+    assert scenario_from_dict({"noise": {}}).noise == NoiseConfig()
+
+
+def _leaves(d, path=()):
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def _with_leaf(path, value):
+    d = scenario_to_dict(ScenarioConfig())
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return d
+
+
+def test_every_leaf_rejects_a_value_of_the_wrong_shape():
+    checked = 0
+    for path, default in _leaves(scenario_to_dict(ScenarioConfig())):
+        wrong = ["x", [], {}]
+        if isinstance(default, int) and not isinstance(default, bool):
+            wrong.append(2.5)
+        for value in wrong:
+            if value == "x" and isinstance(default, str):
+                continue  # a string is the right shape for a string field
+            with pytest.raises((ValueError, KeyError)):
+                scenario_from_dict(_with_leaf(path, value))
+            checked += 1
+    assert checked > 100
 
 
 def test_scenario_scatterers_include_seeded_clutter():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stairdim.codec import from_dict, to_dict
 from stairdim.rf_params import RadarConfig, derive_attributes
 from stairdim.scene import (
     Scatterer,
@@ -12,12 +13,6 @@ from stairdim.scene import (
     corner_scatterers,
     corners_of,
     generate_walk,
-    staircase_from_dict,
-    staircase_to_dict,
-    trajectory_from_dict,
-    trajectory_to_dict,
-    walk_from_dict,
-    walk_to_dict,
 )
 from stairdim.numerics import rng_for
 
@@ -145,35 +140,39 @@ def test_walk_validation():
 
 def test_staircase_serialization_round_trip():
     spec = StaircaseSpec(depth_m=0.34, height_m=0.12, step_count=5, foot_x_m=0.25)
-    assert staircase_from_dict(staircase_to_dict(spec)) == spec
+    assert from_dict(StaircaseSpec(), to_dict(spec)) == spec
     # missing foot_x defaults to 0
-    assert staircase_from_dict({"depth_m": 0.3, "height_m": 0.15, "step_count": 4}).foot_x_m == 0.0
+    partial = {"depth_m": 0.3, "height_m": 0.15, "step_count": 4}
+    assert from_dict(StaircaseSpec(), partial).foot_x_m == 0.0
 
 
 def test_walk_serialization_round_trip():
     cfg = WalkConfig(mount_height_m=0.42, mount_tilt_rad=math.radians(-18.0), seed=13)
-    back = walk_from_dict(walk_to_dict(cfg))
+    back = from_dict(WalkConfig(), to_dict(cfg))
     assert back.mount_height_m == cfg.mount_height_m
     assert back.seed == cfg.seed
     assert back.mount_tilt_rad == pytest.approx(cfg.mount_tilt_rad, abs=1e-12)
     assert back.sway_amplitude_rad == pytest.approx(cfg.sway_amplitude_rad, abs=1e-12)
     # angles travel as *_deg keys
-    assert walk_to_dict(cfg)["mount_tilt_deg"] == pytest.approx(-18.0, abs=1e-12)
-    assert walk_from_dict({}) == WalkConfig()
+    assert to_dict(cfg)["mount_tilt_deg"] == pytest.approx(-18.0, abs=1e-12)
+    assert from_dict(WalkConfig(), {}) == WalkConfig()
 
 
 def test_trajectory_serialization_round_trip():
     traj = generate_walk(StaircaseSpec(), WalkConfig(seed=3, duration_s=1.0))
-    back = trajectory_from_dict(trajectory_to_dict(traj))
-    assert back.staircase == traj.staircase
-    assert len(back.frames) == len(traj.frames)
-    for f, g in zip(traj.frames, back.frames):
-        assert g.timestamp_s == f.timestamp_s
-        assert g.x_m == f.x_m
-        assert g.y_m == f.y_m
-        assert g.tilt_rad == pytest.approx(f.tilt_rad, abs=1e-12)
-        assert g.gamma_rad == pytest.approx(f.gamma_rad, abs=1e-12)
-        assert g.v_host_mps == f.v_host_mps
+    d = to_dict(traj)
+    assert d["staircase"] == to_dict(traj.staircase)
+    assert d["walk"] == to_dict(traj.walk)
+    assert len(d["frames"]) == len(traj.frames)
+    for f, g in zip(traj.frames, d["frames"]):
+        assert g == {
+            "timestamp_s": f.timestamp_s,
+            "x_m": f.x_m,
+            "y_m": f.y_m,
+            "tilt_deg": math.degrees(f.tilt_rad),
+            "gamma_deg": math.degrees(f.gamma_rad),
+            "v_host_mps": f.v_host_mps,
+        }
 
 
 def test_corner_scatterers_sit_on_corners():
