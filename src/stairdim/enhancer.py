@@ -12,6 +12,11 @@ ordered r1 <= r2, h_r is the radar height above floor and gamma the IMU
 inclination. Features are standardized with per-feature statistics stored in
 the model so inference takes raw physical units.
 
+Every weight and bias lives in one flat ``params`` vector, layer by layer:
+the weights row-major (fan_out, fan_in), then the bias. The per-layer arrays
+are views into it, and gradients and Adam's moments share that layout. A
+seeded tenth of the training rows is held out for the validation curve.
+
 The pair is the one the initial estimator chose from the reported, bin-level
 detections, and its initial estimate uses those values. The network is fed
 the same two corners measured at sub-bin precision (the parabolic peak fits
@@ -29,9 +34,9 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -60,23 +65,6 @@ __all__ = [
     "load_model",
     "assemble_dataset",
 ]
-
-DATASET_COLUMNS = (
-    "r1_m",
-    "theta1_rad",
-    "r2_m",
-    "theta2_rad",
-    "hr_m",
-    "gamma_rad",
-    "d_true_m",
-    "h_true_m",
-    "scenario_id",
-    "frame_id",
-    "r1_fine_m",
-    "theta1_fine_rad",
-    "r2_fine_m",
-    "theta2_fine_rad",
-)
 
 _MOUNT_TILT_OFFSET_RAD = math.radians(20.0)
 
@@ -143,6 +131,10 @@ class EnhancerSample:
         return d, h
 
 
+DATASET_COLUMNS = tuple(f.name for f in fields(EnhancerSample))
+_CELL_TYPES = tuple(get_type_hints(EnhancerSample)[c] for c in DATASET_COLUMNS)
+
+
 def sample_from_estimate(
     est: DimensionEstimate,
     d_true_m: float,
@@ -178,28 +170,12 @@ def sample_from_estimate(
 
 
 def write_dataset(samples: Iterable[EnhancerSample], path: str | Path) -> None:
+    """One row per sample; floats are written as their repr, so they read back exactly."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_COLUMNS)
         for s in samples:
-            writer.writerow(
-                [
-                    repr(s.r1_m),
-                    repr(s.theta1_rad),
-                    repr(s.r2_m),
-                    repr(s.theta2_rad),
-                    repr(s.hr_m),
-                    repr(s.gamma_rad),
-                    repr(s.d_true_m),
-                    repr(s.h_true_m),
-                    s.scenario_id,
-                    s.frame_id,
-                    repr(s.r1_fine_m),
-                    repr(s.theta1_fine_rad),
-                    repr(s.r2_fine_m),
-                    repr(s.theta2_fine_rad),
-                ]
-            )
+            writer.writerow([getattr(s, c) for c in DATASET_COLUMNS])
 
 
 def read_dataset(path: str | Path) -> list[EnhancerSample]:
@@ -210,24 +186,9 @@ def read_dataset(path: str | Path) -> list[EnhancerSample]:
             raise ValueError(f"unexpected dataset columns {header!r}")
         out = []
         for row in reader:
-            out.append(
-                EnhancerSample(
-                    r1_m=float(row[0]),
-                    theta1_rad=float(row[1]),
-                    r2_m=float(row[2]),
-                    theta2_rad=float(row[3]),
-                    hr_m=float(row[4]),
-                    gamma_rad=float(row[5]),
-                    d_true_m=float(row[6]),
-                    h_true_m=float(row[7]),
-                    scenario_id=row[8],
-                    frame_id=int(row[9]),
-                    r1_fine_m=float(row[10]),
-                    theta1_fine_rad=float(row[11]),
-                    r2_fine_m=float(row[12]),
-                    theta2_fine_rad=float(row[13]),
-                )
-            )
+            if len(row) != len(DATASET_COLUMNS):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells")
+            out.append(EnhancerSample(*(t(cell) for t, cell in zip(_CELL_TYPES, row))))
     return out
 
 
@@ -295,86 +256,79 @@ def split_dataset(
 
 # --- the network ---
 
+HIDDEN = (16, 8)
+BATCH_SIZE = 32
+VAL_FRACTION = 0.1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1.0e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50
-    batch_size: int = 32
     learning_rate: float = 1.0e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1.0e-8
-    hidden: tuple[int, ...] = (16, 8)
-    activation: str = "relu"
-    val_fraction: float = 0.1
-    early_stop: bool = False
-    patience: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
+
+def _layer_views(
+    flat: np.ndarray, layer_sizes: Sequence[int]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weights and biases as views into ``flat``, laid out like ``params``."""
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(flat[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return weights, biases
 
 
 @dataclass(eq=False)
 class EnhancerModel:
-    """Dense network weights plus the feature normalization that feeds it."""
+    """Dense network weights plus the feature normalization that feeds it.
 
-    weights: list[np.ndarray]  # per layer, shape (fan_out, fan_in)
-    biases: list[np.ndarray]  # per layer, shape (fan_out,)
+    ``params`` holds every weight and bias, layer by layer: the weights
+    row-major (fan_out, fan_in), then the bias. ``weights[i]`` and
+    ``biases[i]`` are views into it, so writing either writes ``params``.
+    """
+
+    layer_sizes: list[int]
+    params: np.ndarray
     norm_mean: np.ndarray
     norm_scale: np.ndarray
-    activation: str = "relu"
+    weights: list[np.ndarray] = field(init=False)
+    biases: list[np.ndarray] = field(init=False)
 
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "tanh":
-        return np.tanh(z)
-    if kind == "linear":
-        return z
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0.0).astype(z.dtype)
-    if kind == "tanh":
-        return 1.0 - np.tanh(z) ** 2
-    if kind == "linear":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {kind!r}")
+    def __post_init__(self) -> None:
+        self.weights, self.biases = _layer_views(self.params, self.layer_sizes)
 
 
 def init_model(
     layer_sizes: Sequence[int],
     norm_mean: np.ndarray,
     norm_scale: np.ndarray,
-    activation: str = "relu",
     seed: int = 0,
 ) -> EnhancerModel:
     """Fan-in-scaled uniform init, zero biases, seeded."""
-    rng = rng_for(seed, 0x141)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        bound = 1.0 / math.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return EnhancerModel(
-        weights=weights,
-        biases=biases,
+    sizes = list(layer_sizes)
+    n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    model = EnhancerModel(
+        layer_sizes=sizes,
+        params=np.zeros(n_params),
         norm_mean=np.asarray(norm_mean, dtype=float),
         norm_scale=np.asarray(norm_scale, dtype=float),
-        activation=activation,
     )
+    rng = rng_for(seed, 0x141)
+    for w in model.weights:
+        bound = 1.0 / math.sqrt(w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return model
 
 
 def _normalize(model: EnhancerModel, x: np.ndarray) -> np.ndarray:
@@ -391,39 +345,35 @@ def forward(model: EnhancerModel, x: np.ndarray) -> np.ndarray:
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = a @ w.T + b
-        a = z if i == last else _activate(z, model.activation)
+        a = z if i == last else np.maximum(z, 0.0)
     return a[0] if single else a
 
 
 def loss_and_gradients(
     model: EnhancerModel, x: np.ndarray, y: np.ndarray
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """MSE (mean over batch and output dims) and its parameter gradients."""
+) -> tuple[float, np.ndarray]:
+    """MSE (mean over batch and output dims) and its gradient in the ``params`` layout."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     n = x.shape[0]
-    a = _normalize(model, x)
-    acts = [a]
-    zs = []
+    acts = [_normalize(model, x)]
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = acts[-1] @ w.T + b
-        zs.append(z)
-        acts.append(z if i == last else _activate(z, model.activation))
-    pred = acts[-1]
-    err = pred - y
+        acts.append(z if i == last else np.maximum(z, 0.0))
+    err = acts[-1] - y
     loss = float(np.mean(err**2))
 
-    d_out = y.shape[1]
-    delta = 2.0 * err / (n * d_out)
-    grads_w: list[np.ndarray] = [np.empty(0)] * len(model.weights)
-    grads_b: list[np.ndarray] = [np.empty(0)] * len(model.weights)
+    grad = np.empty_like(model.params)
+    grads_w, grads_b = _layer_views(grad, model.layer_sizes)
+    delta = 2.0 * err / (n * y.shape[1])
     for i in range(last, -1, -1):
-        grads_w[i] = delta.T @ acts[i]
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[i], out=grads_w[i])
+        np.sum(delta, axis=0, out=grads_b[i])
         if i > 0:
-            delta = (delta @ model.weights[i]) * _activate_grad(zs[i - 1], model.activation)
-    return loss, grads_w, grads_b
+            # a hidden activation is positive exactly where its ReLU input was
+            delta = (delta @ model.weights[i]) * (acts[i] > 0.0)
+    return loss, grad
 
 
 @dataclass
@@ -436,13 +386,15 @@ class TrainResult:
 def train(samples: Sequence[EnhancerSample], cfg: TrainConfig = TrainConfig()) -> TrainResult:
     """Mini-batch Adam over the sample set; deterministic for a fixed seed.
 
-    Feature statistics come from the full sample set handed in (the sweep's
-    training split); a ``val_fraction`` slice is carved out internally for the
-    validation curve and, when ``early_stop`` is set, for patience-based
-    stopping. Labels are standardized during optimization for conditioning
-    and the scale is folded back into the output layer before returning, so
-    the model predicts meters directly and the recorded loss curves are in
-    m². Raises TrainingError if the loss goes non-finite.
+    The network is 6-16-8-2 with ReLU hidden layers, trained in batches of
+    32. Feature statistics come from the full sample set handed in (the
+    sweep's training split); a seeded tenth of it is carved out internally
+    for the validation curve. Adam's moments are two flat arrays in the
+    ``params`` layout, so a step updates ``m``, ``v`` and ``params`` once
+    each. Labels are standardized during optimization for conditioning and
+    the scale is folded back into the output layer before returning, so the
+    model predicts meters directly and the recorded loss curves are in m².
+    Raises TrainingError if the loss goes non-finite.
     """
     if len(samples) == 0:
         raise ValueError("empty dataset")
@@ -456,64 +408,45 @@ def train(samples: Sequence[EnhancerSample], cfg: TrainConfig = TrainConfig()) -
     lscale = y.std(axis=0)
     lscale = np.where(lscale < 1e-9, 1.0, lscale)
     y_std = (y - lmean) / lscale
-    sizes = [x.shape[1], *cfg.hidden, y.shape[1]]
-    model = init_model(sizes, mean, scale, cfg.activation, cfg.seed)
+    model = init_model([x.shape[1], *HIDDEN, y.shape[1]], mean, scale, cfg.seed)
 
     rng = rng_for(cfg.seed, 0x7A11)
     n = x.shape[0]
-    n_val = int(round(n * cfg.val_fraction))
+    n_val = int(round(n * VAL_FRACTION))
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    if train_idx.size == 0:
-        raise ValueError("validation fraction leaves no training data")
     x_tr, y_tr = x[train_idx], y_std[train_idx]
     x_val = x[val_idx]
     y_tr_m, y_val_m = y[train_idx], y[val_idx]
 
-    m_w = [np.zeros_like(w) for w in model.weights]
-    v_w = [np.zeros_like(w) for w in model.weights]
-    m_b = [np.zeros_like(b) for b in model.biases]
-    v_b = [np.zeros_like(b) for b in model.biases]
+    m = np.zeros_like(model.params)
+    v = np.zeros_like(model.params)
     step = 0
 
     train_curve: list[float] = []
     val_curve: list[float] = []
-    best_val = math.inf
-    stale = 0
-
     for epoch in range(cfg.epochs):
         order = rng.permutation(x_tr.shape[0])
-        for start in range(0, order.size, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, gw, gb = loss_and_gradients(model, x_tr[idx], y_tr[idx])
+        for start in range(0, order.size, BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
+            loss, g = loss_and_gradients(model, x_tr[idx], y_tr[idx])
             if not math.isfinite(loss):
                 raise TrainingError(f"training diverged at epoch {epoch}")
             step += 1
-            c1 = 1.0 - cfg.beta1**step
-            c2 = 1.0 - cfg.beta2**step
-            for i in range(len(model.weights)):
-                m_w[i] = cfg.beta1 * m_w[i] + (1.0 - cfg.beta1) * gw[i]
-                v_w[i] = cfg.beta2 * v_w[i] + (1.0 - cfg.beta2) * gw[i] ** 2
-                model.weights[i] -= cfg.learning_rate * (m_w[i] / c1) / (np.sqrt(v_w[i] / c2) + cfg.eps)
-                m_b[i] = cfg.beta1 * m_b[i] + (1.0 - cfg.beta1) * gb[i]
-                v_b[i] = cfg.beta2 * v_b[i] + (1.0 - cfg.beta2) * gb[i] ** 2
-                model.biases[i] -= cfg.learning_rate * (m_b[i] / c1) / (np.sqrt(v_b[i] / c2) + cfg.eps)
+            c1 = 1.0 - ADAM_BETA1**step
+            c2 = 1.0 - ADAM_BETA2**step
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g**2
+            model.params -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         pred_tr = forward(model, x_tr) * lscale + lmean
         train_curve.append(float(np.mean((pred_tr - y_tr_m) ** 2)))
         if x_val.shape[0] > 0:
             val_pred = forward(model, x_val) * lscale + lmean
-            val_loss = float(np.mean((val_pred - y_val_m) ** 2))
-            val_curve.append(val_loss)
-            if cfg.early_stop:
-                if val_loss < best_val - 1e-12:
-                    best_val = val_loss
-                    stale = 0
-                else:
-                    stale += 1
-                    if stale >= cfg.patience:
-                        break
-    model.weights[-1] = lscale[:, None] * model.weights[-1]
-    model.biases[-1] = lscale * model.biases[-1] + lmean
+            val_curve.append(float(np.mean((val_pred - y_val_m) ** 2)))
+    # in place, so the layers stay views into params
+    model.weights[-1] *= lscale[:, None]
+    model.biases[-1] *= lscale
+    model.biases[-1] += lmean
     return TrainResult(model=model, train_loss=train_curve, val_loss=val_curve)
 
 
@@ -530,32 +463,20 @@ def gradient_check(
     max(||g_a||_inf, ||g_n||_inf), the meaningful relative measure when many
     parameters have near-zero gradients.
     """
-    _, gw, gb = loss_and_gradients(model, x, y)
-
-    def loss_at() -> float:
-        loss, _, _ = loss_and_gradients(model, x, y)
-        return loss
-
+    _, grad = loss_and_gradients(model, x, y)
+    params = model.params
     worst = 0.0
-    scale = max(
-        max(np.abs(g).max() for g in gw),
-        max(np.abs(g).max() for g in gb),
-        1e-12,
-    )
-    for arrays, grads in ((model.weights, gw), (model.biases, gb)):
-        for arr, g in zip(arrays, grads):
-            flat = arr.reshape(-1)
-            gflat = g.reshape(-1)
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + step
-                hi = loss_at()
-                flat[i] = keep - step
-                lo = loss_at()
-                flat[i] = keep
-                numeric = (hi - lo) / (2.0 * step)
-                scale = max(scale, abs(numeric))
-                worst = max(worst, abs(numeric - gflat[i]))
+    scale = max(float(np.abs(grad).max()), 1e-12)
+    for i in range(params.size):
+        keep = params[i]
+        params[i] = keep + step
+        hi, _ = loss_and_gradients(model, x, y)
+        params[i] = keep - step
+        lo, _ = loss_and_gradients(model, x, y)
+        params[i] = keep
+        numeric = (hi - lo) / (2.0 * step)
+        scale = max(scale, abs(numeric))
+        worst = max(worst, abs(numeric - grad[i]))
     return worst / scale
 
 
@@ -571,7 +492,7 @@ def save_model(
     """Write the model as JSON (row-major weights, exact float round trip)."""
     doc = {
         "layer_sizes": model.layer_sizes,
-        "activation": model.activation,
+        "activation": "relu",
         "weights": [[[float(v) for v in row] for row in w] for w in model.weights],
         "biases": [[float(v) for v in b] for b in model.biases],
         "normalization": {
@@ -585,19 +506,32 @@ def save_model(
 
 
 def load_model(path: str | Path) -> EnhancerModel:
+    """Read a ``save_model`` file; every array must have the shape ``layer_sizes`` implies."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    sizes = doc["layer_sizes"]
+    if not (
+        isinstance(sizes, list)
+        and len(sizes) >= 2
+        and all(type(n) is int and n > 0 for n in sizes)
+    ):
+        raise ValueError(f"{path}: layer_sizes must be a list of at least two positive integers")
+    if doc["activation"] != "relu":
+        raise ValueError(f"{path}: unsupported activation {doc['activation']!r}")
     weights = [np.array(w, dtype=float) for w in doc["weights"]]
     biases = [np.array(b, dtype=float) for b in doc["biases"]]
-    model = EnhancerModel(
-        weights=weights,
-        biases=biases,
-        norm_mean=np.array(doc["normalization"]["mean"], dtype=float),
-        norm_scale=np.array(doc["normalization"]["scale"], dtype=float),
-        activation=doc["activation"],
-    )
-    if model.layer_sizes != doc["layer_sizes"]:
-        raise ValueError(f"{path}: inconsistent layer sizes")
-    return model
+    mean = np.array(doc["normalization"]["mean"], dtype=float)
+    scale = np.array(doc["normalization"]["scale"], dtype=float)
+    # numpy would broadcast a wrong-sized array, so every shape is compared
+    layers = list(zip(sizes[:-1], sizes[1:]))
+    if (
+        [w.shape for w in weights] != [(fan_out, fan_in) for fan_in, fan_out in layers]
+        or [b.shape for b in biases] != [(fan_out,) for _, fan_out in layers]
+        or mean.shape != (sizes[0],)
+        or scale.shape != (sizes[0],)
+    ):
+        raise ValueError(f"{path}: array shapes do not match layer sizes {sizes}")
+    params = np.concatenate([a.reshape(-1) for layer in zip(weights, biases) for a in layer])
+    return EnhancerModel(layer_sizes=sizes, params=params, norm_mean=mean, norm_scale=scale)
 
 
 def assemble_dataset(scenarios, progress=None) -> list[EnhancerSample]:

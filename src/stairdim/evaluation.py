@@ -10,7 +10,6 @@ the stored sample list) so the densities integrate to exactly one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,6 @@ __all__ = [
     "compare_estimators",
     "report_to_dict",
     "write_histogram_csv",
-    "write_report_json",
 ]
 
 HIST_SPAN_CM = 15.0
@@ -138,29 +136,26 @@ def compare_estimators(report: ErrorReport) -> ImprovementSummary:
     return ImprovementSummary(depth=depth, height=height, all_metrics_improved=improved)
 
 
-def _metrics_dict(m: DimensionMetrics, include_samples: bool) -> dict:
-    d = {
+def _metrics_dict(m: DimensionMetrics) -> dict:
+    return {
         "mae_cm": m.mae_cm,
         "rmse_cm": m.rmse_cm,
         "sigma_cm": m.sigma_cm,
         "bias_cm": m.bias_cm,
         "n": m.n,
     }
-    if include_samples:
-        d["error_samples_cm"] = list(m.error_samples_cm)
-    return d
 
 
-def report_to_dict(report: ErrorReport, include_samples: bool = False) -> dict:
+def report_to_dict(report: ErrorReport) -> dict:
     summary = compare_estimators(report)
     return {
         "initial": {
-            "depth": _metrics_dict(report.initial_depth, include_samples),
-            "height": _metrics_dict(report.initial_height, include_samples),
+            "depth": _metrics_dict(report.initial_depth),
+            "height": _metrics_dict(report.initial_height),
         },
         "enhanced": {
-            "depth": _metrics_dict(report.enhanced_depth, include_samples),
-            "height": _metrics_dict(report.enhanced_height, include_samples),
+            "depth": _metrics_dict(report.enhanced_depth),
+            "height": _metrics_dict(report.enhanced_height),
         },
         "improvement": {
             "depth": summary.depth,
@@ -176,10 +171,3 @@ def write_histogram_csv(metrics: DimensionMetrics, path: str | Path) -> None:
     for c, d in zip(metrics.hist_centers_cm, metrics.hist_density):
         lines.append(f"{c!r},{d!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_report_json(report: ErrorReport, path: str | Path, include_samples: bool = False) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_dict(report, include_samples), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )

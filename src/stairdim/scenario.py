@@ -22,7 +22,7 @@ import functools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .chirp_sim import ChirpCube, NoiseConfig, quantize_to_wire, synthesize_frame
 from .codec import from_dict, to_dict
@@ -71,6 +71,10 @@ class ClutterConfig:
     count: int = 0
     reflectivity: float = 0.3
 
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise ValueError(f"clutter count must be >= 0, got {self.count}")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -83,6 +87,13 @@ class ScenarioConfig:
     clutter: ClutterConfig = field(default_factory=ClutterConfig)
     dsp: DspConfig = field(default_factory=DspConfig)
     standards: StairStandards = field(default_factory=lambda: SWEEP_STANDARDS)
+
+    def __post_init__(self) -> None:
+        if self.dsp.aoa_fft_len < self.radar.virtual_antennas:
+            raise ValueError(
+                f"dsp.aoa_fft_len {self.dsp.aoa_fft_len} is shorter than the radar's "
+                f"{self.radar.virtual_antennas} virtual antennas"
+            )
 
 
 @dataclass
@@ -151,24 +162,17 @@ def scenario_trajectory(sc: ScenarioConfig) -> Trajectory:
     return generate_walk(sc.staircase, walk, max_range_m=attrs.max_range_m)
 
 
-def run_scenario(
-    sc: ScenarioConfig,
-    on_cube: Callable[[int, ChirpCube], None] | None = None,
-) -> ScenarioResult:
+def run_scenario(sc: ScenarioConfig) -> ScenarioResult:
     """Synthesize, extract and dimension every frame of the scenario.
 
     Cubes pass through the float32 wire precision before processing, so the
-    in-memory pipeline is bit-identical to a save/load round trip. ``on_cube``
-    (frame index, cube) is invoked per frame before processing, which is how
-    the CLI persists cubes without keeping the whole walk in memory.
+    in-memory pipeline is bit-identical to a save/load round trip.
     """
     trajectory = scenario_trajectory(sc)
     target_lists: list[TargetList] = []
     estimates: list[Optional[DimensionEstimate]] = []
     for i, frame in enumerate(trajectory.frames):
         cube = synthesize_scenario_frame(sc, trajectory, i)
-        if on_cube is not None:
-            on_cube(i, cube)
         tl = process_frame(quantize_to_wire(cube), sc.dsp)
         h_r = radar_height(sc.walk.mount_height_m, frame.gamma_rad)
         estimates.append(estimate_initial(tl, frame.gamma_rad, sc.standards, radar_height_m=h_r))

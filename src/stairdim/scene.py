@@ -100,6 +100,9 @@ class WalkConfig:
                 "standoffs must satisfy start >= end > 0, got "
                 f"{self.start_standoff_m!r} -> {self.end_standoff_m!r}"
             )
+        for name in ("sway_noise_sigma_rad", "imu_noise_sigma_rad"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -178,8 +178,8 @@ def _one_line_error(capsys) -> str:
     return err
 
 
-def test_train_rejects_zero_epochs(tmp_path, capsys):
-    # a dataset the split accepts, so that only the epoch count is at fault
+def _write_splittable_dataset(run: Path) -> None:
+    """A dataset the split accepts: 35 combos of 3 walks, one frame each."""
     rng = np.random.default_rng(56)
     rows = [
         EnhancerSample(
@@ -202,9 +202,14 @@ def test_train_rejects_zero_epochs(tmp_path, capsys):
         for h in range(10, 20, 2)
         for w in range(3)
     ]
-    run = tmp_path / "run"
-    run.mkdir()
+    run.mkdir(parents=True)
     write_dataset(rows, run / "dataset.csv")
+
+
+def test_train_rejects_zero_epochs(tmp_path, capsys):
+    # a dataset the split accepts, so that only the epoch count is at fault
+    run = tmp_path / "run"
+    _write_splittable_dataset(run)
     assert cli.main(["train", "--out", str(run), "--epochs", "1"]) == 0
     capsys.readouterr()
     assert cli.main(["train", "--out", str(run), "--epochs", "0"]) == 1
@@ -249,6 +254,10 @@ _STAIRS = {"depth_m": 0.3, "height_m": 0.15}
         ({"staircase": {**_STAIRS, "step_count": 4.7}}, "'staircase.step_count'"),
         ({"dsp": {"range_cfar": {"training_cells": 2.5}}}, "'dsp.range_cfar.training_cells'"),
         ({"dsp": {"aoa_cfar": {"scale_factor": 3.0}}}, "exactly one of pfa and scale_factor"),
+        ({"clutter": {"count": -3}}, "clutter count must be >= 0"),
+        ({"walk": {"sway_noise_sigma_deg": -1}}, "sway_noise_sigma_rad must be >= 0"),
+        ({"walk": {"imu_noise_sigma_deg": -1}}, "imu_noise_sigma_rad must be >= 0"),
+        ({"dsp": {"aoa_fft_len": 3}}, "aoa_fft_len 3 is shorter than the radar's 8 virtual antennas"),
     ],
 )
 def test_malformed_scenario_exits_with_one_line(tmp_path, capsys, doc, fragment):
@@ -262,6 +271,41 @@ def test_malformed_scenario_exits_with_one_line(tmp_path, capsys, doc, fragment)
     (run / "sidecar.json").write_text(json.dumps({"scenario": doc}))
     assert cli.main(["process", "--cubes", str(run), "--out", str(tmp_path / "o")]) == 1
     assert fragment in _one_line_error(capsys)
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    run = tmp_path_factory.mktemp("trained") / "run"
+    _write_splittable_dataset(run)
+    assert cli.main(["train", "--out", str(run), "--epochs", "1"]) == 0
+    return run
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        (("biases", 0), [0.1]),
+        (("normalization", "mean"), [0.0]),
+        (("normalization", "scale"), [1.0]),
+        (("weights", 0), [[0.1] * 16] * 6),  # the first layer transposed
+        (("activation",), "tanh"),
+        (("layer_sizes",), 5),
+    ],
+)
+def test_evaluate_rejects_malformed_model(trained_run, tmp_path, capsys, where, value):
+    # numpy would broadcast a one-element bias or normalization into a network
+    doc = json.loads((trained_run / "model.json").read_text())
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    dataset = str(trained_run / "dataset.csv")
+    argv = ["evaluate", "--out", str(tmp_path / "o"), "--dataset", dataset, "--model", str(bad)]
+    assert cli.main(argv) == 1
+    assert "bad_model.json" in _one_line_error(capsys)
 
 
 def test_sweep_train_evaluate_chain(tmp_path, capsys):

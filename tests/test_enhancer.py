@@ -6,11 +6,16 @@ import pytest
 
 from stairdim.dimension import CorrectedTarget, DimensionEstimate
 from stairdim.enhancer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    BATCH_SIZE,
     DATASET_COLUMNS,
     EnhancerModel,
     EnhancerSample,
     TrainConfig,
     TrainingError,
+    VAL_FRACTION,
     dataset_fingerprint,
     forward,
     gradient_check,
@@ -25,6 +30,7 @@ from stairdim.enhancer import (
     train,
     write_dataset,
 )
+from stairdim.numerics import rng_for
 
 
 def _ct(x, y, mag=1.0, fine_dr=0.0, fine_dth=0.0):
@@ -183,11 +189,10 @@ def test_forward_normalization_invariance():
     s = rng.uniform(0.5, 4.0, size=6)
     t = rng.normal(size=6)
     m2 = EnhancerModel(
-        weights=[w.copy() for w in m.weights],
-        biases=[b.copy() for b in m.biases],
+        layer_sizes=m.layer_sizes,
+        params=m.params.copy(),
         norm_mean=m.norm_mean * s + t,
         norm_scale=m.norm_scale * s,
-        activation=m.activation,
     )
     assert np.allclose(forward(m2, x * s + t), forward(m, x), atol=1e-12)
 
@@ -209,19 +214,21 @@ def test_zero_model_gradient_hand_example():
     # zero weights: output bias gradient is 2 (0 - y) / 2 = -y, weights get 0
     m = _zero_model()
     y = np.array([0.3, 0.15])
-    loss, gw, gb = loss_and_gradients(m, np.ones(6), y)
+    loss, grad = loss_and_gradients(m, np.ones(6), y)
     assert loss == pytest.approx(float(np.mean(y**2)), abs=1e-15)
-    assert gb[-1] == pytest.approx(-y, abs=1e-15)
-    assert all(np.all(g == 0.0) for g in gw)
-    assert all(np.all(g == 0.0) for g in gb[:-1])
+    # the output bias is the last block of the flat layout
+    assert grad.shape == m.params.shape
+    assert grad[-2:] == pytest.approx(-y, abs=1e-15)
+    assert np.all(grad[:-2] == 0.0)
 
 
 def test_linear_single_layer_closed_form_gradient():
     rng = np.random.default_rng(83)
-    m = init_model([6, 2], np.zeros(6), np.ones(6), activation="linear", seed=1)
+    m = init_model([6, 2], np.zeros(6), np.ones(6), seed=1)
     x = rng.normal(size=(8, 6))
     y = rng.normal(size=(8, 2))
-    loss, gw, gb = loss_and_gradients(m, x, y)
+    loss, grad = loss_and_gradients(m, x, y)
+    gw, gb = [grad[:12].reshape(2, 6)], [grad[12:]]
     pred = x @ m.weights[0].T + m.biases[0]
     err = pred - y
     n, d_out = err.shape
@@ -263,7 +270,7 @@ def test_gradients_match_central_differences():
 def test_train_memorizes_single_sample():
     rng = np.random.default_rng(85)
     s = _random_sample(rng)
-    res = train([s], TrainConfig(epochs=500, batch_size=1, seed=0))
+    res = train([s], TrainConfig(epochs=500, seed=0))
     assert res.train_loss[-1] < 1e-8
     assert forward(res.model, s.features()) == pytest.approx(list(s.labels()), abs=1e-4)
 
@@ -332,9 +339,6 @@ def test_train_validation_and_divergence_guards():
     rng = np.random.default_rng(88)
     with pytest.raises(ValueError, match="empty dataset"):
         train([], TrainConfig(epochs=1))
-    samples = [_random_sample(rng, fid=i) for i in range(10)]
-    with pytest.raises(ValueError, match="no training data"):
-        train(samples, TrainConfig(epochs=1, val_fraction=1.0))
     # an absurd learning rate blows the weights up within the first epoch;
     # the overflow on the way to inf is the expected mechanism, not a defect
     many = [_random_sample(rng, fid=i) for i in range(40)]
@@ -344,25 +348,55 @@ def test_train_validation_and_divergence_guards():
         train(many, TrainConfig(epochs=3, learning_rate=1e100, seed=0))
 
 
-def test_early_stopping_truncates_curves():
-    # a vanishing learning rate freezes the model, so the validation loss can
-    # never improve past the stall margin: training must halt after exactly
-    # one baseline epoch plus `patience` stale epochs
+def _param_blocks(model, flat):
+    # per-layer (weights, bias) slices of a flat vector, in the params layout
+    at = 0
+    for w, b in zip(model.weights, model.biases):
+        yield flat[at : at + w.size].reshape(w.shape)
+        at += w.size
+        yield flat[at : at + b.size]
+        at += b.size
+
+
+def test_one_epoch_is_one_textbook_adam_step():
+    # 30 rows: 3 go to validation and the other 27 make one batch, so a
+    # single epoch is exactly one Adam step from zero moments
     rng = np.random.default_rng(89)
-    samples = [_random_sample(rng, fid=i) for i in range(60)]
-    cfg = TrainConfig(
-        epochs=400, learning_rate=1e-30, early_stop=True, patience=5, seed=2
-    )
+    samples = [
+        _random_sample(rng, d=0.26 + 0.02 * (i % 4), h=0.10 + 0.02 * (i % 3), fid=i)
+        for i in range(30)
+    ]
+    cfg = TrainConfig(epochs=1, learning_rate=1e-2, seed=4)
     res = train(samples, cfg)
-    assert len(res.train_loss) == 6
-    assert len(res.val_loss) == len(res.train_loss)
-    assert res.val_loss[-1] == pytest.approx(res.val_loss[0], rel=1e-9)
-    # same run without the flag goes the full distance
-    cfg_off = TrainConfig(
-        epochs=12, learning_rate=1e-30, early_stop=False, patience=5, seed=2
-    )
-    res_off = train(samples, cfg_off)
-    assert len(res_off.train_loss) == 12
+
+    x = np.stack([s.features() for s in samples])
+    y = np.stack([s.labels() for s in samples])
+    lmean, lscale = y.mean(axis=0), y.std(axis=0)
+    model = init_model([6, 16, 8, 2], x.mean(axis=0), x.std(axis=0), seed=cfg.seed)
+    split = rng_for(cfg.seed, 0x7A11)
+    train_idx = split.permutation(len(samples))[round(len(samples) * VAL_FRACTION) :]
+    assert train_idx.size <= BATCH_SIZE
+    batch = train_idx[split.permutation(train_idx.size)]
+    _, grad = loss_and_gradients(model, x[batch], ((y - lmean) / lscale)[batch])
+
+    c1, c2 = 1.0 - ADAM_BETA1**1, 1.0 - ADAM_BETA2**1
+    expected = []
+    for p, g in zip(_param_blocks(model, model.params), _param_blocks(model, grad)):
+        m = ADAM_BETA1 * np.zeros_like(g) + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * np.zeros_like(g) + (1.0 - ADAM_BETA2) * g**2
+        expected.append(p - cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS))
+    # the label scale folds into the output layer
+    expected[-2] = lscale[:, None] * expected[-2]
+    expected[-1] = lscale * expected[-1] + lmean
+
+    got = [a for layer in zip(res.model.weights, res.model.biases) for a in layer]
+    assert len(got) == len(expected) == 6
+    for a, e in zip(got, expected):
+        assert np.array_equal(a, e)
+    assert np.array_equal(res.model.norm_mean, model.norm_mean)
+    for m in (model, res.model):
+        assert m.params.shape == (6 * 16 + 16 + 16 * 8 + 8 + 8 * 2 + 2,)
+        assert all(np.shares_memory(a, m.params) for a in (*m.weights, *m.biases))
 
 
 # --- persistence ---
@@ -390,7 +424,10 @@ def test_model_save_load_round_trip(tmp_path):
     assert doc["layer_sizes"] == [6, 16, 8, 2]
     assert set(doc["normalization"]) == {"mean", "scale"}
     assert doc["dataset_fingerprint"] == "sha256:ab"
-    assert doc["train_config"]["epochs"] == 10
+    assert doc["activation"] == "relu"
+    assert doc["train_config"] == {"epochs": 10, "learning_rate": 1e-3, "seed": 1}
+    assert np.array_equal(back.params, res.model.params)
+    assert all(np.shares_memory(a, back.params) for a in (*back.weights, *back.biases))
 
 
 def test_load_model_validates_layer_sizes(tmp_path):
@@ -448,6 +485,10 @@ def test_read_dataset_rejects_foreign_header(tmp_path):
     # a dataset without the sub-bin columns cannot feed the enhancer
     path.write_text(",".join(DATASET_COLUMNS[:10]) + "\n")
     with pytest.raises(ValueError, match="columns"):
+        read_dataset(path)
+    # a row with a cell missing
+    path.write_text(",".join(DATASET_COLUMNS) + "\n" + ",".join(["1.0"] * 13) + "\n")
+    with pytest.raises(ValueError, match="line 2 has 13 cells"):
         read_dataset(path)
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from stairdim.evaluation import (
     compute_metrics,
     report_to_dict,
     write_histogram_csv,
-    write_report_json,
 )
 
 
@@ -155,8 +153,6 @@ def test_report_dict_structure():
         assert set(doc[block]) == {"depth", "height"}
         assert set(doc[block]["depth"]) == {"mae_cm", "rmse_cm", "sigma_cm", "bias_cm", "n"}
     assert set(doc["improvement"]) == {"depth", "height", "all_metrics_improved"}
-    with_samples = report_to_dict(_report(), include_samples=True)
-    assert "error_samples_cm" in with_samples["initial"]["depth"]
 
 
 def test_histogram_and_report_files(tmp_path):
@@ -168,8 +164,4 @@ def test_histogram_and_report_files(tmp_path):
     assert len(lines) == 1 + int(2 * HIST_SPAN_CM / HIST_BIN_CM)
     centers = [float(line.split(",")[0]) for line in lines[1:]]
     assert centers == sorted(centers)
-
-    out = tmp_path / "report.json"
-    write_report_json(report, out)
-    doc = json.loads(out.read_text())
-    assert doc["improvement"]["all_metrics_improved"] is True
+    assert report_to_dict(report)["improvement"]["all_metrics_improved"] is True

@@ -165,8 +165,8 @@ def _walk():
             mount_tilt_rad=_angle(),
             sway_amplitude_rad=_angle(),
             sway_frequency_hz=st.floats(0.0, 5.0),
-            sway_noise_sigma_rad=_angle(),
-            imu_noise_sigma_rad=_angle(),
+            sway_noise_sigma_rad=st.floats(0.0, math.pi),
+            imu_noise_sigma_rad=st.floats(0.0, math.pi),
             seed=st.integers(-(2**63), 2**63),
         )
     )
@@ -202,7 +202,7 @@ _SCENARIOS = st.builds(
         range_window=st.sampled_from(["hann", "rect"]),
         doppler_window=st.sampled_from(["hann", "rect"]),
         aoa_window=st.sampled_from(["hann", "rect"]),
-        aoa_fft_len=st.integers(1, 512),
+        aoa_fft_len=st.integers(16, 512),  # at least the largest virtual array drawn
         range_cfar=_cfar(),
         aoa_cfar=_cfar(),
         peak_interp=st.booleans(),
@@ -301,12 +301,9 @@ def test_run_scenario_noiseless_smoke():
     sc = ScenarioConfig(
         name="smoke", seed=3, walk=WalkConfig(duration_s=1.2), noise=NOISELESS
     )
-    seen = []
-    result = run_scenario(sc, on_cube=lambda i, cube: seen.append((i, cube.samples.shape)))
+    result = run_scenario(sc)
     n = len(result.trajectory.frames)
     assert n == 12
-    assert [i for i, _ in seen] == list(range(n))
-    assert all(shape == (144, 8, 8) for _, shape in seen)
     assert len(result.target_lists) == n and len(result.estimates) == n
 
     got = [e for e in result.estimates if e is not None]
