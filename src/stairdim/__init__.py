@@ -46,6 +46,7 @@ from .dsp_chain import (
     process_frame,
     range_doppler_transform,
     read_target_lists,
+    stationary_slice,
     write_target_lists,
 )
 from .enhancer import (
@@ -162,6 +163,7 @@ __all__ = [
     "save_scenario",
     "scenario_trajectory",
     "split_dataset",
+    "stationary_slice",
     "synthesize_frame",
     "train",
     "write_dataset",

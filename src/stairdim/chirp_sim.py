@@ -21,7 +21,6 @@ tight tolerances, and the wire format quantizes to complex64.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -99,11 +98,11 @@ class ChirpCube:
             raise ValueError("cube contains non-finite samples")
 
 
-@functools.lru_cache(maxsize=32)
-def _einsum_path(n_s: int, n_p: int, n_a: int, k: int) -> tuple:
-    """The contraction order ``optimize=True`` would pick for these axis sizes, found once."""
-    shapes = ((n_s, k), (n_p, k), (n_a, k))
-    return tuple(np.einsum_path("sk,pk,ak->spa", *map(np.empty, shapes), optimize=True)[0])
+def _sum_over_scatterers(fast: np.ndarray, slow: np.ndarray, aper: np.ndarray) -> np.ndarray:
+    """``einsum("sk,pk,ak->spa", ..., optimize=True)``, bit for bit at K >= 2, minus the path search."""
+    (n_s, k), n_p, n_a = fast.shape, slow.shape[0], aper.shape[0]
+    kap = (aper.T[:, :, None] * slow.T[:, None, :]).transpose(1, 2, 0).reshape(n_a * n_p, k)
+    return np.ascontiguousarray((kap @ fast.T).reshape(n_a, n_p, n_s).transpose(2, 1, 0))
 
 
 def synthesize_frame(
@@ -167,8 +166,7 @@ def synthesize_frame(
         fast = np.exp(2j * math.pi * np.outer(s_t, f_beat)) * amp  # (N_S, K)
         slow = np.exp(2j * math.pi * np.outer(p_t, f_dopp))  # (N_P, K)
         aper = np.exp(1j * math.pi * np.outer(a_i, np.sin(theta)))  # (N_A, K)
-        path = _einsum_path(n_s, n_p, n_a, len(scatterers))
-        cube = np.einsum("sk,pk,ak->spa", fast, slow, aper, optimize=path, order="C")
+        cube = _sum_over_scatterers(fast, slow, aper)
 
         nearest_amp = float(amp[np.argmin(r)])
     else:

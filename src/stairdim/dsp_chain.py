@@ -6,9 +6,10 @@ Stage order for one frame:
    k * r_res) and Doppler FFT over the chirp index (rectangular). No FFT
    shift is applied on either axis: Doppler bin 0 is the zero-velocity bin,
    and bin p maps to p * v_res for p < N_P/2 and (p - N_P) * v_res above.
-2. The Doppler-bin-0 plane is the stationary slice. A walking host stays
-   below one velocity bin, so stationary world scatterers land here while
-   anything with |net radial velocity| >= v_res falls into other bins.
+2. The Doppler-bin-0 plane is the stationary slice, computed alone as the
+   range FFT of the chirp sum (the full cube is built only on request). A
+   walking host stays below one velocity bin, so stationary world scatterers
+   land here while anything with |net radial velocity| >= v_res does not.
 3. Magnitudes are accumulated (summed) across the virtual channels into a
    single range profile, and CA-CFAR picks the target range bins.
 4. For the detected range bins only, one AoA FFT across the channels
@@ -53,6 +54,7 @@ __all__ = [
     "StationarySlice",
     "TargetEntry",
     "TargetList",
+    "stationary_slice",
     "range_doppler_transform",
     "extract_stationary_slice",
     "accumulate_range_profile",
@@ -190,11 +192,22 @@ class TargetList:
     timestamp_s: float
 
 
+def stationary_slice(cube: ChirpCube, cfg: DspConfig | None = None) -> StationarySlice:
+    """Doppler bin 0 without the full cube: the windowed range FFT of the weighted chirp sum."""
+    cfg, c = cfg or DspConfig(), cube.config
+    # weighted by the Doppler window; for rect the matmul is an exact sum, faster than .sum(axis=1)
+    chirp_sum = numerics.window(cfg.doppler_window, c.chirps_per_frame) @ cube.samples  # (N_S, N_A)
+    w = numerics.window(cfg.range_window, c.samples_per_chirp)
+    spectra = numerics.fft(w[:, None] * chirp_sum, axis=0)
+    return StationarySlice(spectra, derive_attributes(c).range_resolution_m, c, cube.meta)
+
+
 def range_doppler_transform(cube: ChirpCube, cfg: DspConfig | None = None) -> RangeDopplerCube:
     """Windowed range FFT then Doppler FFT per channel; shape is preserved.
 
     Both transforms run at their native lengths, so range bin k sits at
-    k * r_res and Doppler bin q at q * v_res (bin 0 = stationary).
+    k * r_res and Doppler bin q at q * v_res (bin 0 = stationary, written
+    from :func:`stationary_slice`, so the two agree bit for bit).
     """
     cfg = cfg or DspConfig()
     attrs = derive_attributes(cube.config)
@@ -204,6 +217,7 @@ def range_doppler_transform(cube: ChirpCube, cfg: DspConfig | None = None) -> Ra
     if cfg.doppler_window != "rect":  # all ones: weighting would only copy the cube
         spectra *= numerics.window(cfg.doppler_window, cube.config.chirps_per_frame)[:, None]
     spectra = numerics.fft(spectra, axis=1)
+    spectra[:, 0, :] = stationary_slice(cube, cfg).samples
     return RangeDopplerCube(
         samples=spectra,
         range_bin_m=attrs.range_resolution_m,
@@ -297,8 +311,9 @@ def _parabolic_offset(profile: np.ndarray, k) -> np.ndarray:
 
 def _aoa_spectra(channels: np.ndarray, cfg: DspConfig) -> tuple[np.ndarray, np.ndarray]:
     """Angular power rows (fftshifted) of channel snapshots, and their CFAR local-max mask."""
-    w = numerics.window(cfg.aoa_window, channels.shape[-1])
-    spectra = numerics.fft(channels * w, n=cfg.aoa_fft_len)
+    if cfg.aoa_window != "rect":  # all ones: weighting would only copy the rows
+        channels = channels * numerics.window(cfg.aoa_window, channels.shape[-1])
+    spectra = numerics.fft(channels, n=cfg.aoa_fft_len)
     half = cfg.aoa_fft_len // 2  # fftshift, without np.roll's overhead on a single row
     power = np.abs(np.concatenate((spectra[..., -half:], spectra[..., :-half]), axis=-1)) ** 2
     return power, _cfar_mask(power, cfg.aoa_cfar) & _local_max_mask(power)
@@ -365,10 +380,9 @@ def aoa_on_targets(
 
 
 def process_frame(cube: ChirpCube, cfg: DspConfig | None = None) -> TargetList:
-    """Full per-frame extraction: cube -> stationary targets with angles."""
+    """Per-frame extraction: cube -> :func:`stationary_slice` (no full cube) -> targets with angles."""
     cfg = cfg or DspConfig()
-    rd = range_doppler_transform(cube, cfg)
-    sl = extract_stationary_slice(rd)
+    sl = stationary_slice(cube, cfg)
     profile = accumulate_range_profile(sl)
     det = local_maxima(profile, cfar_detect(profile, cfg.range_cfar))
     if not cfg.exhaustive_aoa:

@@ -4,8 +4,8 @@ Errors are estimate minus truth. Storage and estimator interfaces stay in
 meters; reports convert to centimeters. Metrics per estimator and dimension:
 MAE, RMSE, and the population standard deviation, which tie together as
 RMSE^2 = sigma^2 + bias^2 exactly. Error histograms use fixed 0.5 cm bins
-over [-15, +15] cm; samples are clipped into that span for binning (never in
-the stored sample list) so the densities integrate to exactly one.
+over [-15, +15] cm; samples are clipped into that span for binning only (the
+moments use the raw errors) so the densities integrate to exactly one.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class DimensionMetrics:
     sigma_cm: float
     bias_cm: float
     n: int
-    error_samples_cm: tuple[float, ...]
     hist_centers_cm: tuple[float, ...]
     hist_density: tuple[float, ...]
 
@@ -92,7 +91,6 @@ def compute_metrics(estimates_m: Sequence[float], truths_m: Sequence[float]) -> 
         sigma_cm=sigma,
         bias_cm=bias,
         n=int(est.size),
-        error_samples_cm=tuple(float(e) for e in err_cm),
         hist_centers_cm=tuple(float(c) for c in centers),
         hist_density=tuple(float(d) for d in density),
     )

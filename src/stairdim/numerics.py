@@ -10,6 +10,8 @@ finer grid.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -46,22 +48,23 @@ def ifft(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.fft.ifft(np.asarray(x), axis=axis)
 
 
+@functools.lru_cache(maxsize=16)
 def window(kind: str, n: int) -> np.ndarray:
-    """Analysis window of length n. kind: 'hann' or 'rect'.
+    """Analysis window of length n, built once and read-only. kind: 'hann' or 'rect'.
 
     Hann is the periodic (DFT-even) variant, the usual choice ahead of an FFT.
     """
     if n < 1:
         raise ValueError(f"window length must be positive, got {n}")
-    if kind == "hann":
+    if kind not in ("hann", "rect"):
+        raise ValueError(f"unknown window kind {kind!r}")
+    w = np.ones(n)
+    if kind == "hann" and n > 1:
         # the arithmetic of scipy.signal.windows.hann(n, sym=False), so values
         # match it bit for bit; importing scipy.signal would cost ~75 MB of RSS
-        if n == 1:
-            return np.ones(1)
-        return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1))[:-1]
-    if kind == "rect":
-        return np.ones(n)
-    raise ValueError(f"unknown window kind {kind!r}")
+        w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1))[:-1]
+    w.flags.writeable = False
+    return w
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:

@@ -11,6 +11,7 @@ from stairdim.chirp_sim import (
     ChirpCube,
     FrameMeta,
     NoiseConfig,
+    _sum_over_scatterers,
     load_cube,
     quantize_to_wire,
     save_cube,
@@ -197,6 +198,21 @@ def test_synthesis_returns_c_ordered_samples():
     fortran = ChirpCube(np.asfortranarray(cube.samples), CFG, cube.meta)
     assert fortran.samples.flags.c_contiguous
     assert np.array_equal(fortran.samples, cube.samples)
+
+
+def test_sum_over_scatterers_equals_einsum():
+    rng = np.random.default_rng(64)
+    for k in range(1, 30):
+        fast, slow, aper = (
+            rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)) for n in (144, 8, 8)
+        )
+        ref = np.einsum("sk,pk,ak->spa", fast, slow, aper, optimize=True)
+        got = _sum_over_scatterers(fast, slow, aper)
+        assert got.flags.c_contiguous
+        if k == 1:  # einsum multiplies the three factors elementwise in another order
+            assert np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
+        else:
+            assert np.array_equal(got, ref), k
 
 
 def test_noisy_synthesis_peak_memory_stays_under_three_and_a_half_cubes():

@@ -24,6 +24,7 @@ from stairdim.dsp_chain import (
     StationarySlice,
     TargetEntry,
     TargetList,
+    _aoa_spectra,
     _cfar_mask,
     _parabolic_offset,
     accumulate_range_profile,
@@ -34,6 +35,7 @@ from stairdim.dsp_chain import (
     process_frame,
     range_doppler_transform,
     read_target_lists,
+    stationary_slice,
     target_list_from_json,
     target_list_to_json,
     write_target_lists,
@@ -65,11 +67,11 @@ def _staircase_cube(seed=0, noise=NoiseConfig(snr_db=20.0), steps=4, standoff=2.
     return cube, spec, frame
 
 
-def _oracle_range_doppler(samples):
-    # direct O(n^2) matrix DFTs: Hann on fast time, rectangular on Doppler
+def _oracle_range_doppler(samples, doppler_window=np.ones(8)):
+    # direct O(n^2) matrix DFTs: Hann on fast time, rectangular (or the given window) on Doppler
     w = hann_periodic(144)
     stage1 = np.einsum("ks,spa->kpa", dft_matrix(144), samples * w[:, None, None])
-    return np.einsum("qp,kpa->kqa", dft_matrix(8), stage1)
+    return np.einsum("qp,kpa->kqa", dft_matrix(8), stage1 * doppler_window[:, None])
 
 
 def test_matrix_oracle_agrees_with_loop_oracle():
@@ -123,6 +125,22 @@ def test_stationary_slice_is_doppler_bin_zero():
     sl = extract_stationary_slice(rd)
     assert np.array_equal(sl.samples, rd.samples[:, 0, :])
     assert sl.range_bin_m == rd.range_bin_m
+
+
+@pytest.mark.parametrize("doppler_window", ["rect", "hann"])
+def test_chirp_sum_slice_is_doppler_bin_zero(doppler_window):
+    cfg = DspConfig(doppler_window=doppler_window)
+    w_d = hann_periodic(8) if doppler_window == "hann" else np.ones(8)
+    for seed in range(3):
+        cube = _random_cube(seed)
+        sl = stationary_slice(cube, cfg)
+        ref = _oracle_range_doppler(cube.samples, w_d)
+        assert np.max(np.abs(sl.samples - ref[:, 0, :])) / np.max(np.abs(ref[:, 0, :])) < 1e-12
+        # the full cube writes its bin-0 plane from the same computation
+        rd = range_doppler_transform(cube, cfg)
+        assert np.array_equal(extract_stationary_slice(rd).samples, sl.samples)
+        assert np.max(np.abs(rd.samples - ref)) / np.max(np.abs(ref)) < 1e-9
+        assert (sl.range_bin_m, sl.config, sl.meta) == (R_RES, CFG, cube.meta)
 
 
 def test_accumulation_matches_direct_sum():
@@ -377,8 +395,17 @@ def test_batched_aoa_equals_one_bin_calls(seed, corners, bins, peak_interp):
     assert repr(batched) == repr(one_by_one)  # repr tells every float bit apart, -0.0 too
 
 
+def test_aoa_window_weights_the_channel_snapshots():
+    channels = _random_cube(5).samples[:, 0, :]
+    hann, _ = _aoa_spectra(channels, DspConfig(aoa_window="hann"))
+    weighted, _ = _aoa_spectra(channels * numerics.window("hann", 8), DspConfig())
+    assert np.array_equal(hann, weighted)
+    assert not np.array_equal(hann, _aoa_spectra(channels, DspConfig())[0])
+
+
 def test_exhaustive_frame_makes_one_aoa_fft(monkeypatch):
-    # range, Doppler and one batched AoA transform, however many bins
+    # one range transform of the chirp sum (no Doppler FFT) and one batched
+    # AoA transform, however many bins
     calls = []
     fft = numerics.fft
     monkeypatch.setattr(numerics, "fft", lambda *a, **k: calls.append(1) or fft(*a, **k))
@@ -386,7 +413,7 @@ def test_exhaustive_frame_makes_one_aoa_fft(monkeypatch):
     for cfg in (DspConfig(exhaustive_aoa=True), DspConfig()):
         calls.clear()
         assert len(process_frame(cube, cfg).entries) >= 2
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 # --- full frame pipeline ---

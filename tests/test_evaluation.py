@@ -60,7 +60,6 @@ def test_metrics_match_direct_formulas():
     assert m.rmse_cm == pytest.approx(math.sqrt(np.mean(err**2)), rel=1e-12)
     assert m.bias_cm == pytest.approx(np.mean(err), rel=1e-12)
     assert m.sigma_cm == pytest.approx(np.std(err), rel=1e-12)  # population std
-    assert np.allclose(m.error_samples_cm, err, atol=1e-12)
 
 
 def test_histogram_integrates_to_one():
@@ -72,10 +71,11 @@ def test_histogram_integrates_to_one():
     assert len(m.hist_centers_cm) == int(2 * HIST_SPAN_CM / HIST_BIN_CM)
     assert m.hist_centers_cm[0] == pytest.approx(-HIST_SPAN_CM + HIST_BIN_CM / 2)
     assert m.hist_centers_cm[-1] == pytest.approx(HIST_SPAN_CM - HIST_BIN_CM / 2)
-    # clipping is a binning detail only: stored samples keep their raw values
+    # clipping is a binning detail only: the moments keep the raw values
     raw = (est - tru) * 100.0
-    assert np.allclose(m.error_samples_cm, raw, atol=1e-12)
     assert np.abs(raw).max() > HIST_SPAN_CM  # the draw really exceeds the span
+    assert m.mae_cm == pytest.approx(np.mean(np.abs(raw)), rel=1e-12)
+    assert m.rmse_cm == pytest.approx(math.sqrt(np.mean(raw**2)), rel=1e-12)
 
 
 def test_metrics_validation():

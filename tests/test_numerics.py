@@ -89,6 +89,15 @@ def test_hann_window_formula_and_rect():
         numerics.window("hann", 0)
 
 
+def test_window_is_built_once_and_read_only():
+    for kind in ("hann", "rect"):
+        w = numerics.window(kind, 144)
+        assert numerics.window(kind, 144) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.5
+
+
 def test_hann_window_equals_scipy_bit_for_bit():
     # datasets and target lists are compared byte for byte across versions,
     # so the window must give exactly the values of scipy's periodic Hann

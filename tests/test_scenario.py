@@ -13,7 +13,14 @@ from stairdim.dimension import SWEEP_STANDARDS, StairStandards
 from stairdim.dsp_chain import (
     CfarConfig,
     DspConfig,
+    TargetList,
+    accumulate_range_profile,
+    aoa_on_targets,
+    cfar_detect,
+    extract_stationary_slice,
+    local_maxima,
     process_frame,
+    range_doppler_transform,
     read_target_lists,
     write_target_lists,
 )
@@ -355,6 +362,37 @@ def test_process_frame_does_not_depend_on_cube_layout(noisy_interp_walk):
         cube = quantize_to_wire(synthesize_scenario_frame(sc, traj, i))
         fortran = ChirpCube(np.asfortranarray(cube.samples), cube.config, cube.meta)
         assert process_frame(fortran, sc.dsp) == process_frame(cube, sc.dsp), i
+
+
+def _stage_by_stage(cube, cfg):
+    # process_frame rebuilt from the public stages around the full cube, one
+    # AoA call per range bin, as the benchmark's traced runs time it
+    sl = extract_stationary_slice(range_doppler_transform(cube, cfg))
+    profile = accumulate_range_profile(sl)
+    det = local_maxima(profile, cfar_detect(profile, cfg.range_cfar))
+    bins = range(profile.size) if cfg.exhaustive_aoa else det
+    per_bin = [aoa_on_targets(sl, [k], cfg, profile=profile).entries for k in bins]
+    kept = {int(k) for k in det}
+    entries = tuple(e for k, found in zip(bins, per_bin) if int(k) in kept for e in found)
+    return TargetList(entries, gamma_rad=sl.meta.gamma_rad, timestamp_s=sl.meta.timestamp_s)
+
+
+@pytest.mark.parametrize(
+    "dsp",
+    [DspConfig(), DspConfig(peak_interp=True), DspConfig(exhaustive_aoa=True, peak_interp=True)],
+    ids=["default", "peak_interp", "exhaustive_peak_interp"],
+)
+def test_stage_by_stage_chain_equals_process_frame(dsp):
+    sc = replace(build_sweep(3, 1)[1], dsp=dsp)
+    traj = scenario_trajectory(sc)
+    assert len(traj.frames) == 50
+    entries = 0
+    for i in range(len(traj.frames)):
+        cube = quantize_to_wire(synthesize_scenario_frame(sc, traj, i))
+        tl = process_frame(cube, dsp)
+        assert _stage_by_stage(cube, dsp) == tl, i  # exactly, sub-bin fields included
+        entries += len(tl.entries)
+    assert entries > 50
 
 
 def test_targets_jsonl_round_trip_is_exact(tmp_path, noisy_interp_walk):
