@@ -10,7 +10,7 @@ Subcommands map to the pipeline stages:
 
 Every command honors --seed and writes a manifest.json entry (config hash,
 seed, versions; no timestamps, so fixed-seed reruns are byte-identical).
-Exit codes: 0 success, 1 validation error, 2 I/O error.
+Exit codes: 0 success, 1 validation error or diverged training, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -34,12 +34,14 @@ from .dsp_chain import DspConfig, process_frame, write_target_lists
 from .enhancer import (
     EnhancerSample,
     TrainConfig,
+    TrainingError,
     assemble_dataset,
     dataset_fingerprint,
     forward,
     load_model,
     radar_height,
     read_dataset,
+    sample_arrays,
     save_model,
     split_dataset,
     train,
@@ -235,7 +237,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset_path = Path(args.dataset) if args.dataset else out_dir / "dataset.csv"
     samples = read_dataset(dataset_path)
     train_split, _ = split_dataset(samples, split_seed=args.split_seed)
-    result = train(train_split, cfg)
+    # numpy's overflow warnings on the way to a non-finite loss would print
+    # before the TrainingError that reports it
+    with np.errstate(all="ignore"):
+        result = train(train_split, cfg)
     save_model(
         result.model,
         out_dir / "model.json",
@@ -269,29 +274,32 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _per_acquisition(samples: Sequence[EnhancerSample], enhanced: np.ndarray):
-    """Median-aggregate initial/enhanced/truth triples per scenario."""
+def _per_acquisition(
+    samples: Sequence[EnhancerSample],
+    initial: np.ndarray,
+    enhanced: np.ndarray,
+    truths: np.ndarray,
+):
+    """Median-aggregate the per-frame initial/enhanced/truth rows per scenario."""
     by_scenario: dict[str, list[int]] = {}
     for i, s in enumerate(samples):
         by_scenario.setdefault(s.scenario_id, []).append(i)
-    initial, enh, truth = [], [], []
+    init, enh, truth = [], [], []
     for sid in sorted(by_scenario):
         idx = by_scenario[sid]
-        init_pairs = np.array([samples[i].initial_estimate() for i in idx])
-        initial.append(np.median(init_pairs, axis=0))
+        init.append(np.median(initial[idx], axis=0))
         enh.append(np.median(enhanced[idx], axis=0))
-        truth.append([samples[idx[0]].d_true_m, samples[idx[0]].h_true_m])
-    return np.array(initial), np.array(enh), np.array(truth)
+        truth.append(truths[idx[0]])
+    return np.array(init), np.array(enh), np.array(truth)
 
 
 def evaluate_split(samples: Sequence[EnhancerSample], model) -> dict:
     """Per-frame and per-acquisition error reports for a sample set."""
-    feats = np.stack([s.features() for s in samples])
-    truths = np.stack([s.labels() for s in samples])
+    feats, truths = sample_arrays(samples)
     initial = np.array([s.initial_estimate() for s in samples])
     enhanced = forward(model, feats)
     frame_report = build_error_report(initial, enhanced, truths)
-    acq = _per_acquisition(samples, enhanced)
+    acq = _per_acquisition(samples, initial, enhanced, truths)
     acq_report = build_error_report(*acq)
     return {
         "per_frame": frame_report,
@@ -406,7 +414,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:  # a KeyError is a field an input file lacks
+    # a KeyError is a field an input file lacks; a TrainingError a training
+    # loss that went non-finite
+    except (ValueError, KeyError, TrainingError) as exc:
         msg = f"missing required key {exc}" if isinstance(exc, KeyError) else exc
         print(f"stairdim: {msg}", file=sys.stderr)
         return 1

@@ -16,6 +16,10 @@ Every weight and bias lives in one flat ``params`` vector, layer by layer:
 the weights row-major (fan_out, fan_in), then the bias. The per-layer arrays
 are views into it, and gradients and Adam's moments share that layout. A
 seeded tenth of the training rows is held out for the validation curve.
+Each epoch permutes the training rows into one shuffled copy, and a batch is
+a contiguous slice of it. The Adam update runs in place on preallocated
+buffers and allocates nothing per step, yet matches the textbook
+out-of-place update bit for bit (see ``train``).
 
 The pair is the one the initial estimator chose from the reported, bin-level
 detections, and its initial estimate uses those values. The network is fed
@@ -35,6 +39,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import cache
+from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
@@ -54,6 +61,7 @@ __all__ = [
     "sample_from_estimate",
     "write_dataset",
     "read_dataset",
+    "sample_arrays",
     "dataset_fingerprint",
     "split_dataset",
     "init_model",
@@ -110,19 +118,10 @@ class EnhancerSample:
 
     def features(self) -> np.ndarray:
         """The network input (r1, theta1, r2, theta2, h_r, gamma), sub-bin values."""
-        return np.array(
-            [
-                self.r1_fine_m,
-                self.theta1_fine_rad,
-                self.r2_fine_m,
-                self.theta2_fine_rad,
-                self.hr_m,
-                self.gamma_rad,
-            ]
-        )
+        return np.array(_FEATURES(self))
 
     def labels(self) -> np.ndarray:
-        return np.array([self.d_true_m, self.h_true_m])
+        return np.array(_LABELS(self))
 
     def initial_estimate(self) -> tuple[float, float]:
         """The DSP-only estimate: axis differences of the reported corner pair."""
@@ -133,6 +132,18 @@ class EnhancerSample:
 
 DATASET_COLUMNS = tuple(f.name for f in fields(EnhancerSample))
 _CELL_TYPES = tuple(get_type_hints(EnhancerSample)[c] for c in DATASET_COLUMNS)
+_FEATURES = attrgetter(
+    "r1_fine_m", "theta1_fine_rad", "r2_fine_m", "theta2_fine_rad", "hr_m", "gamma_rad"
+)
+_LABELS = attrgetter("d_true_m", "h_true_m")
+
+
+def sample_arrays(samples: Sequence[EnhancerSample]) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's ``features()`` and ``labels()``, stacked: shapes (n, 6) and (n, 2)."""
+    return (
+        np.array(list(map(_FEATURES, samples)), dtype=float),
+        np.array(list(map(_LABELS, samples)), dtype=float),
+    )
 
 
 def sample_from_estimate(
@@ -179,17 +190,59 @@ def write_dataset(samples: Iterable[EnhancerSample], path: str | Path) -> None:
 
 
 def read_dataset(path: str | Path) -> list[EnhancerSample]:
+    """The rows of a ``write_dataset`` file; every numeric cell must be a finite number.
+
+    Cells are converted a column at a time; a malformed file raises ValueError
+    naming the file and the line of the first bad row or cell.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != DATASET_COLUMNS:
-            raise ValueError(f"unexpected dataset columns {header!r}")
-        out = []
-        for row in reader:
-            if len(row) != len(DATASET_COLUMNS):
-                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells")
-            out.append(EnhancerSample(*(t(cell) for t, cell in zip(_CELL_TYPES, row))))
-    return out
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected the dataset header")
+        if tuple(header) != DATASET_COLUMNS:
+            raise ValueError(f"{path}: unexpected dataset columns {tuple(header)!r}")
+        rows = list(reader)
+    if not rows:
+        return []
+    width = len(DATASET_COLUMNS)
+    if set(map(len, rows)) != {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise ValueError(f"{path}: line {_line_of_row(path, i)} has {len(rows[i])} cells")
+    columns = []
+    for name, kind, raw in zip(DATASET_COLUMNS, _CELL_TYPES, zip(*rows)):
+        if kind is str:
+            columns.append(raw)
+            continue
+        try:
+            values = list(map(kind, raw))
+            ok = kind is not float or all(map(math.isfinite, values))
+        except ValueError:
+            ok = False
+        if not ok:
+            i = next(i for i, cell in enumerate(raw) if not _is_finite_cell(kind, cell))
+            what = "a finite number" if kind is float else "an integer"
+            line = _line_of_row(path, i)
+            raise ValueError(f"{path}: line {line}: {name} {raw[i]!r} is not {what}")
+        columns.append(values)
+    return list(map(EnhancerSample, *columns))
+
+
+def _is_finite_cell(kind: type, cell: str) -> bool:
+    try:
+        value = kind(cell)
+    except ValueError:
+        return False
+    return kind is not float or math.isfinite(value)
+
+
+def _line_of_row(path: str | Path, index: int) -> int:
+    """The line on which data row ``index`` of a dataset file ends; row 0 follows the header."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, index + 2):
+            pass
+        return reader.line_num
 
 
 def dataset_fingerprint(path: str | Path) -> str:
@@ -225,7 +278,8 @@ def split_dataset(
     height h_i in ascending order, so the last walk carries h_i values never
     seen in training.
     """
-    combos = sorted({_combo_key(s) for s in samples})
+    keys = list(map(_combo_key, samples))
+    combos = sorted(set(keys))
     if held_out_combos >= len(combos):
         raise ValueError(
             f"cannot hold out {held_out_combos} of {len(combos)} combinations"
@@ -233,18 +287,17 @@ def split_dataset(
     rng = rng_for(split_seed, 0x59117)
     test_combos = {combos[i] for i in rng.choice(len(combos), held_out_combos, replace=False)}
 
+    # a walk's frames share its scenario id, so each id is parsed once
+    walk_of = {sid: _walk_index(sid) for sid in {s.scenario_id for s in samples}}
+    walks = [walk_of[s.scenario_id] for s in samples]
     max_walk: dict[tuple[int, int], int] = {}
-    for s in samples:
-        w = _walk_index(s.scenario_id)
-        if w is not None:
-            key = _combo_key(s)
-            max_walk[key] = max(max_walk.get(key, -1), w)
+    for key, w in zip(keys, walks):
+        if w is not None and w > max_walk.get(key, -1):
+            max_walk[key] = w
 
     train: list[EnhancerSample] = []
     test: list[EnhancerSample] = []
-    for s in samples:
-        key = _combo_key(s)
-        w = _walk_index(s.scenario_id)
+    for s, key, w in zip(samples, keys, walks):
         if key in test_combos or (w is not None and w == max_walk.get(key)):
             test.append(s)
         else:
@@ -275,18 +328,27 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
+@cache
+def _layer_slices(
+    layer_sizes: tuple[int, ...],
+) -> tuple[tuple[slice, tuple[int, int], slice], ...]:
+    """Each layer's weight slice, weight shape and bias slice in the ``params`` layout."""
+    out = []
+    at = 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        w = slice(at, at + fan_out * fan_in)
+        at += fan_out * fan_in
+        out.append((w, (fan_out, fan_in), slice(at, at + fan_out)))
+        at += fan_out
+    return tuple(out)
+
+
 def _layer_views(
     flat: np.ndarray, layer_sizes: Sequence[int]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-layer weights and biases as views into ``flat``, laid out like ``params``."""
-    weights, biases = [], []
-    at = 0
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        weights.append(flat[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
-        at += fan_out * fan_in
-        biases.append(flat[at : at + fan_out])
-        at += fan_out
-    return weights, biases
+    layers = _layer_slices(tuple(layer_sizes))
+    return [flat[w].reshape(shape) for w, shape, _ in layers], [flat[b] for _, _, b in layers]
 
 
 @dataclass(eq=False)
@@ -331,8 +393,19 @@ def init_model(
     return model
 
 
-def _normalize(model: EnhancerModel, x: np.ndarray) -> np.ndarray:
-    return (x - model.norm_mean) / model.norm_scale
+def _activations(model: EnhancerModel, x: np.ndarray) -> list[np.ndarray]:
+    """The normalized input (n, 6), then each layer's output; hidden layers are ReLU'd."""
+    a = x - model.norm_mean
+    a /= model.norm_scale
+    acts = [a]
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ w.T
+        z += b
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
+    return acts
 
 
 def forward(model: EnhancerModel, x: np.ndarray) -> np.ndarray:
@@ -340,13 +413,8 @@ def forward(model: EnhancerModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("non-finite input")
-    single = x.ndim == 1
-    a = _normalize(model, np.atleast_2d(x))
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        a = z if i == last else np.maximum(z, 0.0)
-    return a[0] if single else a
+    a = _activations(model, np.atleast_2d(x))[-1]
+    return a[0] if x.ndim == 1 else a
 
 
 def loss_and_gradients(
@@ -355,24 +423,21 @@ def loss_and_gradients(
     """MSE (mean over batch and output dims) and its gradient in the ``params`` layout."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    n = x.shape[0]
-    acts = [_normalize(model, x)]
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w.T + b
-        acts.append(z if i == last else np.maximum(z, 0.0))
-    err = acts[-1] - y
-    loss = float(np.mean(err**2))
+    acts = _activations(model, x)
+    delta = acts[-1] - y  # the error, scaled in place into d(loss)/d(output)
+    loss = float(np.add.reduce(delta * delta, axis=None)) / delta.size
+    delta *= 2.0
+    delta /= x.shape[0] * y.shape[1]
 
     grad = np.empty_like(model.params)
     grads_w, grads_b = _layer_views(grad, model.layer_sizes)
-    delta = 2.0 * err / (n * y.shape[1])
-    for i in range(last, -1, -1):
+    for i in range(len(grads_w) - 1, -1, -1):
         np.matmul(delta.T, acts[i], out=grads_w[i])
-        np.sum(delta, axis=0, out=grads_b[i])
+        np.add.reduce(delta, axis=0, out=grads_b[i])
         if i > 0:
+            delta = delta @ model.weights[i]
             # a hidden activation is positive exactly where its ReLU input was
-            delta = (delta @ model.weights[i]) * (acts[i] > 0.0)
+            delta *= acts[i] > 0.0
     return loss, grad
 
 
@@ -389,17 +454,25 @@ def train(samples: Sequence[EnhancerSample], cfg: TrainConfig = TrainConfig()) -
     The network is 6-16-8-2 with ReLU hidden layers, trained in batches of
     32. Feature statistics come from the full sample set handed in (the
     sweep's training split); a seeded tenth of it is carved out internally
-    for the validation curve. Adam's moments are two flat arrays in the
-    ``params`` layout, so a step updates ``m``, ``v`` and ``params`` once
-    each. Labels are standardized during optimization for conditioning and
+    for the validation curve. Each epoch permutes the training rows into one
+    shuffled copy, and its batches are contiguous slices of that copy.
+
+    Adam's moments are two flat arrays in the ``params`` layout. A step
+    updates ``m``, ``v`` and ``params`` in place through two preallocated
+    scratch vectors, one numpy operation at a time in the textbook order, so
+    every element is bit-identical to ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + (1 - b2) g²`` and ``params -= lr (m / c1) / (sqrt(v / c2) + eps)``;
+    ``tests/test_enhancer.py::test_train_matches_naive_reference_trainer``
+    pins that against the naive trainer in ``tests/oracles.py``.
+
+    Labels are standardized during optimization for conditioning and
     the scale is folded back into the output layer before returning, so the
     model predicts meters directly and the recorded loss curves are in m².
     Raises TrainingError if the loss goes non-finite.
     """
     if len(samples) == 0:
         raise ValueError("empty dataset")
-    x = np.stack([s.features() for s in samples])
-    y = np.stack([s.labels() for s in samples])
+    x, y = sample_arrays(samples)
 
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
@@ -419,25 +492,40 @@ def train(samples: Sequence[EnhancerSample], cfg: TrainConfig = TrainConfig()) -
     x_val = x[val_idx]
     y_tr_m, y_val_m = y[train_idx], y[val_idx]
 
-    m = np.zeros_like(model.params)
-    v = np.zeros_like(model.params)
+    params = model.params
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    s1 = np.empty_like(params)
+    s2 = np.empty_like(params)
     step = 0
 
     train_curve: list[float] = []
     val_curve: list[float] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(x_tr.shape[0])
+        x_ep, y_ep = x_tr[order], y_tr[order]
         for start in range(0, order.size, BATCH_SIZE):
-            idx = order[start : start + BATCH_SIZE]
-            loss, g = loss_and_gradients(model, x_tr[idx], y_tr[idx])
+            stop = start + BATCH_SIZE
+            loss, g = loss_and_gradients(model, x_ep[start:stop], y_ep[start:stop])
             if not math.isfinite(loss):
                 raise TrainingError(f"training diverged at epoch {epoch}")
             step += 1
             c1 = 1.0 - ADAM_BETA1**step
             c2 = 1.0 - ADAM_BETA2**step
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g**2
-            model.params -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
+            m += s1
+            v *= ADAM_BETA2
+            np.multiply(g, g, out=s1)
+            s1 *= 1.0 - ADAM_BETA2
+            v += s1
+            np.divide(m, c1, out=s1)
+            s1 *= cfg.learning_rate
+            np.divide(v, c2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += ADAM_EPS
+            s1 /= s2
+            params -= s1
         pred_tr = forward(model, x_tr) * lscale + lmean
         train_curve.append(float(np.mean((pred_tr - y_tr_m) ** 2)))
         if x_val.shape[0] > 0:
@@ -506,8 +594,19 @@ def save_model(
 
 
 def load_model(path: str | Path) -> EnhancerModel:
-    """Read a ``save_model`` file; every array must have the shape ``layer_sizes`` implies."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a ``save_model`` file; every array must have the shape ``layer_sizes`` implies.
+
+    A file that is not such a model raises ValueError naming the file.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a model file must hold a JSON object")
+    norm = doc["normalization"]
+    if not isinstance(norm, dict):
+        raise ValueError(f"{path}: normalization must be an object")
     sizes = doc["layer_sizes"]
     if not (
         isinstance(sizes, list)
@@ -517,10 +616,13 @@ def load_model(path: str | Path) -> EnhancerModel:
         raise ValueError(f"{path}: layer_sizes must be a list of at least two positive integers")
     if doc["activation"] != "relu":
         raise ValueError(f"{path}: unsupported activation {doc['activation']!r}")
-    weights = [np.array(w, dtype=float) for w in doc["weights"]]
-    biases = [np.array(b, dtype=float) for b in doc["biases"]]
-    mean = np.array(doc["normalization"]["mean"], dtype=float)
-    scale = np.array(doc["normalization"]["scale"], dtype=float)
+    try:
+        weights = [np.array(w, dtype=float) for w in doc["weights"]]
+        biases = [np.array(b, dtype=float) for b in doc["biases"]]
+        mean = np.array(norm["mean"], dtype=float)
+        scale = np.array(norm["scale"], dtype=float)
+    except (TypeError, ValueError) as exc:  # not a list, ragged, or not numbers
+        raise ValueError(f"{path}: {exc}") from None
     # numpy would broadcast a wrong-sized array, so every shape is compared
     layers = list(zip(sizes[:-1], sizes[1:]))
     if (

@@ -10,6 +10,16 @@ import math
 
 import numpy as np
 
+from stairdim.enhancer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    BATCH_SIZE,
+    HIDDEN,
+    VAL_FRACTION,
+)
+from stairdim.numerics import rng_for
+
 
 def naive_dft(x: np.ndarray, n: int | None = None) -> np.ndarray:
     """O(n^2) forward DFT of a 1-D sequence, zero-padded to n."""
@@ -60,3 +70,81 @@ def hann_periodic(n: int) -> np.ndarray:
     """Periodic Hann window from its defining formula."""
     m = np.arange(n)
     return 0.5 - 0.5 * np.cos(2.0 * math.pi * m / n)
+
+
+def naive_train(
+    x: np.ndarray, y: np.ndarray, epochs: int, learning_rate: float, seed: int
+) -> tuple[np.ndarray, list[float], list[float]]:
+    """Mini-batch Adam on the 6-16-8-2 ReLU network, written out step by step.
+
+    The same seeded draws as ``enhancer.train`` (init, validation split and
+    batch order), but each batch is gathered by fancy indexing, every layer
+    keeps its own weight, bias and Adam moment arrays, and each update
+    expression allocates its result. Returns the trained parameters in the
+    flat ``params`` layout (each layer's row-major weights, then its bias)
+    and the train and validation loss curves in m².
+    """
+    sizes = [x.shape[1], *HIDDEN, y.shape[1]]
+    init = rng_for(seed, 0x141)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        bound = 1.0 / math.sqrt(fan_in)
+        weights.append(init.uniform(-bound, bound, size=(fan_out, fan_in)))
+        biases.append(np.zeros(fan_out))
+
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0)
+    scale = np.where(scale < 1e-9, 1.0, scale)
+    lmean = y.mean(axis=0)
+    lscale = y.std(axis=0)
+    lscale = np.where(lscale < 1e-9, 1.0, lscale)
+    y_std = (y - lmean) / lscale
+
+    def layers(a):
+        acts = [(a - mean) / scale]
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            z = acts[-1] @ w.T + b
+            acts.append(z if i == len(weights) - 1 else np.maximum(z, 0.0))
+        return acts
+
+    rng = rng_for(seed, 0x7A11)
+    n_val = int(round(x.shape[0] * VAL_FRACTION))
+    perm = rng.permutation(x.shape[0])
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+
+    params = weights + biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    step = 0
+    train_curve, val_curve = [], []
+    for _ in range(epochs):
+        order = rng.permutation(train_idx.size)
+        for start in range(0, order.size, BATCH_SIZE):
+            idx = train_idx[order[start : start + BATCH_SIZE]]
+            xb, yb = x[idx], y_std[idx]
+            acts = layers(xb)
+            err = acts[-1] - yb
+            delta = 2.0 * err / (xb.shape[0] * yb.shape[1])
+            grad_w, grad_b = [None] * len(weights), [None] * len(weights)
+            for i in range(len(weights) - 1, -1, -1):
+                grad_w[i] = delta.T @ acts[i]
+                grad_b[i] = delta.sum(axis=0)
+                if i > 0:
+                    delta = (delta @ weights[i]) * (acts[i] > 0.0)
+            step += 1
+            c1 = 1.0 - ADAM_BETA1**step
+            c2 = 1.0 - ADAM_BETA2**step
+            for j, g in enumerate(grad_w + grad_b):
+                m[j] = ADAM_BETA1 * m[j] + (1.0 - ADAM_BETA1) * g
+                v[j] = ADAM_BETA2 * v[j] + (1.0 - ADAM_BETA2) * g**2
+                new = params[j] - learning_rate * (m[j] / c1) / (np.sqrt(v[j] / c2) + ADAM_EPS)
+                params[j][...] = new  # weights and biases alias these arrays
+        for idx, curve in ((train_idx, train_curve), (val_idx, val_curve)):
+            if idx.size:
+                pred = layers(x[idx])[-1] * lscale + lmean
+                curve.append(float(np.mean((pred - y[idx]) ** 2)))
+    weights[-1] *= lscale[:, None]
+    biases[-1] *= lscale
+    biases[-1] += lmean
+    flat = np.concatenate([a.reshape(-1) for layer in zip(weights, biases) for a in layer])
+    return flat, train_curve, val_curve

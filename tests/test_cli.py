@@ -178,7 +178,7 @@ def _one_line_error(capsys) -> str:
     return err
 
 
-def _write_splittable_dataset(run: Path) -> None:
+def _write_splittable_dataset(run: Path, r1_fine_m: float = 2.01) -> None:
     """A dataset the split accepts: 35 combos of 3 walks, one frame each."""
     rng = np.random.default_rng(56)
     rows = [
@@ -193,7 +193,7 @@ def _write_splittable_dataset(run: Path) -> None:
             h_true_m=h / 100,
             scenario_id=f"d{d}h{h}_w{w}",
             frame_id=0,
-            r1_fine_m=2.01,
+            r1_fine_m=r1_fine_m,
             theta1_fine_rad=-0.21,
             r2_fine_m=2.39,
             theta2_fine_rad=-0.11,
@@ -214,6 +214,15 @@ def test_train_rejects_zero_epochs(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["train", "--out", str(run), "--epochs", "0"]) == 1
     assert "epochs must be >= 1" in _one_line_error(capsys)
+
+
+def test_train_reports_divergence_in_one_line(tmp_path, capsys):
+    # finite cells whose mean overflows: the loss is non-finite from the first step
+    run = tmp_path / "run"
+    _write_splittable_dataset(run, r1_fine_m=1e308)
+    assert cli.main(["train", "--out", str(run), "--epochs", "1"]) == 1
+    assert "training diverged at epoch 0" in _one_line_error(capsys)
+    assert not (run / "model.json").exists()
 
 
 def test_scenario_with_unknown_radar_key(tmp_path, capsys):
@@ -290,6 +299,11 @@ def trained_run(tmp_path_factory):
         (("weights", 0), [[0.1] * 16] * 6),  # the first layer transposed
         (("activation",), "tanh"),
         (("layer_sizes",), 5),
+        (("normalization",), [1, 2]),
+        (("normalization",), "mean"),
+        (("weights",), 5),
+        (("weights", 1), [[0.1] * 16] * 7 + [[0.1]]),  # ragged rows
+        (("biases", 2), ["x", "y"]),
     ],
 )
 def test_evaluate_rejects_malformed_model(trained_run, tmp_path, capsys, where, value):
@@ -301,6 +315,43 @@ def test_evaluate_rejects_malformed_model(trained_run, tmp_path, capsys, where, 
     node[where[-1]] = value
     bad = tmp_path / "bad_model.json"
     bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    dataset = str(trained_run / "dataset.csv")
+    argv = ["evaluate", "--out", str(tmp_path / "o"), "--dataset", dataset, "--model", str(bad)]
+    assert cli.main(argv) == 1
+    assert "bad_model.json" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "line, cell, fragment",
+    [
+        (None, None, "empty file, expected the dataset header"),
+        (3, "nan", "line 3: r1_fine_m 'nan' is not a finite number"),
+        (5, "2.01m", "line 5: r1_fine_m '2.01m' is not a finite number"),
+    ],
+)
+def test_malformed_dataset_exits_with_one_line(trained_run, tmp_path, capsys, line, cell, fragment):
+    bad = tmp_path / "bad.csv"
+    if line is None:
+        bad.write_bytes(b"")
+    else:
+        lines = (trained_run / "dataset.csv").read_text().splitlines()
+        lines[line - 1] = lines[line - 1].replace(",2.01,", f",{cell},")
+        bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = str(tmp_path / "o")
+    assert cli.main(["train", "--out", out, "--dataset", str(bad)]) == 1
+    err = _one_line_error(capsys)
+    assert "bad.csv" in err and fragment in err
+    model = str(trained_run / "model.json")
+    assert cli.main(["evaluate", "--out", out, "--dataset", str(bad), "--model", model]) == 1
+    assert _one_line_error(capsys) == err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "5", '"model"', "{not json"])
+def test_evaluate_rejects_model_file_that_is_not_an_object(trained_run, tmp_path, capsys, text):
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(text)
     capsys.readouterr()
     dataset = str(trained_run / "dataset.csv")
     argv = ["evaluate", "--out", str(tmp_path / "o"), "--dataset", dataset, "--model", str(bad)]

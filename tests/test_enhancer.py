@@ -24,6 +24,7 @@ from stairdim.enhancer import (
     loss_and_gradients,
     radar_height,
     read_dataset,
+    sample_arrays,
     sample_from_estimate,
     save_model,
     split_dataset,
@@ -31,6 +32,8 @@ from stairdim.enhancer import (
     write_dataset,
 )
 from stairdim.numerics import rng_for
+
+from oracles import naive_train
 
 
 def _ct(x, y, mag=1.0, fine_dr=0.0, fine_dth=0.0):
@@ -100,6 +103,10 @@ def test_sample_feature_and_label_layout():
     ]
     assert all(f[i] != v for i, v in enumerate((s.r1_m, s.theta1_rad, s.r2_m, s.theta2_rad)))
     assert list(s.labels()) == [0.30, 0.15]
+    rows = [s, _random_sample(rng, d=0.28, h=0.12)]
+    x, y = sample_arrays(rows)
+    assert np.array_equal(x, np.stack([r.features() for r in rows]))
+    assert np.array_equal(y, np.stack([r.labels() for r in rows]))
 
 
 def test_initial_estimate_is_axis_difference():
@@ -348,6 +355,23 @@ def test_train_validation_and_divergence_guards():
         train(many, TrainConfig(epochs=3, learning_rate=1e100, seed=0))
 
 
+@pytest.mark.parametrize("seed", [2, 9])
+def test_train_matches_naive_reference_trainer(seed):
+    # 101 rows: 10 go to validation and 91 train in batches of 32, 32 and 27
+    rng = np.random.default_rng(95)
+    samples = [
+        _random_sample(rng, d=0.26 + 0.02 * (i % 5), h=0.10 + 0.02 * (i % 4), fid=i)
+        for i in range(101)
+    ]
+    res = train(samples, TrainConfig(epochs=3, learning_rate=1e-2, seed=seed))
+    x = np.stack([s.features() for s in samples])
+    y = np.stack([s.labels() for s in samples])
+    params, train_curve, val_curve = naive_train(x, y, epochs=3, learning_rate=1e-2, seed=seed)
+    assert res.model.params.tobytes() == params.tobytes()
+    assert res.train_loss == train_curve and len(train_curve) == 3
+    assert res.val_loss == val_curve and len(val_curve) == 3
+
+
 def _param_blocks(model, flat):
     # per-layer (weights, bias) slices of a flat vector, in the params layout
     at = 0
@@ -489,6 +513,33 @@ def test_read_dataset_rejects_foreign_header(tmp_path):
     # a row with a cell missing
     path.write_text(",".join(DATASET_COLUMNS) + "\n" + ",".join(["1.0"] * 13) + "\n")
     with pytest.raises(ValueError, match="line 2 has 13 cells"):
+        read_dataset(path)
+    # a zero-byte file
+    path.write_text("")
+    with pytest.raises(ValueError, match="bad.csv: empty file"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "column, cell, message",
+    [
+        ("r1_m", "nan", "r1_m 'nan' is not a finite number"),
+        ("theta2_fine_rad", "-inf", "theta2_fine_rad '-inf' is not a finite number"),
+        ("hr_m", "1e999", "hr_m '1e999' is not a finite number"),
+        ("d_true_m", "thirty", "d_true_m 'thirty' is not a finite number"),
+        ("frame_id", "2.5", "frame_id '2.5' is not an integer"),
+    ],
+)
+def test_read_dataset_rejects_bad_cells(tmp_path, column, cell, message):
+    rng = np.random.default_rng(96)
+    path = tmp_path / "bad.csv"
+    write_dataset([_random_sample(rng, fid=i) for i in range(4)], path)
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[DATASET_COLUMNS.index(column)] = cell
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"bad.csv: line 4: {message}"):
         read_dataset(path)
 
 
