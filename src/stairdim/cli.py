@@ -48,7 +48,7 @@ from .enhancer import (
     write_dataset,
 )
 from .evaluation import build_error_report, report_to_dict, write_histogram_csv
-from .scene import corners_of
+from .scene import Trajectory, corners_of
 from .scenario import (
     ScenarioConfig,
     build_sweep,
@@ -104,8 +104,7 @@ def _load_scenario_arg(args: argparse.Namespace) -> ScenarioConfig:
     return _apply_overrides(sc, args)
 
 
-def _write_sidecar(sc: ScenarioConfig, out_dir: Path) -> None:
-    trajectory = scenario_trajectory(sc)
+def _write_sidecar(sc: ScenarioConfig, trajectory: Trajectory, out_dir: Path) -> None:
     sidecar = {
         "scenario": scenario_to_dict(sc),
         "trajectory": to_dict(trajectory),
@@ -126,7 +125,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trajectory = scenario_trajectory(sc)
     for i in range(len(trajectory.frames)):
         save_cube(synthesize_scenario_frame(sc, trajectory, i), cube_dir / f"frame_{i:05d}.bin")
-    _write_sidecar(sc, out_dir)
+    _write_sidecar(sc, trajectory, out_dir)
     _write_manifest(
         out_dir,
         "simulate",
@@ -230,13 +229,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_split(dataset_path: Path, split_seed: int):
+    """The train and test splits of a dataset file; a split error names the file."""
+    samples = read_dataset(dataset_path)
+    try:
+        return split_dataset(samples, split_seed=split_seed)
+    except ValueError as exc:
+        raise ValueError(f"{dataset_path}: {exc}") from None
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = TrainConfig(epochs=args.epochs, seed=args.seed if args.seed is not None else 0)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = Path(args.dataset) if args.dataset else out_dir / "dataset.csv"
-    samples = read_dataset(dataset_path)
-    train_split, _ = split_dataset(samples, split_seed=args.split_seed)
+    train_split, _ = _read_split(dataset_path, args.split_seed)
     # numpy's overflow warnings on the way to a non-finite loss would print
     # before the TrainingError that reports it
     with np.errstate(all="ignore"):
@@ -315,8 +322,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     eval_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = Path(args.dataset) if args.dataset else out_dir / "dataset.csv"
     model_path = Path(args.model) if args.model else out_dir / "model.json"
-    samples = read_dataset(dataset_path)
-    _, test_split = split_dataset(samples, split_seed=args.split_seed)
+    _, test_split = _read_split(dataset_path, args.split_seed)
     model = load_model(model_path)
     results = evaluate_split(test_split, model)
 

@@ -3,7 +3,7 @@
 Stage order for one frame:
 
 1. Range FFT over fast time (Hann window, native length, so bin k sits at
-   k * r_res) and Doppler FFT over the chirp index (rectangular). No FFT
+   k * r_res) and Doppler FFT over the chirp index (no weighting). No FFT
    shift is applied on either axis: Doppler bin 0 is the zero-velocity bin,
    and bin p maps to p * v_res for p < N_P/2 and (p - N_P) * v_res above.
 2. The Doppler-bin-0 plane is the stationary slice, computed alone as the
@@ -13,7 +13,7 @@ Stage order for one frame:
 3. Magnitudes are accumulated (summed) across the virtual channels into a
    single range profile, and CA-CFAR picks the target range bins.
 4. For the detected range bins only, one AoA FFT across the channels
-   (rectangular window, zero-padded to 64 bins) gives each bin's angular
+   (no weighting, zero-padded to 64 bins) gives each bin's angular
    power profile as a row of one batch; a second CA-CFAR along the rows
    yields each range's angles. Centered bin b maps to theta = arcsin(2 b /
    fft_len). Exhaustive AoA runs the batch over every bin and masks it.
@@ -24,8 +24,8 @@ Stage order for one frame:
    the sub-bin values are what the error enhancer measures a corner pair by.
 
 CFAR thresholds are alpha * (mean of training cells), guard cells excluded,
-with one-sided fallback at the profile edges; alpha is derived from the
-false-alarm probability using the number of training cells actually
+with one-sided fallback at the profile edges; alpha always derives from the
+false-alarm probability, using the number of training cells actually
 available for that cell. Detection requires strictly exceeding the
 threshold. The pipeline additionally keeps only detections that are local
 maxima of their profile, since windowed (range) and zero-padded (AoA)
@@ -73,27 +73,22 @@ __all__ = [
 class CfarConfig:
     """Cell-averaging CFAR parameters (per side counts).
 
-    Exactly one of ``pfa`` and ``scale_factor`` drives the threshold: with
-    ``pfa`` set, alpha = N_t (pfa^(-1/N_t) - 1) for the N_t training cells
-    available at each cell; ``scale_factor`` pins alpha directly.
+    The false-alarm probability ``pfa`` sets the threshold factor:
+    alpha = N_t (pfa^(-1/N_t) - 1) for the N_t training cells available at
+    each cell.
     """
 
     training_cells: int = 8
     guard_cells: int = 2
-    pfa: float | None = 1.0e-3
-    scale_factor: float | None = None
+    pfa: float = 1.0e-3
 
     def __post_init__(self) -> None:
         if self.training_cells < 1:
             raise ValueError(f"training_cells must be >= 1, got {self.training_cells}")
         if self.guard_cells < 0:
             raise ValueError(f"guard_cells must be >= 0, got {self.guard_cells}")
-        if (self.pfa is None) == (self.scale_factor is None):
-            raise ValueError("exactly one of pfa and scale_factor must be set")
-        if self.pfa is not None and not 0.0 < self.pfa < 1.0:
+        if not 0.0 < self.pfa < 1.0:
             raise ValueError(f"pfa must be in (0, 1), got {self.pfa}")
-        if self.scale_factor is not None and self.scale_factor <= 0.0:
-            raise ValueError(f"scale_factor must be positive, got {self.scale_factor}")
 
 
 # Window sizing is driven by the scene geometry, not by noise statistics.
@@ -114,11 +109,12 @@ DEFAULT_AOA_CFAR = CfarConfig(training_cells=3, guard_cells=6, pfa=1.0e-3)
 
 @dataclass(frozen=True)
 class DspConfig:
-    """Knobs of the extraction chain. Defaults reproduce the reference setup."""
+    """Knobs of the extraction chain. Defaults reproduce the reference setup.
 
-    range_window: str = "hann"
-    doppler_window: str = "rect"
-    aoa_window: str = "rect"
+    The weighting is fixed: Hann on the range axis, none on the Doppler and
+    angle axes.
+    """
+
     aoa_fft_len: int = 64
     range_cfar: CfarConfig = field(default_factory=lambda: DEFAULT_RANGE_CFAR)
     aoa_cfar: CfarConfig = field(default_factory=lambda: DEFAULT_AOA_CFAR)
@@ -133,8 +129,8 @@ class DspConfig:
         """Both CFAR stages re-pinned to a common false-alarm probability."""
         return replace(
             self,
-            range_cfar=replace(self.range_cfar, pfa=pfa, scale_factor=None),
-            aoa_cfar=replace(self.aoa_cfar, pfa=pfa, scale_factor=None),
+            range_cfar=replace(self.range_cfar, pfa=pfa),
+            aoa_cfar=replace(self.aoa_cfar, pfa=pfa),
         )
 
 
@@ -192,12 +188,12 @@ class TargetList:
     timestamp_s: float
 
 
-def stationary_slice(cube: ChirpCube, cfg: DspConfig | None = None) -> StationarySlice:
-    """Doppler bin 0 without the full cube: the windowed range FFT of the weighted chirp sum."""
-    cfg, c = cfg or DspConfig(), cube.config
-    # weighted by the Doppler window; for rect the matmul is an exact sum, faster than .sum(axis=1)
-    chirp_sum = numerics.window(cfg.doppler_window, c.chirps_per_frame) @ cube.samples  # (N_S, N_A)
-    w = numerics.window(cfg.range_window, c.samples_per_chirp)
+def stationary_slice(cube: ChirpCube) -> StationarySlice:
+    """Doppler bin 0 without the full cube: the windowed range FFT of the chirp sum."""
+    c = cube.config
+    # the matmul with ones is an exact sum, faster than .sum(axis=1)
+    chirp_sum = np.ones(c.chirps_per_frame) @ cube.samples  # (N_S, N_A)
+    w = numerics.window(c.samples_per_chirp)
     spectra = numerics.fft(w[:, None] * chirp_sum, axis=0)
     return StationarySlice(spectra, derive_attributes(c).range_resolution_m, c, cube.meta)
 
@@ -207,17 +203,14 @@ def range_doppler_transform(cube: ChirpCube, cfg: DspConfig | None = None) -> Ra
 
     Both transforms run at their native lengths, so range bin k sits at
     k * r_res and Doppler bin q at q * v_res (bin 0 = stationary, written
-    from :func:`stationary_slice`, so the two agree bit for bit).
+    from :func:`stationary_slice`, so the two agree bit for bit). The
+    weighting is fixed, so ``cfg`` changes nothing; it is accepted so that
+    callers passing the chain's config keep working.
     """
-    cfg = cfg or DspConfig()
     attrs = derive_attributes(cube.config)
-    n_s = cube.config.samples_per_chirp
-    w = numerics.window(cfg.range_window, n_s)
-    spectra = numerics.fft(cube.samples * w[:, None, None], axis=0)
-    if cfg.doppler_window != "rect":  # all ones: weighting would only copy the cube
-        spectra *= numerics.window(cfg.doppler_window, cube.config.chirps_per_frame)[:, None]
-    spectra = numerics.fft(spectra, axis=1)
-    spectra[:, 0, :] = stationary_slice(cube, cfg).samples
+    w = numerics.window(cube.config.samples_per_chirp)
+    spectra = numerics.fft(numerics.fft(cube.samples * w[:, None, None], axis=0), axis=1)
+    spectra[:, 0, :] = stationary_slice(cube).samples
     return RangeDopplerCube(
         samples=spectra,
         range_bin_m=attrs.range_resolution_m,
@@ -264,8 +257,7 @@ def _cfar_window(n: int, cfg: CfarConfig) -> tuple[np.ndarray, np.ndarray, np.nd
     # training windows: [i-g-t, i-g) on the left, (i+g, i+g+t] on the right
     bounds = np.clip(np.stack((idx - g - t, idx - g, idx + g + 1, idx + g + 1 + t)), 0, n)
     counts = (bounds[1] - bounds[0]) + (bounds[3] - bounds[2])
-    alpha = (np.full(n, cfg.scale_factor) if cfg.pfa is None
-             else counts * (cfg.pfa ** (-1.0 / counts) - 1.0))
+    alpha = counts * (cfg.pfa ** (-1.0 / counts) - 1.0)
     for a in (bounds, counts, alpha):
         a.flags.writeable = False
     return bounds, counts, alpha
@@ -311,8 +303,6 @@ def _parabolic_offset(profile: np.ndarray, k) -> np.ndarray:
 
 def _aoa_spectra(channels: np.ndarray, cfg: DspConfig) -> tuple[np.ndarray, np.ndarray]:
     """Angular power rows (fftshifted) of channel snapshots, and their CFAR local-max mask."""
-    if cfg.aoa_window != "rect":  # all ones: weighting would only copy the rows
-        channels = channels * numerics.window(cfg.aoa_window, channels.shape[-1])
     spectra = numerics.fft(channels, n=cfg.aoa_fft_len)
     half = cfg.aoa_fft_len // 2  # fftshift, without np.roll's overhead on a single row
     power = np.abs(np.concatenate((spectra[..., -half:], spectra[..., :-half]), axis=-1)) ** 2
@@ -382,7 +372,7 @@ def aoa_on_targets(
 def process_frame(cube: ChirpCube, cfg: DspConfig | None = None) -> TargetList:
     """Per-frame extraction: cube -> :func:`stationary_slice` (no full cube) -> targets with angles."""
     cfg = cfg or DspConfig()
-    sl = stationary_slice(cube, cfg)
+    sl = stationary_slice(cube)
     profile = accumulate_range_profile(sl)
     det = local_maxima(profile, cfar_detect(profile, cfg.range_cfar))
     if not cfg.exhaustive_aoa:

@@ -81,15 +81,15 @@ class TrainingError(RuntimeError):
     """Raised when the loss diverges to a non-finite value."""
 
 
-def radar_height(h_i_m: float, gamma_rad: float, tilt_offset_rad: float = _MOUNT_TILT_OFFSET_RAD) -> float:
+def radar_height(h_i_m: float, gamma_rad: float) -> float:
     """Radar height above floor from the mount height and inclination.
 
-    h_r = h_i * cos(gamma + offset); at the default -20 deg mount the offset
-    is +20 deg, so the neutral stance gives h_r = h_i exactly.
+    h_r = h_i * cos(gamma + 20 deg): at the -20 deg mount tilt the neutral
+    stance gives h_r = h_i exactly.
     """
     if not (math.isfinite(h_i_m) and h_i_m > 0.0):
         raise ValueError(f"mount height must be positive, got {h_i_m!r}")
-    return h_i_m * math.cos(gamma_rad + tilt_offset_rad)
+    return h_i_m * math.cos(gamma_rad + _MOUNT_TILT_OFFSET_RAD)
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,14 @@ def dataset_fingerprint(path: str | Path) -> str:
 
 
 def _combo_key(s: EnhancerSample) -> tuple[int, int]:
-    return (round(s.d_true_m * 1000), round(s.h_true_m * 1000))
+    """The row's (depth, height) label in whole millimetres."""
+    try:
+        return (round(s.d_true_m * 1000), round(s.h_true_m * 1000))
+    except OverflowError:  # a finite label whose millimetres overflow to inf
+        raise ValueError(
+            f"labels ({s.d_true_m!r}, {s.h_true_m!r}) of {s.scenario_id} frame {s.frame_id} "
+            "are too large for a millimetre combination key"
+        ) from None
 
 
 def _walk_index(scenario_id: str) -> int | None:
@@ -636,12 +643,11 @@ def load_model(path: str | Path) -> EnhancerModel:
     return EnhancerModel(layer_sizes=sizes, params=params, norm_mean=mean, norm_scale=scale)
 
 
-def assemble_dataset(scenarios, progress=None) -> list[EnhancerSample]:
+def assemble_dataset(scenarios) -> list[EnhancerSample]:
     """Run the full pipeline over scenario configs and collect dataset rows.
 
     One row per frame that yields a corner pair. ``scenarios`` is an iterable
-    of ScenarioConfig; ``progress`` (optional) is called with each scenario
-    name as it completes.
+    of ScenarioConfig.
     """
     from .scenario import run_scenario  # runtime import, avoids a module cycle
 
@@ -660,6 +666,4 @@ def assemble_dataset(scenarios, progress=None) -> list[EnhancerSample]:
                     frame_id=frame_id,
                 )
             )
-        if progress is not None:
-            progress(sc.name)
     return samples

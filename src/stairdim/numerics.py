@@ -1,11 +1,12 @@
-"""Shared numeric kernels: FFTs with explicit-length padding, windows, RNG.
+"""Shared numeric kernels: FFTs with explicit-length padding, the Hann window, RNG.
 
 Every spectral stage in the toolkit goes through :func:`fft` so the length
 policy lives in one place: the transform runs at the native axis length by
 default, and a caller that wants zero-padding states the padded length
 explicitly. The range axis therefore keeps its native bin scale (one range
 resolution per bin) while the angle stage pads its 8 channel samples onto a
-finer grid.
+finer grid. The only analysis window is the periodic Hann of the range axis;
+the Doppler and angle axes are not weighted.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "fft",
-    "ifft",
     "window",
     "rng_for",
 ]
@@ -32,7 +32,7 @@ def fft(x: np.ndarray, n: int | None = None, axis: int = -1) -> np.ndarray:
         axis: axis to transform.
 
     Returns:
-        Complex spectrum, unnormalized (inverse applies the 1/n factor).
+        Complex spectrum, unnormalized.
     """
     x = np.asarray(x)
     m = x.shape[axis]
@@ -43,23 +43,16 @@ def fft(x: np.ndarray, n: int | None = None, axis: int = -1) -> np.ndarray:
     return np.fft.fft(x, n=n, axis=axis)
 
 
-def ifft(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Inverse DFT along ``axis``, normalized by 1/len."""
-    return np.fft.ifft(np.asarray(x), axis=axis)
-
-
 @functools.lru_cache(maxsize=16)
-def window(kind: str, n: int) -> np.ndarray:
-    """Analysis window of length n, built once and read-only. kind: 'hann' or 'rect'.
+def window(n: int) -> np.ndarray:
+    """Hann window of length n, built once and read-only.
 
-    Hann is the periodic (DFT-even) variant, the usual choice ahead of an FFT.
+    The periodic (DFT-even) variant, the usual choice ahead of an FFT.
     """
     if n < 1:
         raise ValueError(f"window length must be positive, got {n}")
-    if kind not in ("hann", "rect"):
-        raise ValueError(f"unknown window kind {kind!r}")
     w = np.ones(n)
-    if kind == "hann" and n > 1:
+    if n > 1:
         # the arithmetic of scipy.signal.windows.hann(n, sym=False), so values
         # match it bit for bit; importing scipy.signal would cost ~75 MB of RSS
         w = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1))[:-1]

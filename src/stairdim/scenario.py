@@ -13,7 +13,9 @@ range CFAR, a partial ``standards`` from ``SWEEP_STANDARDS``). An unknown key
 in any section is an error. A ``staircase`` section must state ``depth_m``,
 ``height_m`` and ``step_count``. Angles are degrees under ``*_deg`` keys.
 Integer fields take integral numbers only; ``null`` only where a field may be
-unset.
+unset. Some of the setup is fixed and has no key: the staircase foot is the
+world origin, the chain weights range with Hann and Doppler and angle not at
+all, and each CFAR stage sets its threshold from its ``pfa``.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
 """Parametric staircase scenes and the walking sensor trajectory.
 
 World frame: x points horizontally toward the staircase, y points up, the
-floor is y = 0. A staircase with tread depth d and riser height h rising away
-from the sensor puts its k-th convex step corner at
+floor is y = 0, and the staircase foot is the origin. A staircase with tread
+depth d and riser height h rising away from the sensor puts its k-th convex
+step corner at
 
-    (foot_x + k * d,  (k + 1) * h),   k = 0 .. step_count - 1.
+    (k * d,  (k + 1) * h),   k = 0 .. step_count - 1.
+
+The sensor walks in from negative x. Only radar-relative geometry reaches the
+pipeline, so a shift of the whole scene along x would change nothing.
 
 The sensor is shin-mounted at height ``mount_height`` (h_i) and tilted
 ``mount_tilt`` below the horizon (-20 deg by default). During a walk the true
@@ -40,12 +44,11 @@ _MOUNT_TILT_DEFAULT_RAD = math.radians(-20.0)
 
 @dataclass(frozen=True)
 class StaircaseSpec:
-    """Geometry of an ascending staircase (meters)."""
+    """Geometry of an ascending staircase (meters), its foot at the world origin."""
 
     depth_m: float = field(default=0.30, metadata={"required": True})
     height_m: float = field(default=0.15, metadata={"required": True})
     step_count: int = field(default=4, metadata={"required": True})
-    foot_x_m: float = 0.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.depth_m) and self.depth_m > 0):
@@ -54,18 +57,16 @@ class StaircaseSpec:
             raise ValueError(f"height_m must be positive, got {self.height_m!r}")
         if self.step_count < 1 or int(self.step_count) != self.step_count:
             raise ValueError(f"step_count must be a positive integer, got {self.step_count!r}")
-        if not math.isfinite(self.foot_x_m):
-            raise ValueError(f"foot_x_m must be finite, got {self.foot_x_m!r}")
 
 
 def corners_of(spec: StaircaseSpec) -> np.ndarray:
     """World (x, y) positions of the convex step corners, shape (step_count, 2).
 
-    Corner k sits at the front edge of tread k: x = foot_x + k * depth,
+    Corner k sits at the front edge of tread k: x = k * depth,
     y = (k + 1) * height. Ascending in both coordinates.
     """
     k = np.arange(spec.step_count, dtype=float)
-    return np.column_stack((spec.foot_x_m + k * spec.depth_m, (k + 1.0) * spec.height_m))
+    return np.column_stack((k * spec.depth_m, (k + 1.0) * spec.height_m))
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ def clutter_scatterers(
     out: list[Scatterer] = []
     for _ in range(count):
         k = int(rng.integers(0, spec.step_count))
-        x0 = spec.foot_x_m + k * spec.depth_m
+        x0 = k * spec.depth_m
         y_top = (k + 1) * spec.height_m
         if rng.random() < 0.5:
             # on the tread behind corner k
@@ -178,8 +179,8 @@ def generate_walk(
 ) -> Trajectory:
     """Sample the walk into gait frames.
 
-    The sensor advances at constant speed from foot_x - start_standoff to
-    foot_x - end_standoff over the walk duration. The true tilt is
+    The sensor advances at constant speed from x = -start_standoff to
+    x = -end_standoff over the walk duration. The true tilt is
 
         mount_tilt + A * sin(2 pi f t + phi0) + gait noise
 
@@ -196,8 +197,8 @@ def generate_walk(
     n = int(round(cfg.duration_s * cfg.rate_hz))
     if n < 2:
         raise ValueError(f"walk must span at least 2 frames, got {n}")
-    x0 = spec.foot_x_m - cfg.start_standoff_m
-    x1 = spec.foot_x_m - cfg.end_standoff_m
+    x0 = -cfg.start_standoff_m
+    x1 = -cfg.end_standoff_m
     if max_range_m is not None:
         far = corners_of(spec)[-1]
         reach = math.hypot(far[0] - x0, far[1])

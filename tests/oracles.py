@@ -53,17 +53,27 @@ def dft_matrix(n: int, in_len: int | None = None) -> np.ndarray:
     return np.exp(-2j * math.pi * k * m / n)
 
 
-def naive_idft(x: np.ndarray) -> np.ndarray:
-    """O(n^2) inverse DFT with 1/n normalization."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.size
-    out = np.zeros(n, dtype=np.complex128)
-    for m in range(n):
-        acc = 0.0 + 0.0j
-        for k in range(n):
-            acc += x[k] * np.exp(2j * math.pi * k * m / n)
-        out[m] = acc / n
-    return out
+def naive_ca_cfar(profile, training_cells: int, guard_cells: int, pfa: float) -> list[int]:
+    """Cell-averaging CFAR with every cell's training cells listed one by one.
+
+    Cell i trains on up to ``training_cells`` cells on each side past
+    ``guard_cells`` guard cells; at the profile edges only the cells that
+    exist count, so an edge cell is one-sided. With N cells present,
+    alpha = N (pfa^(-1/N) - 1), and cell i is a detection when it strictly
+    exceeds alpha * (sum of its training cells) / N.
+    """
+    profile = [float(v) for v in profile]
+    n = len(profile)
+    hits = []
+    for i in range(n):
+        left = [profile[j] for j in range(i - guard_cells - training_cells, i - guard_cells) if j >= 0]
+        right = [profile[j] for j in range(i + guard_cells + 1, i + guard_cells + 1 + training_cells)
+                 if j < n]
+        cells = left + right
+        alpha = len(cells) * (pfa ** (-1.0 / len(cells)) - 1.0)
+        if profile[i] > alpha * sum(cells) / len(cells):
+            hits.append(i)
+    return hits
 
 
 def hann_periodic(n: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import hann_periodic, naive_dft, naive_idft
+from oracles import hann_periodic, naive_dft
 from stairdim import numerics
 
 
@@ -67,35 +67,23 @@ def test_fft_rejects_truncation():
         numerics.fft(np.zeros(64), n=32)  # padding only, never truncation
 
 
-def test_ifft_inverts_and_matches_naive():
-    rng = np.random.default_rng(15)
-    x = rng.standard_normal(144) + 1j * rng.standard_normal(144)
-    assert np.max(np.abs(numerics.ifft(numerics.fft(x)) - x)) < 1e-12
-    spec = numerics.fft(x)
-    assert np.max(np.abs(numerics.ifft(spec) - naive_idft(spec))) < 1e-9
-
-
-def test_hann_window_formula_and_rect():
+def test_hann_window_formula():
     for n in (8, 144):
-        assert np.allclose(numerics.window("hann", n), hann_periodic(n), atol=1e-12)
+        assert np.allclose(numerics.window(n), hann_periodic(n), atol=1e-12)
     # periodic variant: w[0] = 0 but w[n-1] != 0, and sum = n/2 exactly
-    w = numerics.window("hann", 144)
+    w = numerics.window(144)
     assert w[0] == 0.0 and w[-1] > 0.0
     assert np.sum(w) == pytest.approx(72.0, abs=1e-9)
-    assert np.array_equal(numerics.window("rect", 10), np.ones(10))
     with pytest.raises(ValueError):
-        numerics.window("hamming", 16)
-    with pytest.raises(ValueError):
-        numerics.window("hann", 0)
+        numerics.window(0)
 
 
 def test_window_is_built_once_and_read_only():
-    for kind in ("hann", "rect"):
-        w = numerics.window(kind, 144)
-        assert numerics.window(kind, 144) is w
-        assert not w.flags.writeable
-        with pytest.raises(ValueError):
-            w[0] = 0.5
+    w = numerics.window(144)
+    assert numerics.window(144) is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.5
 
 
 def test_hann_window_equals_scipy_bit_for_bit():
@@ -103,7 +91,7 @@ def test_hann_window_equals_scipy_bit_for_bit():
     # so the window must give exactly the values of scipy's periodic Hann
     windows = pytest.importorskip("scipy.signal.windows")
     for n in range(1, 513):
-        assert np.array_equal(numerics.window("hann", n), windows.hann(n, sym=False)), n
+        assert np.array_equal(numerics.window(n), windows.hann(n, sym=False)), n
 
 
 def test_rng_for_streams():

@@ -18,11 +18,12 @@ from stairdim.numerics import rng_for
 
 
 def test_corner_positions_worked_examples():
-    spec = StaircaseSpec(depth_m=0.30, height_m=0.15, step_count=3, foot_x_m=2.0)
-    assert np.allclose(corners_of(spec), [(2.0, 0.15), (2.3, 0.30), (2.6, 0.45)], atol=1e-12)
+    # the staircase foot is the world origin
+    spec = StaircaseSpec(depth_m=0.30, height_m=0.15, step_count=3)
+    assert np.allclose(corners_of(spec), [(0.0, 0.15), (0.3, 0.30), (0.6, 0.45)], atol=1e-12)
 
-    spec = StaircaseSpec(depth_m=0.26, height_m=0.10, step_count=2, foot_x_m=1.0)
-    assert np.allclose(corners_of(spec), [(1.0, 0.10), (1.26, 0.20)], atol=1e-12)
+    spec = StaircaseSpec(depth_m=0.26, height_m=0.10, step_count=2)
+    assert np.allclose(corners_of(spec), [(0.0, 0.10), (0.26, 0.20)], atol=1e-12)
 
 
 def test_consecutive_corner_differences_are_uniform():
@@ -32,7 +33,6 @@ def test_consecutive_corner_differences_are_uniform():
             depth_m=float(rng.uniform(0.2, 0.5)),
             height_m=float(rng.uniform(0.08, 0.25)),
             step_count=int(rng.integers(2, 9)),
-            foot_x_m=float(rng.uniform(-1.0, 3.0)),
         )
         diffs = np.diff(corners_of(spec), axis=0)
         assert np.allclose(diffs[:, 0], spec.depth_m, atol=1e-12)
@@ -48,11 +48,9 @@ def test_default_walk_frame_count_and_timing():
 
 
 def test_walk_advances_between_standoffs():
-    spec = StaircaseSpec(foot_x_m=1.5)
-    traj = generate_walk(spec, WalkConfig())
+    traj = generate_walk(StaircaseSpec(), WalkConfig())
     x = np.array([f.x_m for f in traj.frames])
-    assert x[0] == pytest.approx(spec.foot_x_m - 4.0, abs=1e-12)
-    assert x[-1] == pytest.approx(spec.foot_x_m - 0.5, abs=1e-12)
+    assert x[0] == -4.0 and x[-1] == -0.5
     assert np.all(np.diff(x) > 0)
 
 
@@ -119,7 +117,7 @@ def test_staircase_validation():
     with pytest.raises(ValueError):
         StaircaseSpec(step_count=0)
     with pytest.raises(ValueError):
-        StaircaseSpec(foot_x_m=math.inf)
+        StaircaseSpec(depth_m=math.inf)
 
 
 def test_walk_validation():
@@ -139,11 +137,9 @@ def test_walk_validation():
 
 
 def test_staircase_serialization_round_trip():
-    spec = StaircaseSpec(depth_m=0.34, height_m=0.12, step_count=5, foot_x_m=0.25)
+    spec = StaircaseSpec(depth_m=0.34, height_m=0.12, step_count=5)
     assert from_dict(StaircaseSpec(), to_dict(spec)) == spec
-    # missing foot_x defaults to 0
-    partial = {"depth_m": 0.3, "height_m": 0.15, "step_count": 4}
-    assert from_dict(StaircaseSpec(), partial).foot_x_m == 0.0
+    assert set(to_dict(spec)) == {"depth_m", "height_m", "step_count"}
 
 
 def test_walk_serialization_round_trip():
@@ -176,7 +172,7 @@ def test_trajectory_serialization_round_trip():
 
 
 def test_corner_scatterers_sit_on_corners():
-    spec = StaircaseSpec(depth_m=0.28, height_m=0.16, step_count=4, foot_x_m=1.0)
+    spec = StaircaseSpec(depth_m=0.28, height_m=0.16, step_count=4)
     scatterers = corner_scatterers(spec, reflectivity=0.8)
     assert len(scatterers) == 4
     for sc, (cx, cy) in zip(scatterers, corners_of(spec)):
@@ -186,7 +182,7 @@ def test_corner_scatterers_sit_on_corners():
 
 
 def test_clutter_scatterers_lie_on_treads_or_risers():
-    spec = StaircaseSpec(depth_m=0.30, height_m=0.15, step_count=4, foot_x_m=2.0)
+    spec = StaircaseSpec(depth_m=0.30, height_m=0.15, step_count=4)
     pts = clutter_scatterers(spec, count=40, reflectivity=0.3, rng=rng_for(9, 0xC1))
     assert len(pts) == 40
     corners = corners_of(spec)
