@@ -32,6 +32,8 @@ from .codec import to_dict
 from .dimension import aggregate_estimates, estimate_initial
 from .dsp_chain import DspConfig, process_frame, write_target_lists
 from .enhancer import (
+    FEATURE_COLUMNS,
+    LABEL_COLUMNS,
     EnhancerSample,
     TrainConfig,
     TrainingError,
@@ -248,12 +250,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     # before the TrainingError that reports it
     with np.errstate(all="ignore"):
         result = train(train_split, cfg)
-    save_model(
-        result.model,
-        out_dir / "model.json",
-        train_config=cfg,
-        fingerprint=dataset_fingerprint(dataset_path),
-    )
+    fingerprint = dataset_fingerprint(dataset_path)
+    save_model(result.model, out_dir / "model.json", train_config=cfg, fingerprint=fingerprint)
     (out_dir / "training_curve.json").write_text(
         json.dumps(
             {"train_loss": result.train_loss, "val_loss": result.val_loss},
@@ -267,7 +265,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         out_dir,
         "train",
         {
-            "dataset": dataset_fingerprint(dataset_path),
+            "dataset": fingerprint,
             "seed": cfg.seed,
             "split_seed": args.split_seed,
             "epochs": cfg.epochs,
@@ -324,6 +322,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     model_path = Path(args.model) if args.model else out_dir / "model.json"
     _, test_split = _read_split(dataset_path, args.split_seed)
     model = load_model(model_path)
+    widths = (model.layer_sizes[0], model.layer_sizes[-1])
+    if widths != (len(FEATURE_COLUMNS), len(LABEL_COLUMNS)):
+        raise ValueError(
+            f"{model_path}: the model maps {widths[0]} inputs to {widths[1]} outputs, "
+            f"the dataset has {len(FEATURE_COLUMNS)} features and {len(LABEL_COLUMNS)} labels"
+        )
     results = evaluate_split(test_split, model)
 
     doc = {

@@ -17,9 +17,16 @@ the weights row-major (fan_out, fan_in), then the bias. The per-layer arrays
 are views into it, and gradients and Adam's moments share that layout. A
 seeded tenth of the training rows is held out for the validation curve.
 Each epoch permutes the training rows into one shuffled copy, and a batch is
-a contiguous slice of it. The Adam update runs in place on preallocated
-buffers and allocates nothing per step, yet matches the textbook
-out-of-place update bit for bit (see ``train``).
+a contiguous slice of it. A training step writes its activations, deltas,
+ReLU masks and gradient into one ``StepScratch`` that ``train`` makes per
+training, and the Adam update runs in place on preallocated buffers, yet
+both match the textbook out-of-place computation bit for bit (see ``train``).
+The gradient ``loss_and_gradients`` returns is a view into its scratch,
+valid until the next call with that scratch.
+
+A dataset row is an ``EnhancerSample`` named tuple, whose fields are the
+``dataset.csv`` columns in order, so reading a dataset builds one tuple per
+row.
 
 The pair is the one the initial estimator chose from the reported, bin-level
 detections, and its initial estimate uses those values. The network is fed
@@ -38,12 +45,12 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import Iterable, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -66,6 +73,7 @@ __all__ = [
     "split_dataset",
     "init_model",
     "forward",
+    "StepScratch",
     "loss_and_gradients",
     "train",
     "gradient_check",
@@ -92,13 +100,13 @@ def radar_height(h_i_m: float, gamma_rad: float) -> float:
     return h_i_m * math.cos(gamma_rad + _MOUNT_TILT_OFFSET_RAD)
 
 
-@dataclass(frozen=True)
-class EnhancerSample:
+class EnhancerSample(NamedTuple):
     """One training/evaluation row: pair measurement plus ground truth.
 
     ``r*_m``/``theta*_rad`` are the corners as reported (the values the pair
     search used); the ``*_fine_*`` fields are the same corners at sub-bin
-    precision.
+    precision. A row is a named tuple in ``DATASET_COLUMNS`` order: immutable,
+    and as cheap to build as a plain tuple.
     """
 
     r1_m: float
@@ -130,12 +138,14 @@ class EnhancerSample:
         return d, h
 
 
-DATASET_COLUMNS = tuple(f.name for f in fields(EnhancerSample))
-_CELL_TYPES = tuple(get_type_hints(EnhancerSample)[c] for c in DATASET_COLUMNS)
-_FEATURES = attrgetter(
+DATASET_COLUMNS = EnhancerSample._fields
+FEATURE_COLUMNS = (
     "r1_fine_m", "theta1_fine_rad", "r2_fine_m", "theta2_fine_rad", "hr_m", "gamma_rad"
 )
-_LABELS = attrgetter("d_true_m", "h_true_m")
+LABEL_COLUMNS = ("d_true_m", "h_true_m")
+_CELL_TYPES = tuple(get_type_hints(EnhancerSample)[c] for c in DATASET_COLUMNS)
+_FEATURES = itemgetter(*map(DATASET_COLUMNS.index, FEATURE_COLUMNS))
+_LABELS = itemgetter(*map(DATASET_COLUMNS.index, LABEL_COLUMNS))
 
 
 def sample_arrays(samples: Sequence[EnhancerSample]) -> tuple[np.ndarray, np.ndarray]:
@@ -185,8 +195,7 @@ def write_dataset(samples: Iterable[EnhancerSample], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_COLUMNS)
-        for s in samples:
-            writer.writerow([getattr(s, c) for c in DATASET_COLUMNS])
+        writer.writerows(samples)
 
 
 def read_dataset(path: str | Path) -> list[EnhancerSample]:
@@ -225,7 +234,7 @@ def read_dataset(path: str | Path) -> list[EnhancerSample]:
             line = _line_of_row(path, i)
             raise ValueError(f"{path}: line {line}: {name} {raw[i]!r} is not {what}")
         columns.append(values)
-    return list(map(EnhancerSample, *columns))
+    return list(map(EnhancerSample._make, zip(*columns)))
 
 
 def _is_finite_cell(kind: type, cell: str) -> bool:
@@ -400,19 +409,54 @@ def init_model(
     return model
 
 
-def _activations(model: EnhancerModel, x: np.ndarray) -> list[np.ndarray]:
-    """The normalized input (n, 6), then each layer's output; hidden layers are ReLU'd."""
-    a = x - model.norm_mean
-    a /= model.norm_scale
-    acts = [a]
+class StepScratch:
+    """The buffers ``loss_and_gradients`` writes into, for batches of up to ``rows`` rows.
+
+    It holds the normalized input and each layer's output, the backward
+    deltas, the ReLU masks of the hidden layers and the flat gradient in the
+    ``params`` layout of a network with ``layer_sizes``. A batch of n rows
+    uses the leading n rows of each per-row buffer; the views of those rows
+    are made once per n and kept.
+    """
+
+    def __init__(self, layer_sizes: Sequence[int], rows: int) -> None:
+        sizes = tuple(layer_sizes)
+        self.rows = rows
+        self.acts = [np.empty((rows, k)) for k in sizes]
+        self.deltas = [np.empty((rows, k)) for k in sizes[1:]]
+        self.masks = [np.empty((rows, k), dtype=bool) for k in sizes[1:-1]]
+        self.grad = np.empty(_layer_slices(sizes)[-1][2].stop)
+        self.grads_w, self.grads_b = _layer_views(self.grad, sizes)
+        self._leading: dict[int, tuple] = {}
+
+    def leading(self, n: int) -> tuple[list, list, list]:
+        """The first ``n`` rows of the activations, deltas and masks."""
+        views = self._leading.get(n)
+        if views is None:
+            if n > self.rows:
+                raise ValueError(f"a batch of {n} rows does not fit a scratch of {self.rows}")
+            views = self._leading[n] = (
+                [a[:n] for a in self.acts],
+                [d[:n] for d in self.deltas],
+                [m[:n] for m in self.masks],
+            )
+        return views
+
+
+def _forward_into(model: EnhancerModel, x: np.ndarray, acts: Sequence[np.ndarray]) -> None:
+    """Write the normalized input (n, 6), then each layer's output, into ``acts``.
+
+    Hidden layers are ReLU'd; every buffer is overwritten in full.
+    """
+    np.subtract(x, model.norm_mean, out=acts[0])
+    acts[0] /= model.norm_scale
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[-1] @ w.T
+        z = acts[i + 1]
+        np.matmul(acts[i], w.T, out=z)
         z += b
         if i < last:
             np.maximum(z, 0.0, out=z)
-        acts.append(z)
-    return acts
 
 
 def forward(model: EnhancerModel, x: np.ndarray) -> np.ndarray:
@@ -420,32 +464,52 @@ def forward(model: EnhancerModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("non-finite input")
-    a = _activations(model, np.atleast_2d(x))[-1]
-    return a[0] if x.ndim == 1 else a
+    x2 = np.atleast_2d(x)
+    acts = [np.empty((x2.shape[0], k)) for k in model.layer_sizes]
+    _forward_into(model, x2, acts)
+    return acts[-1][0] if x.ndim == 1 else acts[-1]
+
+
+def _as_rows(a: np.ndarray) -> np.ndarray:
+    """``a`` as a float array of rows, shape (n, k); a single row becomes (1, k)."""
+    a = np.asarray(a, dtype=float)
+    return a if a.ndim == 2 else np.atleast_2d(a)
 
 
 def loss_and_gradients(
-    model: EnhancerModel, x: np.ndarray, y: np.ndarray
+    model: EnhancerModel, x: np.ndarray, y: np.ndarray, scratch: StepScratch | None = None
 ) -> tuple[float, np.ndarray]:
-    """MSE (mean over batch and output dims) and its gradient in the ``params`` layout."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    acts = _activations(model, x)
-    delta = acts[-1] - y  # the error, scaled in place into d(loss)/d(output)
+    """MSE (mean over batch and output dims) and its gradient in the ``params`` layout.
+
+    The activations, deltas, ReLU masks and gradient are written into
+    ``scratch``, whose ``rows`` must be at least the batch size; without one,
+    a scratch sized for this batch is made. The returned gradient is
+    ``scratch.grad`` itself, a view that the next call with the same scratch
+    overwrites: copy it to keep it.
+    """
+    x = _as_rows(x)
+    y = _as_rows(y)
+    if scratch is None:
+        scratch = StepScratch(model.layer_sizes, x.shape[0])
+    acts, deltas, masks = scratch.leading(x.shape[0])
+    _forward_into(model, x, acts)
+    delta = deltas[-1]  # the error, scaled in place into d(loss)/d(output)
+    np.subtract(acts[-1], y, out=delta)
     loss = float(np.add.reduce(delta * delta, axis=None)) / delta.size
     delta *= 2.0
     delta /= x.shape[0] * y.shape[1]
 
-    grad = np.empty_like(model.params)
-    grads_w, grads_b = _layer_views(grad, model.layer_sizes)
-    for i in range(len(grads_w) - 1, -1, -1):
-        np.matmul(delta.T, acts[i], out=grads_w[i])
-        np.add.reduce(delta, axis=0, out=grads_b[i])
+    for i in range(len(deltas) - 1, -1, -1):
+        np.matmul(delta.T, acts[i], out=scratch.grads_w[i])
+        np.add.reduce(delta, axis=0, out=scratch.grads_b[i])
         if i > 0:
-            delta = delta @ model.weights[i]
+            below = deltas[i - 1]
+            np.matmul(delta, model.weights[i], out=below)
             # a hidden activation is positive exactly where its ReLU input was
-            delta *= acts[i] > 0.0
-    return loss, grad
+            np.greater(acts[i], 0.0, out=masks[i - 1])
+            below *= masks[i - 1]
+            delta = below
+    return loss, scratch.grad
 
 
 @dataclass
@@ -463,6 +527,11 @@ def train(samples: Sequence[EnhancerSample], cfg: TrainConfig = TrainConfig()) -
     sweep's training split); a seeded tenth of it is carved out internally
     for the validation curve. Each epoch permutes the training rows into one
     shuffled copy, and its batches are contiguous slices of that copy.
+
+    Every step calls ``loss_and_gradients`` with one ``StepScratch`` sized for
+    ``BATCH_SIZE`` rows and made once per training; the short last batch of
+    an epoch uses its leading rows. The gradient it returns is used before the
+    next step overwrites it. ``forward`` runs once per curve per epoch.
 
     Adam's moments are two flat arrays in the ``params`` layout. A step
     updates ``m``, ``v`` and ``params`` in place through two preallocated
@@ -500,6 +569,7 @@ def train(samples: Sequence[EnhancerSample], cfg: TrainConfig = TrainConfig()) -
     y_tr_m, y_val_m = y[train_idx], y[val_idx]
 
     params = model.params
+    scratch = StepScratch(model.layer_sizes, BATCH_SIZE)
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     s1 = np.empty_like(params)
@@ -513,7 +583,7 @@ def train(samples: Sequence[EnhancerSample], cfg: TrainConfig = TrainConfig()) -
         x_ep, y_ep = x_tr[order], y_tr[order]
         for start in range(0, order.size, BATCH_SIZE):
             stop = start + BATCH_SIZE
-            loss, g = loss_and_gradients(model, x_ep[start:stop], y_ep[start:stop])
+            loss, g = loss_and_gradients(model, x_ep[start:stop], y_ep[start:stop], scratch)
             if not math.isfinite(loss):
                 raise TrainingError(f"training diverged at epoch {epoch}")
             step += 1

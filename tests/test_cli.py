@@ -5,10 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stairdim import cli, scenario
+from stairdim import cli, enhancer, scenario
 from stairdim.chirp_sim import NOISELESS
 from stairdim.codec import to_dict
-from stairdim.enhancer import EnhancerSample, write_dataset
+from stairdim.enhancer import (
+    BATCH_SIZE,
+    VAL_FRACTION,
+    EnhancerSample,
+    init_model,
+    save_model,
+    write_dataset,
+)
 from stairdim.rf_params import RadarConfig, derive_attributes
 from stairdim.scenario import ScenarioConfig, load_scenario, save_scenario
 from stairdim.scene import WalkConfig
@@ -375,6 +382,50 @@ def test_evaluate_rejects_malformed_model(trained_run, tmp_path, capsys, where, 
     argv = ["evaluate", "--out", str(tmp_path / "o"), "--dataset", dataset, "--model", str(bad)]
     assert cli.main(argv) == 1
     assert "bad_model.json" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("sizes", [[5, 16, 8, 2], [6, 16, 8, 3]])
+def test_evaluate_rejects_model_of_another_width(trained_run, tmp_path, capsys, sizes):
+    # a well-formed model whose input or output width is not the dataset's
+    bad = tmp_path / "bad_model.json"
+    save_model(init_model(sizes, np.zeros(sizes[0]), np.ones(sizes[0])), bad)
+    capsys.readouterr()
+    dataset = str(trained_run / "dataset.csv")
+    argv = ["evaluate", "--out", str(tmp_path / "o"), "--dataset", dataset, "--model", str(bad)]
+    assert cli.main(argv) == 1
+    err = _one_line_error(capsys)
+    assert "bad_model.json" in err
+    assert f"maps {sizes[0]} inputs to {sizes[-1]} outputs" in err
+    assert "the dataset has 6 features and 2 labels" in err
+
+
+def test_train_makes_the_calls_the_benchmark_tracer_wraps(tmp_path, monkeypatch):
+    """``train`` takes one ``enhancer.loss_and_gradients`` call a step and
+    ``enhancer.forward`` calls between epochs.
+
+    ``bench/tracing.py`` times ``enhancer.step_us`` from the step calls and
+    cuts ``enhancer.epoch_ms`` at the first step after a forward pass, so a
+    trainer that stops calling either leaves those spans empty or wrong.
+    """
+    events = []
+    for name in ("loss_and_gradients", "forward"):
+        fn = getattr(enhancer, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            events.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(enhancer, name, counted)
+    run = tmp_path / "run"
+    _write_splittable_dataset(run)
+    epochs = 3
+    assert cli.main(["train", "--out", str(run), "--epochs", str(epochs)]) == 0
+    rows = json.loads((run / "manifest.json").read_text())["train"]["train_rows"]
+    n_train = rows - round(rows * VAL_FRACTION)
+    steps = -(-n_train // BATCH_SIZE)
+    assert steps > 1  # the short last batch is among them
+    # per epoch: the steps, then the forward passes of the two loss curves
+    assert events == (["loss_and_gradients"] * steps + ["forward"] * 2) * epochs
 
 
 @pytest.mark.parametrize(

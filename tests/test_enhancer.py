@@ -13,6 +13,7 @@ from stairdim.enhancer import (
     DATASET_COLUMNS,
     EnhancerModel,
     EnhancerSample,
+    StepScratch,
     TrainConfig,
     TrainingError,
     VAL_FRACTION,
@@ -242,6 +243,42 @@ def test_linear_single_layer_closed_form_gradient():
     assert loss == pytest.approx(float(np.mean(err**2)), rel=1e-12)
     assert np.allclose(gw[0], (2.0 / (n * d_out)) * err.T @ x, atol=1e-12)
     assert np.allclose(gb[0], (2.0 / (n * d_out)) * err.sum(axis=0), atol=1e-12)
+
+
+def _fresh(model, x, y):
+    loss, grad = loss_and_gradients(model, x, y)
+    return loss, grad.tobytes()
+
+
+def test_reused_scratch_equals_fresh_calls():
+    # full batch, short batch, full batch again through one scratch: each
+    # result is bit-equal to a call that builds its own buffers
+    rng = np.random.default_rng(97)
+    m = init_model([6, 16, 8, 2], rng.normal(size=6), rng.uniform(0.5, 2.0, size=6), seed=2)
+    scratch = StepScratch(m.layer_sizes, BATCH_SIZE)
+    for n in (BATCH_SIZE, 7, BATCH_SIZE):
+        x = rng.normal(size=(n, 6))
+        y = rng.normal(size=(n, 2))
+        # every buffer poisoned, so a stale row past n would show in the result
+        for buf in (*scratch.acts, *scratch.deltas, scratch.grad):
+            buf.fill(np.nan)
+        for mask in scratch.masks:
+            mask.fill(True)
+        loss, grad = loss_and_gradients(m, x, y, scratch)
+        assert grad is scratch.grad
+        assert (loss, grad.tobytes()) == _fresh(m, x, y)
+
+    # one sample as 1-D arrays is the same as that sample as a (1, 6) batch
+    x, y = rng.normal(size=6), rng.normal(size=2)
+    loss, grad = loss_and_gradients(m, x, y, scratch)
+    assert (loss, grad.tobytes()) == _fresh(m, x, y) == _fresh(m, x[None], y[None])
+
+    # the gradient is a view: the next call with the same scratch overwrites it
+    kept = grad.copy()
+    loss_and_gradients(m, x + 1.0, y, scratch)
+    assert not np.array_equal(grad, kept)
+    with pytest.raises(ValueError, match="a batch of 33 rows does not fit a scratch of 32"):
+        loss_and_gradients(m, np.zeros((33, 6)), np.zeros((33, 2)), scratch)
 
 
 def _min_preactivation(model, x):
@@ -474,7 +511,13 @@ def test_dataset_csv_round_trip(tmp_path):
     path = tmp_path / "dataset.csv"
     write_dataset(samples, path)
     back = read_dataset(path)
-    assert back == samples  # repr round trip is exact, dataclass equality holds
+    assert back == samples  # the repr round trip is exact
+    assert all(type(b) is EnhancerSample for b in back)
+    # rows are immutable, read back or built
+    for row in (back[0], samples[0]):
+        with pytest.raises(AttributeError):
+            row.r1_fine_m = 0.0
+    assert back[0] == samples[0]
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(DATASET_COLUMNS)
     # the four sub-bin columns follow the ten original ones
