@@ -15,8 +15,6 @@ Takes a couple of minutes; pass --quick for a 2-walk sweep.
 import sys
 import time
 
-import numpy as np
-
 from stairdim import (
     TrainConfig,
     assemble_dataset,
@@ -35,15 +33,15 @@ scenarios = build_sweep(base_seed=0, walks_per_combo=walks)
 print(f"sweep grid: {len(scenarios)} scenarios "
       f"(35 depth/height combinations x {walks} walks)")
 
-samples = assemble_dataset(scenarios)
-print(f"dataset: {len(samples)} per-frame rows "
+data = assemble_dataset(scenarios)
+print(f"dataset: {data.n_rows} per-frame rows "
       f"({time.perf_counter() - t0:.1f} s)")
 
-train_set, test_set = split_dataset(samples, split_seed=0)
-held_out = {s.scenario_id.split("_w")[0] for s in test_set} - {
-    s.scenario_id.split("_w")[0] for s in train_set
+train_set, test_set = split_dataset(data, split_seed=0)
+held_out = {s.split("_w")[0] for s in test_set.scenario_id} - {
+    s.split("_w")[0] for s in train_set.scenario_id
 }
-print(f"split: {len(train_set)} train rows, {len(test_set)} test rows; "
+print(f"split: {train_set.n_rows} train rows, {test_set.n_rows} test rows; "
       f"{len(held_out)} combinations fully unseen in training")
 
 res = train(train_set, TrainConfig(epochs=50, seed=0))
@@ -51,12 +49,9 @@ print(f"trained {len(res.train_loss)} epochs, "
       f"final train loss {res.train_loss[-1]:.3e}, "
       f"final validation loss {res.val_loss[-1]:.3e}")
 
-feats = np.stack([s.features() for s in test_set])
-truths = np.stack([s.labels() for s in test_set])
-initial = np.array([s.initial_estimate() for s in test_set])
-enhanced = forward(res.model, feats)
+enhanced = forward(res.model, test_set.features())
 
-report = build_error_report(initial, enhanced, truths)
+report = build_error_report(test_set.initial_estimate(), enhanced, test_set.labels())
 print("\nheld-out per-frame errors (cm):")
 print("              mae     rmse    sigma     bias")
 for label, m in (

@@ -12,6 +12,8 @@ corrected stair dimensions:
 - `evaluation`: error statistics and histograms
 - `scenario`: end-to-end runs and the dimension sweep grid
 - `codec`: the JSON form of every config dataclass
+
+The names imported here are the package's public API.
 """
 
 from .chirp_sim import (
@@ -45,13 +47,12 @@ from .dsp_chain import (
     local_maxima,
     process_frame,
     range_doppler_transform,
-    read_target_lists,
     stationary_slice,
     write_target_lists,
 )
 from .enhancer import (
+    Dataset,
     EnhancerModel,
-    EnhancerSample,
     TrainConfig,
     TrainResult,
     assemble_dataset,
@@ -98,74 +99,3 @@ from .scene import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChirpCube",
-    "CfarConfig",
-    "DEFAULT_STANDARDS",
-    "DerivedAttributes",
-    "DimensionEstimate",
-    "DimensionMetrics",
-    "DspConfig",
-    "EnhancerModel",
-    "EnhancerSample",
-    "ErrorReport",
-    "FrameMeta",
-    "GaitFrame",
-    "NOISELESS",
-    "NoiseConfig",
-    "RadarConfig",
-    "SWEEP_STANDARDS",
-    "Scatterer",
-    "ScenarioConfig",
-    "ScenarioResult",
-    "StairStandards",
-    "StaircaseSpec",
-    "TargetEntry",
-    "TargetList",
-    "TrainConfig",
-    "TrainResult",
-    "Trajectory",
-    "WalkConfig",
-    "accumulate_range_profile",
-    "aggregate_estimates",
-    "assemble_dataset",
-    "build_error_report",
-    "build_sweep",
-    "cfar_detect",
-    "compare_estimators",
-    "compute_metrics",
-    "corner_scatterers",
-    "corners_of",
-    "correct_coordinates",
-    "dataset_fingerprint",
-    "derive_attributes",
-    "estimate_initial",
-    "extract_stationary_slice",
-    "find_consecutive_corners",
-    "forward",
-    "generate_walk",
-    "gradient_check",
-    "init_model",
-    "load_cube",
-    "load_model",
-    "local_maxima",
-    "process_frame",
-    "quantize_to_wire",
-    "radar_height",
-    "range_doppler_transform",
-    "read_dataset",
-    "read_target_lists",
-    "rng_for",
-    "run_scenario",
-    "save_cube",
-    "save_model",
-    "save_scenario",
-    "scenario_trajectory",
-    "split_dataset",
-    "stationary_slice",
-    "synthesize_frame",
-    "train",
-    "write_dataset",
-    "write_target_lists",
-]

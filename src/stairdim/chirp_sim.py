@@ -44,6 +44,8 @@ __all__ = [
     "load_cube",
 ]
 
+MAX_SNR_DB = 300.0
+
 CUBE_MAGIC = b"DIMRADC1"
 _HEADER = struct.Struct("<8sIIIddd20x")
 assert _HEADER.size == 64
@@ -56,11 +58,18 @@ class NoiseConfig:
     If ``power`` is set it is used directly as the complex noise variance per
     sample. Otherwise ``snr_db`` fixes the per-sample SNR of the nearest
     scatterer's return; with no scatterers (or both fields None) the frame is
-    noiseless.
+    noiseless. ``snr_db`` is limited to +-``MAX_SNR_DB``, beyond which the
+    noise variance leaves the float range.
     """
 
     snr_db: float | None = 20.0
     power: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.snr_db is not None and not abs(self.snr_db) <= MAX_SNR_DB:
+            raise ValueError(f"snr_db must be within +-{MAX_SNR_DB:g} dB, got {self.snr_db!r}")
+        if self.power is not None and not (math.isfinite(self.power) and self.power > 0):
+            raise ValueError(f"noise power must be positive and finite, got {self.power!r}")
 
 
 NOISELESS = NoiseConfig(snr_db=None, power=None)

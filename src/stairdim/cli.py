@@ -8,6 +8,10 @@ Subcommands map to the pipeline stages:
     train      dataset.csv -> model.json
     evaluate   dataset.csv + model.json -> eval/report.json + histograms
 
+``sweep`` builds its dataset as one ``enhancer.Dataset`` of column arrays;
+``train`` and ``evaluate`` read ``dataset.csv`` back into that form, split it,
+and work on whole columns.
+
 Every command honors --seed and writes a manifest.json entry (config hash,
 seed, versions; no timestamps, so fixed-seed reruns are byte-identical).
 Exit codes: 0 success, 1 validation error or diverged training, 2 I/O error.
@@ -34,7 +38,7 @@ from .dsp_chain import DspConfig, process_frame, write_target_lists
 from .enhancer import (
     FEATURE_COLUMNS,
     LABEL_COLUMNS,
-    EnhancerSample,
+    Dataset,
     TrainConfig,
     TrainingError,
     assemble_dataset,
@@ -43,7 +47,6 @@ from .enhancer import (
     load_model,
     radar_height,
     read_dataset,
-    sample_arrays,
     save_model,
     split_dataset,
     train,
@@ -208,14 +211,16 @@ def cmd_process(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if args.walks_per_combo < 1:
+        raise ValueError(f"--walks-per-combo must be >= 1, got {args.walks_per_combo}")
     seed = args.seed if args.seed is not None else 0
     scenarios = build_sweep(
         base_seed=seed, walks_per_combo=args.walks_per_combo, dsp=_dsp_overrides(DspConfig(), args)
     )
-    samples = assemble_dataset(scenarios)
-    if not samples:
+    data = assemble_dataset(scenarios)
+    if data.n_rows == 0:
         raise ValueError("sweep produced no dataset rows")
-    write_dataset(samples, out_dir / "dataset.csv")
+    write_dataset(data, out_dir / "dataset.csv")
     _write_manifest(
         out_dir,
         "sweep",
@@ -223,19 +228,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "seed": seed,
             "walks_per_combo": args.walks_per_combo,
             "scenarios": len(scenarios),
-            "rows": len(samples),
+            "rows": data.n_rows,
             "versions": _versions(),
         },
     )
-    print(f"sweep: {len(scenarios)} scenarios -> {len(samples)} dataset rows")
+    print(f"sweep: {len(scenarios)} scenarios -> {data.n_rows} dataset rows")
     return 0
 
 
 def _read_split(dataset_path: Path, split_seed: int):
     """The train and test splits of a dataset file; a split error names the file."""
-    samples = read_dataset(dataset_path)
+    data = read_dataset(dataset_path)
     try:
-        return split_dataset(samples, split_seed=split_seed)
+        return split_dataset(data, split_seed=split_seed)
     except ValueError as exc:
         raise ValueError(f"{dataset_path}: {exc}") from None
 
@@ -269,47 +274,46 @@ def cmd_train(args: argparse.Namespace) -> int:
             "seed": cfg.seed,
             "split_seed": args.split_seed,
             "epochs": cfg.epochs,
-            "train_rows": len(train_split),
+            "train_rows": train_split.n_rows,
             "versions": _versions(),
         },
     )
     print(
-        f"trained on {len(train_split)} rows, final train loss {result.train_loss[-1]:.3e}"
+        f"trained on {train_split.n_rows} rows, final train loss {result.train_loss[-1]:.3e}"
     )
     return 0
 
 
 def _per_acquisition(
-    samples: Sequence[EnhancerSample],
+    data: Dataset,
     initial: np.ndarray,
     enhanced: np.ndarray,
     truths: np.ndarray,
 ):
-    """Median-aggregate the per-frame initial/enhanced/truth rows per scenario."""
-    by_scenario: dict[str, list[int]] = {}
-    for i, s in enumerate(samples):
-        by_scenario.setdefault(s.scenario_id, []).append(i)
-    init, enh, truth = [], [], []
-    for sid in sorted(by_scenario):
-        idx = by_scenario[sid]
-        init.append(np.median(initial[idx], axis=0))
-        enh.append(np.median(enhanced[idx], axis=0))
-        truth.append(truths[idx[0]])
-    return np.array(init), np.array(enh), np.array(truth)
+    """Median-aggregate the per-frame initial/enhanced rows per scenario, ids sorted.
+
+    A scenario's truth is that of its first row.
+    """
+    _, first, group = np.unique(data.scenario_id, return_index=True, return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    walks = np.split(order, np.cumsum(np.bincount(group))[:-1])
+    init = np.array([np.median(initial[idx], axis=0) for idx in walks])
+    enh = np.array([np.median(enhanced[idx], axis=0) for idx in walks])
+    return init, enh, truths[first]
 
 
-def evaluate_split(samples: Sequence[EnhancerSample], model) -> dict:
-    """Per-frame and per-acquisition error reports for a sample set."""
-    feats, truths = sample_arrays(samples)
-    initial = np.array([s.initial_estimate() for s in samples])
-    enhanced = forward(model, feats)
+def evaluate_split(data: Dataset, model) -> dict:
+    """Per-frame and per-acquisition error reports for a dataset's rows."""
+    initial = data.initial_estimate()
+    truths = data.labels()
+    enhanced = forward(model, data.features())
     frame_report = build_error_report(initial, enhanced, truths)
-    acq = _per_acquisition(samples, initial, enhanced, truths)
+    acq = _per_acquisition(data, initial, enhanced, truths)
     acq_report = build_error_report(*acq)
     return {
         "per_frame": frame_report,
         "per_acquisition": acq_report,
-        "n_frames": len(samples),
+        "n_frames": data.n_rows,
         "n_acquisitions": acq[0].shape[0],
     }
 

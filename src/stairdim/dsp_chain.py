@@ -63,9 +63,7 @@ __all__ = [
     "aoa_on_targets",
     "process_frame",
     "target_list_to_json",
-    "target_list_from_json",
     "write_target_lists",
-    "read_target_lists",
 ]
 
 
@@ -103,6 +101,11 @@ class CfarConfig:
 # Training then stays short: two equal targets one beamwidth apart in sin
 # space sit ~14 bins from each other, so cells past +-9 average the second
 # mainlobe into the noise estimate and mask both members of the pair.
+#: Longest AoA FFT, and most cells of one frame's AoA spectra (range bins x
+#: AoA FFT length, about 100 MB as complex spectra plus their power).
+MAX_AOA_FFT_LEN = 4096
+MAX_AOA_CELLS = 2**22
+
 DEFAULT_RANGE_CFAR = CfarConfig(training_cells=2, guard_cells=2, pfa=1.0e-3)
 DEFAULT_AOA_CFAR = CfarConfig(training_cells=3, guard_cells=6, pfa=1.0e-3)
 
@@ -122,8 +125,10 @@ class DspConfig:
     exhaustive_aoa: bool = False
 
     def __post_init__(self) -> None:
-        if self.aoa_fft_len < 1:
-            raise ValueError(f"aoa_fft_len must be positive, got {self.aoa_fft_len}")
+        if not 1 <= self.aoa_fft_len <= MAX_AOA_FFT_LEN:
+            raise ValueError(
+                f"aoa_fft_len must be in [1, {MAX_AOA_FFT_LEN}], got {self.aoa_fft_len}"
+            )
 
     def with_pfa(self, pfa: float) -> "DspConfig":
         """Both CFAR stages re-pinned to a common false-alarm probability."""
@@ -383,25 +388,18 @@ def process_frame(cube: ChirpCube, cfg: DspConfig | None = None) -> TargetList:
 
 
 def target_list_to_json(tl: TargetList) -> str:
-    """One-line JSON record (the targets.jsonl row format).
-
-    Angles are written in radians, which read back exactly, and in degrees
-    for readers of the file.
-    """
+    """One-line JSON record (the targets.jsonl row format); angles in degrees."""
     return json.dumps(
         {
             "t": tl.timestamp_s,
             "gamma_deg": math.degrees(tl.gamma_rad),
-            "gamma_rad": tl.gamma_rad,
             "targets": [
                 {
                     "r_m": e.range_m,
                     "theta_deg": [math.degrees(a) for a in e.angles_rad],
-                    "theta_rad": list(e.angles_rad),
                     "mag": e.magnitude,
                     "fine_r_m": e.fine_range_m,
                     "fine_theta_deg": [math.degrees(a) for a in e.fine_angles_rad],
-                    "fine_theta_rad": list(e.fine_angles_rad),
                 }
                 for e in tl.entries
             ],
@@ -410,35 +408,7 @@ def target_list_to_json(tl: TargetList) -> str:
     )
 
 
-def target_list_from_json(line: str) -> TargetList:
-    d = json.loads(line)
-    return TargetList(
-        entries=tuple(
-            TargetEntry(
-                range_m=float(t["r_m"]),
-                angles_rad=tuple(map(float, t["theta_rad"])),
-                magnitude=float(t["mag"]),
-                fine_range_m=float(t["fine_r_m"]),
-                fine_angles_rad=tuple(map(float, t["fine_theta_rad"])),
-            )
-            for t in d["targets"]
-        ),
-        gamma_rad=float(d["gamma_rad"]),
-        timestamp_s=float(d["t"]),
-    )
-
-
 def write_target_lists(lists: Iterable[TargetList], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for tl in lists:
             fh.write(target_list_to_json(tl) + "\n")
-
-
-def read_target_lists(path: str | Path) -> list[TargetList]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(target_list_from_json(line))
-    return out

@@ -24,9 +24,10 @@ both match the textbook out-of-place computation bit for bit (see ``train``).
 The gradient ``loss_and_gradients`` returns is a view into its scratch,
 valid until the next call with that scratch.
 
-A dataset row is an ``EnhancerSample`` named tuple, whose fields are the
-``dataset.csv`` columns in order, so reading a dataset builds one tuple per
-row.
+A dataset is a ``Dataset`` named tuple of column arrays, one field per
+``dataset.csv`` column in file order. The sweep builds it once from per-frame
+row tuples, reading a file converts it a column at a time, and the split,
+the training and the evaluation work on whole columns.
 
 The pair is the one the initial estimator chose from the reported, bin-level
 detections, and its initial estimate uses those values. The network is fed
@@ -48,9 +49,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, get_type_hints
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from .dimension import DimensionEstimate
 from .numerics import rng_for
 
 __all__ = [
-    "EnhancerSample",
+    "Dataset",
     "TrainConfig",
     "TrainResult",
     "EnhancerModel",
@@ -68,7 +68,6 @@ __all__ = [
     "sample_from_estimate",
     "write_dataset",
     "read_dataset",
-    "sample_arrays",
     "dataset_fingerprint",
     "split_dataset",
     "init_model",
@@ -100,60 +99,68 @@ def radar_height(h_i_m: float, gamma_rad: float) -> float:
     return h_i_m * math.cos(gamma_rad + _MOUNT_TILT_OFFSET_RAD)
 
 
-class EnhancerSample(NamedTuple):
-    """One training/evaluation row: pair measurement plus ground truth.
+class Dataset(NamedTuple):
+    """A dataset as one array per ``dataset.csv`` column, a row per frame with a corner pair.
 
     ``r*_m``/``theta*_rad`` are the corners as reported (the values the pair
-    search used); the ``*_fine_*`` fields are the same corners at sub-bin
-    precision. A row is a named tuple in ``DATASET_COLUMNS`` order: immutable,
-    and as cheap to build as a plain tuple.
+    search used); the ``*_fine_*`` columns are the same corners at sub-bin
+    precision. ``scenario_id`` is an object array of str, ``frame_id`` an
+    int64 array and every other column float64. Being a tuple, ``len`` counts
+    the columns; ``n_rows`` counts the rows.
     """
 
-    r1_m: float
-    theta1_rad: float
-    r2_m: float
-    theta2_rad: float
-    hr_m: float
-    gamma_rad: float
-    d_true_m: float
-    h_true_m: float
-    scenario_id: str
-    frame_id: int
-    r1_fine_m: float
-    theta1_fine_rad: float
-    r2_fine_m: float
-    theta2_fine_rad: float
+    r1_m: np.ndarray
+    theta1_rad: np.ndarray
+    r2_m: np.ndarray
+    theta2_rad: np.ndarray
+    hr_m: np.ndarray
+    gamma_rad: np.ndarray
+    d_true_m: np.ndarray
+    h_true_m: np.ndarray
+    scenario_id: np.ndarray
+    frame_id: np.ndarray
+    r1_fine_m: np.ndarray
+    theta1_fine_rad: np.ndarray
+    r2_fine_m: np.ndarray
+    theta2_fine_rad: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple]) -> Dataset:
+        """The columns of row tuples given in ``DATASET_COLUMNS`` order."""
+        columns = tuple(zip(*rows)) or ((),) * len(cls._fields)
+        return cls._make(np.array(c, dtype=t) for c, t in zip(columns, _COLUMN_DTYPES))
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.frame_id)
+
+    def take(self, index: np.ndarray) -> Dataset:
+        """The rows a boolean mask or an index array selects, in that order."""
+        return self._make(c[index] for c in self)
 
     def features(self) -> np.ndarray:
-        """The network input (r1, theta1, r2, theta2, h_r, gamma), sub-bin values."""
-        return np.array(_FEATURES(self))
+        """The network input (r1, theta1, r2, theta2, h_r, gamma) at sub-bin precision, (n, 6)."""
+        return np.column_stack([getattr(self, c) for c in FEATURE_COLUMNS])
 
     def labels(self) -> np.ndarray:
-        return np.array(_LABELS(self))
+        """The true (depth, height) of each row, (n, 2)."""
+        return np.column_stack((self.d_true_m, self.h_true_m))
 
-    def initial_estimate(self) -> tuple[float, float]:
-        """The DSP-only estimate: axis differences of the reported corner pair."""
-        d = self.r2_m * math.cos(self.theta2_rad) - self.r1_m * math.cos(self.theta1_rad)
-        h = self.r2_m * math.sin(self.theta2_rad) - self.r1_m * math.sin(self.theta1_rad)
-        return d, h
+    def initial_estimate(self) -> np.ndarray:
+        """The DSP-only estimate, (n, 2): axis differences of the reported corner pair."""
+        r1, t1, r2, t2 = self.r1_m, self.theta1_rad, self.r2_m, self.theta2_rad
+        return np.column_stack(
+            (r2 * np.cos(t2) - r1 * np.cos(t1), r2 * np.sin(t2) - r1 * np.sin(t1))
+        )
 
 
-DATASET_COLUMNS = EnhancerSample._fields
+DATASET_COLUMNS = Dataset._fields
 FEATURE_COLUMNS = (
     "r1_fine_m", "theta1_fine_rad", "r2_fine_m", "theta2_fine_rad", "hr_m", "gamma_rad"
 )
 LABEL_COLUMNS = ("d_true_m", "h_true_m")
-_CELL_TYPES = tuple(get_type_hints(EnhancerSample)[c] for c in DATASET_COLUMNS)
-_FEATURES = itemgetter(*map(DATASET_COLUMNS.index, FEATURE_COLUMNS))
-_LABELS = itemgetter(*map(DATASET_COLUMNS.index, LABEL_COLUMNS))
-
-
-def sample_arrays(samples: Sequence[EnhancerSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's ``features()`` and ``labels()``, stacked: shapes (n, 6) and (n, 2)."""
-    return (
-        np.array(list(map(_FEATURES, samples)), dtype=float),
-        np.array(list(map(_LABELS, samples)), dtype=float),
-    )
+_CELL_KINDS = tuple({"scenario_id": str, "frame_id": int}.get(c, float) for c in DATASET_COLUMNS)
+_COLUMN_DTYPES = tuple({str: object, int: np.int64}.get(k, float) for k in _CELL_KINDS)
 
 
 def sample_from_estimate(
@@ -162,44 +169,44 @@ def sample_from_estimate(
     h_true_m: float,
     scenario_id: str,
     frame_id: int,
-) -> EnhancerSample:
-    """Build the dataset row for a frame estimate (corners ordered by range)."""
+) -> tuple:
+    """The dataset row of a frame estimate, in ``DATASET_COLUMNS`` order (corners ordered by range)."""
     if est.radar_height_m is None:
         raise ValueError("estimate lacks radar_height_m, required for the feature vector")
     a, b = est.corner_pair
     if b.source_range_m < a.source_range_m:
         a, b = b, a
-    return EnhancerSample(
-        r1_m=a.source_range_m,
-        theta1_rad=a.true_angle_rad,
-        r2_m=b.source_range_m,
-        theta2_rad=b.true_angle_rad,
-        hr_m=est.radar_height_m,
-        gamma_rad=est.gamma_rad,
-        d_true_m=d_true_m,
-        h_true_m=h_true_m,
-        scenario_id=scenario_id,
-        frame_id=frame_id,
-        r1_fine_m=a.fine_range_m,
-        theta1_fine_rad=a.fine_true_angle_rad,
-        r2_fine_m=b.fine_range_m,
-        theta2_fine_rad=b.fine_true_angle_rad,
+    return (
+        a.source_range_m,
+        a.true_angle_rad,
+        b.source_range_m,
+        b.true_angle_rad,
+        est.radar_height_m,
+        est.gamma_rad,
+        d_true_m,
+        h_true_m,
+        scenario_id,
+        frame_id,
+        a.fine_range_m,
+        a.fine_true_angle_rad,
+        b.fine_range_m,
+        b.fine_true_angle_rad,
     )
 
 
 # --- dataset file I/O ---
 
 
-def write_dataset(samples: Iterable[EnhancerSample], path: str | Path) -> None:
-    """One row per sample; floats are written as their repr, so they read back exactly."""
+def write_dataset(data: Dataset, path: str | Path) -> None:
+    """One line per row; floats are written as their repr, so they read back exactly."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_COLUMNS)
-        writer.writerows(samples)
+        writer.writerows(zip(*(c.tolist() for c in data)))
 
 
-def read_dataset(path: str | Path) -> list[EnhancerSample]:
-    """The rows of a ``write_dataset`` file; every numeric cell must be a finite number.
+def read_dataset(path: str | Path) -> Dataset:
+    """The columns of a ``write_dataset`` file; every numeric cell must be a finite number.
 
     Cells are converted a column at a time; a malformed file raises ValueError
     naming the file and the line of the first bad row or cell.
@@ -213,20 +220,17 @@ def read_dataset(path: str | Path) -> list[EnhancerSample]:
             raise ValueError(f"{path}: unexpected dataset columns {tuple(header)!r}")
         rows = list(reader)
     if not rows:
-        return []
+        return Dataset.from_rows(())
     width = len(DATASET_COLUMNS)
     if set(map(len, rows)) != {width}:
         i = next(i for i, row in enumerate(rows) if len(row) != width)
         raise ValueError(f"{path}: line {_line_of_row(path, i)} has {len(rows[i])} cells")
     columns = []
-    for name, kind, raw in zip(DATASET_COLUMNS, _CELL_TYPES, zip(*rows)):
-        if kind is str:
-            columns.append(raw)
-            continue
+    for name, kind, dtype, raw in zip(DATASET_COLUMNS, _CELL_KINDS, _COLUMN_DTYPES, zip(*rows)):
         try:
-            values = list(map(kind, raw))
-            ok = kind is not float or all(map(math.isfinite, values))
-        except ValueError:
+            values = np.array(raw if kind is str else list(map(kind, raw)), dtype=dtype)
+            ok = kind is not float or np.isfinite(values).all()
+        except (ValueError, OverflowError):
             ok = False
         if not ok:
             i = next(i for i, cell in enumerate(raw) if not _is_finite_cell(kind, cell))
@@ -234,7 +238,7 @@ def read_dataset(path: str | Path) -> list[EnhancerSample]:
             line = _line_of_row(path, i)
             raise ValueError(f"{path}: line {line}: {name} {raw[i]!r} is not {what}")
         columns.append(values)
-    return list(map(EnhancerSample._make, zip(*columns)))
+    return Dataset._make(columns)
 
 
 def _is_finite_cell(kind: type, cell: str) -> bool:
@@ -242,7 +246,7 @@ def _is_finite_cell(kind: type, cell: str) -> bool:
         value = kind(cell)
     except ValueError:
         return False
-    return kind is not float or math.isfinite(value)
+    return math.isfinite(value) if kind is float else -(2**63) <= value < 2**63
 
 
 def _line_of_row(path: str | Path, index: int) -> int:
@@ -262,15 +266,19 @@ def dataset_fingerprint(path: str | Path) -> str:
 # --- train/test split ---
 
 
-def _combo_key(s: EnhancerSample) -> tuple[int, int]:
-    """The row's (depth, height) label in whole millimetres."""
-    try:
-        return (round(s.d_true_m * 1000), round(s.h_true_m * 1000))
-    except OverflowError:  # a finite label whose millimetres overflow to inf
+def _combo_keys(data: Dataset) -> np.ndarray:
+    """Each row's (depth, height) label in whole millimetres, (n, 2)."""
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        keys = np.rint(data.labels() * 1000)
+    finite = np.isfinite(keys).all(axis=1)
+    if not finite.all():  # a finite label whose millimetres overflow to inf
+        i = int(np.argmin(finite))
         raise ValueError(
-            f"labels ({s.d_true_m!r}, {s.h_true_m!r}) of {s.scenario_id} frame {s.frame_id} "
+            f"labels ({float(data.d_true_m[i])!r}, {float(data.h_true_m[i])!r}) of "
+            f"{data.scenario_id[i]} frame {data.frame_id[i]} "
             "are too large for a millimetre combination key"
-        ) from None
+        )
+    return keys
 
 
 def _walk_index(scenario_id: str) -> int | None:
@@ -282,45 +290,41 @@ def _walk_index(scenario_id: str) -> int | None:
 
 
 def split_dataset(
-    samples: Sequence[EnhancerSample],
+    data: Dataset,
     split_seed: int = 0,
     held_out_combos: int = 7,
-) -> tuple[list[EnhancerSample], list[EnhancerSample]]:
+) -> tuple[Dataset, Dataset]:
     """Deterministic train/test split by dimension combination and mount height.
 
     ``held_out_combos`` whole (depth, height) combinations go to the test set,
     chosen by the seeded generator. On top of that, the highest-index walk of
     every remaining combination is held out: sweep walks stratify the mount
     height h_i in ascending order, so the last walk carries h_i values never
-    seen in training.
+    seen in training. Both parts keep the rows in file order.
     """
-    keys = list(map(_combo_key, samples))
-    combos = sorted(set(keys))
+    combos, combo = np.unique(_combo_keys(data), axis=0, return_inverse=True)
+    combo = combo.reshape(-1)
     if held_out_combos >= len(combos):
         raise ValueError(
             f"cannot hold out {held_out_combos} of {len(combos)} combinations"
         )
     rng = rng_for(split_seed, 0x59117)
-    test_combos = {combos[i] for i in rng.choice(len(combos), held_out_combos, replace=False)}
+    held_out = np.zeros(len(combos), dtype=bool)
+    held_out[rng.choice(len(combos), held_out_combos, replace=False)] = True
 
-    # a walk's frames share its scenario id, so each id is parsed once
-    walk_of = {sid: _walk_index(sid) for sid in {s.scenario_id for s in samples}}
-    walks = [walk_of[s.scenario_id] for s in samples]
-    max_walk: dict[tuple[int, int], int] = {}
-    for key, w in zip(keys, walks):
-        if w is not None and w > max_walk.get(key, -1):
-            max_walk[key] = w
+    # a walk's frames share its scenario id, so each id is parsed once; walks
+    # are compared by rank, which keeps walk numbers of any size exact
+    ids, id_of_row = np.unique(data.scenario_id, return_inverse=True)
+    walk_of_id = [_walk_index(sid) for sid in ids]
+    rank = {w: r for r, w in enumerate(sorted({w for w in walk_of_id if w is not None}))}
+    walk = np.array([rank.get(w, -1) for w in walk_of_id], dtype=np.int64)[id_of_row]
+    last_walk = np.full(len(combos), -1)
+    np.maximum.at(last_walk, combo, walk)
 
-    train: list[EnhancerSample] = []
-    test: list[EnhancerSample] = []
-    for s, key, w in zip(samples, keys, walks):
-        if key in test_combos or (w is not None and w == max_walk.get(key)):
-            test.append(s)
-        else:
-            train.append(s)
-    if not train or not test:
+    test = held_out[combo] | ((walk >= 0) & (walk == last_walk[combo]))
+    if test.all() or not test.any():
         raise ValueError("degenerate split: one of the partitions is empty")
-    return train, test
+    return data.take(~test), data.take(test)
 
 
 # --- the network ---
@@ -519,11 +523,11 @@ class TrainResult:
     val_loss: list[float]
 
 
-def train(samples: Sequence[EnhancerSample], cfg: TrainConfig = TrainConfig()) -> TrainResult:
-    """Mini-batch Adam over the sample set; deterministic for a fixed seed.
+def train(data: Dataset, cfg: TrainConfig = TrainConfig()) -> TrainResult:
+    """Mini-batch Adam over the dataset's rows; deterministic for a fixed seed.
 
     The network is 6-16-8-2 with ReLU hidden layers, trained in batches of
-    32. Feature statistics come from the full sample set handed in (the
+    32. Feature statistics come from all the rows handed in (the
     sweep's training split); a seeded tenth of it is carved out internally
     for the validation curve. Each epoch permutes the training rows into one
     shuffled copy, and its batches are contiguous slices of that copy.
@@ -546,9 +550,9 @@ def train(samples: Sequence[EnhancerSample], cfg: TrainConfig = TrainConfig()) -
     model predicts meters directly and the recorded loss curves are in m².
     Raises TrainingError if the loss goes non-finite.
     """
-    if len(samples) == 0:
+    if data.n_rows == 0:
         raise ValueError("empty dataset")
-    x, y = sample_arrays(samples)
+    x, y = data.features(), data.labels()
 
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
@@ -713,27 +717,20 @@ def load_model(path: str | Path) -> EnhancerModel:
     return EnhancerModel(layer_sizes=sizes, params=params, norm_mean=mean, norm_scale=scale)
 
 
-def assemble_dataset(scenarios) -> list[EnhancerSample]:
-    """Run the full pipeline over scenario configs and collect dataset rows.
+def assemble_dataset(scenarios) -> Dataset:
+    """Run the full pipeline over scenario configs and collect the dataset.
 
     One row per frame that yields a corner pair. ``scenarios`` is an iterable
     of ScenarioConfig.
     """
     from .scenario import run_scenario  # runtime import, avoids a module cycle
 
-    samples: list[EnhancerSample] = []
+    rows = []
     for sc in scenarios:
-        result = run_scenario(sc)
-        for frame_id, est in enumerate(result.estimates):
-            if est is None:
-                continue
-            samples.append(
-                sample_from_estimate(
-                    est,
-                    d_true_m=sc.staircase.depth_m,
-                    h_true_m=sc.staircase.height_m,
-                    scenario_id=sc.name,
-                    frame_id=frame_id,
-                )
-            )
-    return samples
+        d, h = sc.staircase.depth_m, sc.staircase.height_m
+        rows.extend(
+            sample_from_estimate(est, d, h, sc.name, frame_id)
+            for frame_id, est in enumerate(run_scenario(sc).estimates)
+            if est is not None
+        )
+    return Dataset.from_rows(rows)

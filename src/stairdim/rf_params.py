@@ -14,6 +14,9 @@ from dataclasses import dataclass
 #: Speed of light in vacuum, m/s (exact by the SI definition of the metre).
 SPEED_OF_LIGHT = 299_792_458.0
 
+#: Most complex samples one frame's cube may hold (16 MiB at complex128).
+MAX_CUBE_SAMPLES = 2**20
+
 __all__ = ["RadarConfig", "DerivedAttributes", "derive_attributes", "SPEED_OF_LIGHT"]
 
 
@@ -52,9 +55,16 @@ class RadarConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("samples_per_chirp", "chirps_per_frame", "tx_count", "rx_count"):
+        counts = ("samples_per_chirp", "chirps_per_frame", "tx_count", "rx_count")
+        for name in counts:
             if int(getattr(self, name)) != getattr(self, name):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        size = math.prod(int(getattr(self, name)) for name in counts)
+        if size > MAX_CUBE_SAMPLES:
+            raise ValueError(
+                f"a cube of {size} samples (samples_per_chirp x chirps_per_frame x virtual "
+                f"antennas) exceeds the limit of {MAX_CUBE_SAMPLES}"
+            )
 
     @property
     def virtual_antennas(self) -> int:

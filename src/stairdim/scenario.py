@@ -15,7 +15,10 @@ in any section is an error. A ``staircase`` section must state ``depth_m``,
 Integer fields take integral numbers only; ``null`` only where a field may be
 unset. Some of the setup is fixed and has no key: the staircase foot is the
 world origin, the chain weights range with Hann and Doppler and angle not at
-all, and each CFAR stage sets its threshold from its ``pfa``.
+all, and each CFAR stage sets its threshold from its ``pfa``. Sizes and levels
+have fixed limits, far above the defaults, so that a file cannot exhaust
+memory or leave the float range: frames a walk, samples a cube, the AoA FFT
+length and its range-by-angle cells, and the SNR.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .dimension import (
     StairStandards,
     estimate_initial,
 )
-from .dsp_chain import DspConfig, TargetList, process_frame
+from .dsp_chain import MAX_AOA_CELLS, DspConfig, TargetList, process_frame
 from .enhancer import radar_height
 from .numerics import rng_for
 from .rf_params import RadarConfig, derive_attributes
@@ -95,6 +98,12 @@ class ScenarioConfig:
             raise ValueError(
                 f"dsp.aoa_fft_len {self.dsp.aoa_fft_len} is shorter than the radar's "
                 f"{self.radar.virtual_antennas} virtual antennas"
+            )
+        cells = self.radar.samples_per_chirp * self.dsp.aoa_fft_len
+        if cells > MAX_AOA_CELLS:
+            raise ValueError(
+                f"{self.radar.samples_per_chirp} range bins x dsp.aoa_fft_len "
+                f"{self.dsp.aoa_fft_len} exceed the limit of {MAX_AOA_CELLS} AoA cells"
             )
 
 

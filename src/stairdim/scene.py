@@ -41,6 +41,9 @@ __all__ = [
 
 _MOUNT_TILT_DEFAULT_RAD = math.radians(-20.0)
 
+#: Most frames one walk may span (duration_s * rate_hz).
+MAX_WALK_FRAMES = 100_000
+
 
 @dataclass(frozen=True)
 class StaircaseSpec:
@@ -94,6 +97,11 @@ class WalkConfig:
             raise ValueError(f"rate_hz must be positive, got {self.rate_hz!r}")
         if self.duration_s <= 0 or not math.isfinite(self.duration_s):
             raise ValueError(f"duration_s must be positive, got {self.duration_s!r}")
+        if self.duration_s * self.rate_hz > MAX_WALK_FRAMES:
+            raise ValueError(
+                f"a walk of duration_s x rate_hz = {self.duration_s * self.rate_hz:g} frames "
+                f"exceeds the limit of {MAX_WALK_FRAMES}"
+            )
         if self.mount_height_m <= 0:
             raise ValueError(f"mount_height_m must be positive, got {self.mount_height_m!r}")
         if self.end_standoff_m <= 0 or self.start_standoff_m < self.end_standoff_m:

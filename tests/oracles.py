@@ -15,8 +15,10 @@ from stairdim.enhancer import (
     ADAM_BETA2,
     ADAM_EPS,
     BATCH_SIZE,
+    DATASET_COLUMNS,
     HIDDEN,
     VAL_FRACTION,
+    Dataset,
 )
 from stairdim.numerics import rng_for
 
@@ -158,3 +160,68 @@ def naive_train(
     biases[-1] += lmean
     flat = np.concatenate([a.reshape(-1) for layer in zip(weights, biases) for a in layer])
     return flat, train_curve, val_curve
+
+
+# --- datasets as lists of dicts, one per row, keyed by column name ---
+
+
+def dataset_of(rows: list[dict]) -> Dataset:
+    """The column form of dict rows."""
+    return Dataset.from_rows([tuple(r[c] for c in DATASET_COLUMNS) for r in rows])
+
+
+def rows_of(data: Dataset) -> list[dict]:
+    """The dict rows of a dataset, with Python values."""
+    columns = [c.tolist() for c in data]
+    return [dict(zip(DATASET_COLUMNS, r)) for r in zip(*columns)]
+
+
+def _walk_number(scenario_id: str) -> int | None:
+    head, sep, tail = scenario_id.rpartition("_w")
+    return int(tail) if sep and tail.isdigit() else None
+
+
+def naive_split(rows: list[dict], split_seed: int = 0, held_out_combos: int = 7):
+    """The train/test split, one row at a time over dict rows.
+
+    A row's combination is its labels rounded to whole millimetres as Python
+    ints. The seeded generator draws the held-out combinations from their
+    sorted list; of every other combination, the rows of its highest walk
+    number (the digits after the id's last ``_w``) go to the test set too.
+    """
+    keys = [(round(r["d_true_m"] * 1000), round(r["h_true_m"] * 1000)) for r in rows]
+    combos = sorted(set(keys))
+    if held_out_combos >= len(combos):
+        raise ValueError(f"cannot hold out {held_out_combos} of {len(combos)} combinations")
+    rng = rng_for(split_seed, 0x59117)
+    held = {combos[i] for i in rng.choice(len(combos), held_out_combos, replace=False)}
+    last_walk: dict = {}
+    for key, r in zip(keys, rows):
+        w = _walk_number(r["scenario_id"])
+        if w is not None and (key not in last_walk or w > last_walk[key]):
+            last_walk[key] = w
+    train, test = [], []
+    for key, r in zip(keys, rows):
+        w = _walk_number(r["scenario_id"])
+        if key in held or (w is not None and w == last_walk[key]):
+            test.append(r)
+        else:
+            train.append(r)
+    if not train or not test:
+        raise ValueError("degenerate split: one of the partitions is empty")
+    return train, test
+
+
+def naive_per_acquisition(rows: list[dict], initial, enhanced, truths):
+    """Per scenario id, in sorted id order: ``np.median`` of each estimate over
+    the id's rows, gathered in a dict of row lists, and the truth of its first row."""
+    groups: dict[str, list[int]] = {}
+    for i, r in enumerate(rows):
+        groups.setdefault(r["scenario_id"], []).append(i)
+    out = ([], [], [])
+    for sid in sorted(groups):
+        idx = groups[sid]
+        out[0].append(np.median([initial[i] for i in idx], axis=0))
+        out[1].append(np.median([enhanced[i] for i in idx], axis=0))
+        out[2].append(truths[idx[0]])
+    return tuple(np.array(a) for a in out)

@@ -139,6 +139,17 @@ def test_synthesis_preconditions():
         synthesize_frame(CFG, fast, [Scatterer(2.0, 0.0)], NOISELESS)
 
 
+def test_noise_config_validation():
+    NoiseConfig(snr_db=-300.0)
+    NoiseConfig(snr_db=300.0, power=1e-300)
+    for bad in (dict(snr_db=300.5), dict(snr_db=-math.inf), dict(snr_db=math.nan)):
+        with pytest.raises(ValueError, match="snr_db must be within"):
+            NoiseConfig(**bad)
+    for power in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="noise power must be positive and finite"):
+            NoiseConfig(power=power)
+
+
 def test_cube_shape_validation():
     with pytest.raises(ValueError):
         ChirpCube(np.zeros((144, 8, 4), dtype=complex), CFG, FrameMeta(0.0, 0.0, 0.0))

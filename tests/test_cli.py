@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stairdim import cli, enhancer, scenario
 from stairdim.chirp_sim import NOISELESS
@@ -11,7 +13,6 @@ from stairdim.codec import to_dict
 from stairdim.enhancer import (
     BATCH_SIZE,
     VAL_FRACTION,
-    EnhancerSample,
     init_model,
     save_model,
     write_dataset,
@@ -19,6 +20,8 @@ from stairdim.enhancer import (
 from stairdim.rf_params import RadarConfig, derive_attributes
 from stairdim.scenario import ScenarioConfig, load_scenario, save_scenario
 from stairdim.scene import WalkConfig
+
+from oracles import dataset_of, naive_per_acquisition
 
 R_RES = derive_attributes(RadarConfig()).range_resolution_m
 
@@ -190,6 +193,14 @@ def test_exit_codes(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("walks", ["0", "-3"])
+def test_sweep_rejects_walks_per_combo_below_one(tmp_path, capsys, walks):
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--out", str(out), "--walks-per-combo", walks]) == 1
+    assert f"--walks-per-combo must be >= 1, got {walks}" in _one_line_error(capsys)
+    assert not (out / "dataset.csv").exists()
+
+
 def test_train_rejects_underpopulated_dataset(tmp_path):
     # three combos cannot cover the seven held-out ones the split needs
     rng = np.random.default_rng(55)
@@ -197,7 +208,7 @@ def test_train_rejects_underpopulated_dataset(tmp_path):
     for i, d in enumerate((0.26, 0.30, 0.34)):
         for f in range(4):
             rows.append(
-                EnhancerSample(
+                dict(
                     r1_m=2.0 + rng.uniform(0, 0.5),
                     theta1_rad=-0.2,
                     r2_m=2.4,
@@ -216,7 +227,7 @@ def test_train_rejects_underpopulated_dataset(tmp_path):
             )
     run = tmp_path / "run"
     run.mkdir()
-    write_dataset(rows, run / "dataset.csv")
+    write_dataset(dataset_of(rows), run / "dataset.csv")
     assert cli.main(["train", "--out", str(run), "--epochs", "1"]) == 1
 
 
@@ -231,7 +242,7 @@ def _write_splittable_dataset(run: Path, r1_fine_m: float = 2.01) -> None:
     """A dataset the split accepts: 35 combos of 3 walks, one frame each."""
     rng = np.random.default_rng(56)
     rows = [
-        EnhancerSample(
+        dict(
             r1_m=2.0 + rng.uniform(0, 0.5),
             theta1_rad=-0.2,
             r2_m=2.4,
@@ -252,7 +263,7 @@ def _write_splittable_dataset(run: Path, r1_fine_m: float = 2.01) -> None:
         for w in range(3)
     ]
     run.mkdir(parents=True)
-    write_dataset(rows, run / "dataset.csv")
+    write_dataset(dataset_of(rows), run / "dataset.csv")
 
 
 def test_train_rejects_zero_epochs(tmp_path, capsys):
@@ -328,6 +339,18 @@ _STAIRS = {"depth_m": 0.3, "height_m": 0.15}
         (
             {"staircase": {**_STAIRS, "step_count": 4, "foot_x_m": 0.0}},
             "section 'staircase' has unknown key 'foot_x_m'",
+        ),
+        # sizes and levels that would exhaust memory or leave the float
+        # range; each is rejected before anything is allocated
+        ({"walk": {"duration_s": 1e9}}, "1e+10 frames exceeds the limit of 100000"),
+        ({"noise": {"snr_db": 1e9}}, "snr_db must be within +-300 dB"),
+        ({"noise": {"snr_db": -1e9}}, "snr_db must be within +-300 dB"),
+        ({"noise": {"power": -1.0}}, "noise power must be positive and finite, got -1.0"),
+        ({"radar": {"samples_per_chirp": 1e8}}, "a cube of 6400000000 samples"),
+        ({"dsp": {"aoa_fft_len": 1e8}}, "aoa_fft_len must be in [1, 4096], got 100000000"),
+        (
+            {"radar": {"samples_per_chirp": 2**17, "chirps_per_frame": 1, "tx_count": 1, "rx_count": 1}},
+            "131072 range bins x dsp.aoa_fft_len 64 exceed the limit of 4194304 AoA cells",
         ),
     ],
 )
@@ -510,3 +533,24 @@ def test_sweep_train_evaluate_chain(tmp_path, capsys):
     rerun.mkdir()
     assert cli.main(["train", "--out", str(rerun), "--dataset", str(run / "dataset.csv"), "--epochs", "5"]) == 0
     assert (rerun / "model.json").read_bytes() == (run / "model.json").read_bytes()
+
+
+_ESTIMATES = st.floats(-1.0, 1.0, allow_nan=False, width=32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(["d26h10_w1", "d26h10_w0", "b", "a_w10", "a_w9", "a_w"]), min_size=1, max_size=30),
+    st.data(),
+)
+def test_per_acquisition_equals_naive_grouping(ids, data):
+    n = len(ids)
+    initial, enhanced, truths = (
+        np.array(data.draw(st.lists(st.tuples(_ESTIMATES, _ESTIMATES), min_size=n, max_size=n)))
+        for _ in range(3)
+    )
+    rows = [dict.fromkeys(enhancer.DATASET_COLUMNS, 0.0) | {"scenario_id": s, "frame_id": i} for i, s in enumerate(ids)]
+    got = cli._per_acquisition(dataset_of(rows), initial, enhanced, truths)
+    expected = naive_per_acquisition(rows, initial, enhanced, truths)
+    assert [a.shape for a in got] == [a.shape for a in expected] == [(len(set(ids)), 2)] * 3
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -33,9 +34,7 @@ from stairdim.dsp_chain import (
     local_maxima,
     process_frame,
     range_doppler_transform,
-    read_target_lists,
     stationary_slice,
-    target_list_from_json,
     target_list_to_json,
     write_target_lists,
 )
@@ -498,9 +497,11 @@ def test_dsp_config_with_pfa_and_validation():
     assert cfg.aoa_cfar.guard_cells == DEFAULT_AOA_CFAR.guard_cells
     with pytest.raises(ValueError):
         DspConfig(aoa_fft_len=0)
+    with pytest.raises(ValueError, match=r"aoa_fft_len must be in \[1, 4096\], got 4097"):
+        DspConfig(aoa_fft_len=4097)
 
 
-def test_target_list_jsonl_round_trip(tmp_path):
+def test_target_list_jsonl_format(tmp_path):
     lists = [
         TargetList(
             entries=(
@@ -520,22 +521,22 @@ def test_target_list_jsonl_round_trip(tmp_path):
     ]
     path = tmp_path / "targets.jsonl"
     write_target_lists(lists, path)
-    back = read_target_lists(path)
-    assert len(back) == 2
-    assert back[1].entries == ()
-    for orig, got in zip(lists[0].entries, back[0].entries):
-        assert got.range_m == pytest.approx(orig.range_m, abs=1e-12)
-        assert got.magnitude == orig.magnitude
-        assert np.allclose(got.angles_rad, orig.angles_rad, atol=1e-12)
-        assert got.fine_range_m == pytest.approx(orig.fine_range_m, abs=1e-12)
-        assert np.allclose(got.fine_angles_rad, orig.fine_angles_rad, atol=1e-12)
-    assert back[0].entries[0].fine_range_m != back[0].entries[0].range_m
-    assert back[0].gamma_rad == pytest.approx(lists[0].gamma_rad, abs=1e-12)
-    # one line per frame, compact separators
-    line = target_list_to_json(lists[0])
-    assert "\n" not in line and '"t":' in line and '"targets":' in line
-    assert target_list_from_json(line).timestamp_s == 0.7
-    assert '"fine_r_m":' in line and '"fine_theta_deg":' in line
+    # one compact line per frame; angles in degrees only
+    lines = path.read_text().splitlines()
+    assert lines == [target_list_to_json(tl) for tl in lists]
+    assert all(": " not in line and ", " not in line for line in lines)
+    first, empty = map(json.loads, lines)
+    assert empty == {"t": 0.8, "gamma_deg": 0.0, "targets": []}
+    assert first["t"] == 0.7 and first["gamma_deg"] == math.degrees(lists[0].gamma_rad)
+    for rec, e in zip(first["targets"], lists[0].entries):
+        assert rec == {
+            "r_m": e.range_m,
+            "theta_deg": [math.degrees(a) for a in e.angles_rad],
+            "mag": e.magnitude,
+            "fine_r_m": e.fine_range_m,
+            "fine_theta_deg": [math.degrees(a) for a in e.fine_angles_rad],
+        }
+    assert first["targets"][0]["fine_r_m"] != first["targets"][0]["r_m"]
 
 
 def test_target_entry_sub_bin_values_default_to_reported():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stairdim.dimension import CorrectedTarget, DimensionEstimate
 from stairdim.enhancer import (
@@ -11,8 +13,8 @@ from stairdim.enhancer import (
     ADAM_EPS,
     BATCH_SIZE,
     DATASET_COLUMNS,
+    Dataset,
     EnhancerModel,
-    EnhancerSample,
     StepScratch,
     TrainConfig,
     TrainingError,
@@ -25,7 +27,6 @@ from stairdim.enhancer import (
     loss_and_gradients,
     radar_height,
     read_dataset,
-    sample_arrays,
     sample_from_estimate,
     save_model,
     split_dataset,
@@ -34,7 +35,7 @@ from stairdim.enhancer import (
 )
 from stairdim.numerics import rng_for
 
-from oracles import naive_train
+from oracles import dataset_of, naive_split, naive_train, rows_of
 
 
 def _ct(x, y, mag=1.0, fine_dr=0.0, fine_dth=0.0):
@@ -64,7 +65,7 @@ def _random_sample(rng, d=0.30, h=0.15, sid="d30h15_w0", fid=0):
     )
     # sub-bin values lie within half a range bin (2.08 cm) and half an AoA bin
     # (about 0.016 rad near boresight) of the reported ones
-    return EnhancerSample(
+    return dict(
         **reported,
         d_true_m=d,
         h_true_m=h,
@@ -90,28 +91,28 @@ def test_radar_height_worked_examples():
 
 def test_sample_feature_and_label_layout():
     rng = np.random.default_rng(81)
-    s = _random_sample(rng)
-    f = s.features()
-    assert f.shape == (6,)
-    # the network sees the corners at sub-bin precision, not the bin centres
-    assert list(f) == [
-        s.r1_fine_m,
-        s.theta1_fine_rad,
-        s.r2_fine_m,
-        s.theta2_fine_rad,
-        s.hr_m,
-        s.gamma_rad,
-    ]
-    assert all(f[i] != v for i, v in enumerate((s.r1_m, s.theta1_rad, s.r2_m, s.theta2_rad)))
-    assert list(s.labels()) == [0.30, 0.15]
-    rows = [s, _random_sample(rng, d=0.28, h=0.12)]
-    x, y = sample_arrays(rows)
-    assert np.array_equal(x, np.stack([r.features() for r in rows]))
-    assert np.array_equal(y, np.stack([r.labels() for r in rows]))
+    rows = [_random_sample(rng), _random_sample(rng, d=0.28, h=0.12)]
+    data = dataset_of(rows)
+    x, y = data.features(), data.labels()
+    assert x.shape == (2, 6) and y.shape == (2, 2)
+    assert x.flags.c_contiguous and x.dtype == y.dtype == np.float64
+    for f, labels, s in zip(x, y, rows):
+        # the network sees the corners at sub-bin precision, not the bin centres
+        assert list(f) == [
+            s["r1_fine_m"],
+            s["theta1_fine_rad"],
+            s["r2_fine_m"],
+            s["theta2_fine_rad"],
+            s["hr_m"],
+            s["gamma_rad"],
+        ]
+        assert all(f[i] != s[c] for i, c in enumerate(("r1_m", "theta1_rad", "r2_m", "theta2_rad")))
+        assert list(labels) == [s["d_true_m"], s["h_true_m"]]
+    assert list(y[0]) == [0.30, 0.15]
 
 
 def test_initial_estimate_is_axis_difference():
-    s = EnhancerSample(
+    row = dict(
         r1_m=2.0,
         theta1_rad=0.1,
         r2_m=2.4,
@@ -127,10 +128,14 @@ def test_initial_estimate_is_axis_difference():
         r2_fine_m=2.38,
         theta2_fine_rad=0.19,
     )
+    swapped = dict(row, r1_m=2.4, theta1_rad=0.2, r2_m=2.0, theta2_rad=0.1, frame_id=4)
     # the initial estimate is the pair search's: reported values, not sub-bin
-    d, h = s.initial_estimate()
+    initial = dataset_of([row, swapped]).initial_estimate()
+    assert initial.shape == (2, 2)
+    d, h = initial[0]
     assert d == pytest.approx(2.4 * math.cos(0.2) - 2.0 * math.cos(0.1), abs=1e-12)
     assert h == pytest.approx(2.4 * math.sin(0.2) - 2.0 * math.sin(0.1), abs=1e-12)
+    assert list(initial[1]) == [-d, -h]  # each row from its own columns
 
 
 def test_sample_from_estimate_orders_corners_by_range():
@@ -143,13 +148,16 @@ def test_sample_from_estimate_orders_corners_by_range():
         timestamp_s=1.0,
         radar_height_m=0.44,
     )
-    s = sample_from_estimate(est, 0.30, 0.15, "d30h15_w1", 10)
-    assert s.r1_m == near.source_range_m and s.r2_m == far.source_range_m
-    assert s.theta1_rad == near.true_angle_rad
-    assert (s.r1_fine_m, s.theta1_fine_rad) == (near.fine_range_m, near.fine_true_angle_rad)
-    assert (s.r2_fine_m, s.theta2_fine_rad) == (far.fine_range_m, far.fine_true_angle_rad)
-    assert s.hr_m == 0.44 and s.gamma_rad == -0.35
-    assert (s.scenario_id, s.frame_id) == ("d30h15_w1", 10)
+    row = sample_from_estimate(est, 0.30, 0.15, "d30h15_w1", 10)
+    assert len(row) == len(DATASET_COLUMNS)
+    s = dict(zip(DATASET_COLUMNS, row))
+    assert s["r1_m"] == near.source_range_m and s["r2_m"] == far.source_range_m
+    assert s["theta1_rad"] == near.true_angle_rad
+    assert (s["r1_fine_m"], s["theta1_fine_rad"]) == (near.fine_range_m, near.fine_true_angle_rad)
+    assert (s["r2_fine_m"], s["theta2_fine_rad"]) == (far.fine_range_m, far.fine_true_angle_rad)
+    assert s["hr_m"] == 0.44 and s["gamma_rad"] == -0.35
+    assert (s["scenario_id"], s["frame_id"]) == ("d30h15_w1", 10)
+    assert rows_of(Dataset.from_rows([row])) == [s]
 
     bare = DimensionEstimate(0.3, 0.15, (near, far), -0.35, 1.0, radar_height_m=None)
     with pytest.raises(ValueError):
@@ -313,10 +321,10 @@ def test_gradients_match_central_differences():
 
 def test_train_memorizes_single_sample():
     rng = np.random.default_rng(85)
-    s = _random_sample(rng)
-    res = train([s], TrainConfig(epochs=500, seed=0))
+    data = dataset_of([_random_sample(rng)])
+    res = train(data, TrainConfig(epochs=500, seed=0))
     assert res.train_loss[-1] < 1e-8
-    assert forward(res.model, s.features()) == pytest.approx(list(s.labels()), abs=1e-4)
+    assert forward(res.model, data.features()[0]) == pytest.approx(list(data.labels()[0]), abs=1e-4)
 
 
 def test_train_learns_linear_map():
@@ -344,20 +352,8 @@ def test_train_learns_linear_map():
         # reported values on a coarse grid; the map is over the sub-bin features
         reported = f.copy()
         reported[:4] = np.round(reported[:4] / 0.04) * 0.04
-        samples.append(
-            EnhancerSample(
-                *reported,
-                d_true_m=y[0],
-                h_true_m=y[1],
-                scenario_id=f"s_w{i % 4}",
-                frame_id=i,
-                r1_fine_m=f[0],
-                theta1_fine_rad=f[1],
-                r2_fine_m=f[2],
-                theta2_fine_rad=f[3],
-            )
-        )
-    res = train(samples, TrainConfig(epochs=500, seed=0))
+        samples.append((*reported, y[0], y[1], f"s_w{i % 4}", i, *f[:4]))
+    res = train(Dataset.from_rows(samples), TrainConfig(epochs=500, seed=0))
     assert res.train_loss[-1] < 1e-5
     assert len(res.train_loss) == 500
     assert len(res.val_loss) == 500
@@ -367,7 +363,7 @@ def test_train_learns_linear_map():
 
 def test_train_is_deterministic():
     rng = np.random.default_rng(87)
-    samples = [_random_sample(rng, sid=f"s_w{i % 3}", fid=i) for i in range(40)]
+    samples = dataset_of([_random_sample(rng, sid=f"s_w{i % 3}", fid=i) for i in range(40)])
     r1 = train(samples, TrainConfig(epochs=20, seed=5))
     r2 = train(samples, TrainConfig(epochs=20, seed=5))
     r3 = train(samples, TrainConfig(epochs=20, seed=6))
@@ -382,10 +378,10 @@ def test_train_is_deterministic():
 def test_train_validation_and_divergence_guards():
     rng = np.random.default_rng(88)
     with pytest.raises(ValueError, match="empty dataset"):
-        train([], TrainConfig(epochs=1))
+        train(Dataset.from_rows([]), TrainConfig(epochs=1))
     # an absurd learning rate blows the weights up within the first epoch;
     # the overflow on the way to inf is the expected mechanism, not a defect
-    many = [_random_sample(rng, fid=i) for i in range(40)]
+    many = dataset_of([_random_sample(rng, fid=i) for i in range(40)])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         TrainingError, match="training diverged"
     ):
@@ -400,9 +396,9 @@ def test_train_matches_naive_reference_trainer(seed):
         _random_sample(rng, d=0.26 + 0.02 * (i % 5), h=0.10 + 0.02 * (i % 4), fid=i)
         for i in range(101)
     ]
-    res = train(samples, TrainConfig(epochs=3, learning_rate=1e-2, seed=seed))
-    x = np.stack([s.features() for s in samples])
-    y = np.stack([s.labels() for s in samples])
+    data = dataset_of(samples)
+    res = train(data, TrainConfig(epochs=3, learning_rate=1e-2, seed=seed))
+    x, y = data.features(), data.labels()
     params, train_curve, val_curve = naive_train(x, y, epochs=3, learning_rate=1e-2, seed=seed)
     assert res.model.params.tobytes() == params.tobytes()
     assert res.train_loss == train_curve and len(train_curve) == 3
@@ -428,10 +424,10 @@ def test_one_epoch_is_one_textbook_adam_step():
         for i in range(30)
     ]
     cfg = TrainConfig(epochs=1, learning_rate=1e-2, seed=4)
-    res = train(samples, cfg)
+    data = dataset_of(samples)
+    res = train(data, cfg)
 
-    x = np.stack([s.features() for s in samples])
-    y = np.stack([s.labels() for s in samples])
+    x, y = data.features(), data.labels()
     lmean, lscale = y.mean(axis=0), y.std(axis=0)
     model = init_model([6, 16, 8, 2], x.mean(axis=0), x.std(axis=0), seed=cfg.seed)
     split = rng_for(cfg.seed, 0x7A11)
@@ -465,12 +461,12 @@ def test_one_epoch_is_one_textbook_adam_step():
 
 def test_model_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(90)
-    samples = [_random_sample(rng, fid=i) for i in range(30)]
+    samples = dataset_of([_random_sample(rng, fid=i) for i in range(30)])
     res = train(samples, TrainConfig(epochs=10, seed=1))
     path = tmp_path / "model.json"
     save_model(res.model, path, train_config=TrainConfig(epochs=10, seed=1), fingerprint="sha256:ab")
     back = load_model(path)
-    x = np.stack([s.features() for s in samples])
+    x = samples.features()
     assert np.array_equal(forward(back, x), forward(res.model, x))  # exact float round trip
     doc = json.loads(path.read_text())
     assert set(doc) == {
@@ -508,40 +504,34 @@ def test_dataset_csv_round_trip(tmp_path):
         _random_sample(rng, d=0.26 + 0.02 * (i % 3), h=0.10 + 0.02 * (i % 2), sid=f"d{i}h{i}_w{i % 5}", fid=i)
         for i in range(25)
     ]
+    data = dataset_of(samples)
     path = tmp_path / "dataset.csv"
-    write_dataset(samples, path)
+    write_dataset(data, path)
     back = read_dataset(path)
-    assert back == samples  # the repr round trip is exact
-    assert all(type(b) is EnhancerSample for b in back)
-    # rows are immutable, read back or built
-    for row in (back[0], samples[0]):
-        with pytest.raises(AttributeError):
-            row.r1_fine_m = 0.0
-    assert back[0] == samples[0]
+    assert type(back) is Dataset and back.n_rows == 25
+    assert rows_of(back) == samples  # the repr round trip is exact
+    assert [(c.dtype, c.shape) for c in back] == [(c.dtype, (25,)) for c in data]
+    assert back.frame_id.dtype == np.int64 and back.scenario_id.dtype == object
+    # columns are fields, which cannot be rebound
+    with pytest.raises(AttributeError):
+        back.r1_fine_m = np.zeros(25)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(DATASET_COLUMNS)
     # the four sub-bin columns follow the ten original ones
     assert DATASET_COLUMNS[10:] == ("r1_fine_m", "theta1_fine_rad", "r2_fine_m", "theta2_fine_rad")
     for line, s in zip(lines[1:], samples):
-        cells = line.split(",")
-        assert cells[10:] == [
-            repr(s.r1_fine_m),
-            repr(s.theta1_fine_rad),
-            repr(s.r2_fine_m),
-            repr(s.theta2_fine_rad),
-        ]
-    for b, s in zip(back, samples):
-        assert (b.r1_fine_m, b.theta1_fine_rad, b.r2_fine_m, b.theta2_fine_rad) == (
-            s.r1_fine_m,
-            s.theta1_fine_rad,
-            s.r2_fine_m,
-            s.theta2_fine_rad,
-        )
+        assert line.split(",") == [repr(s[c]) if isinstance(s[c], float) else str(s[c]) for c in DATASET_COLUMNS]
 
     fp = dataset_fingerprint(path)
     assert fp.startswith("sha256:") and len(fp) == 7 + 64
-    write_dataset(samples[:-1], path)
+    write_dataset(dataset_of(samples[:-1]), path)
     assert dataset_fingerprint(path) != fp
+
+    # a header alone is an empty dataset with the same column types
+    path.write_text(",".join(DATASET_COLUMNS) + "\n")
+    empty = read_dataset(path)
+    assert empty.n_rows == 0
+    assert [c.dtype for c in empty] == [c.dtype for c in data]
 
 
 def test_read_dataset_rejects_foreign_header(tmp_path):
@@ -571,12 +561,13 @@ def test_read_dataset_rejects_foreign_header(tmp_path):
         ("hr_m", "1e999", "hr_m '1e999' is not a finite number"),
         ("d_true_m", "thirty", "d_true_m 'thirty' is not a finite number"),
         ("frame_id", "2.5", "frame_id '2.5' is not an integer"),
+        ("frame_id", "9223372036854775808", "frame_id '9223372036854775808' is not an integer"),
     ],
 )
 def test_read_dataset_rejects_bad_cells(tmp_path, column, cell, message):
     rng = np.random.default_rng(96)
     path = tmp_path / "bad.csv"
-    write_dataset([_random_sample(rng, fid=i) for i in range(4)], path)
+    write_dataset(dataset_of([_random_sample(rng, fid=i) for i in range(4)]), path)
     lines = path.read_text().splitlines()
     cells = lines[3].split(",")
     cells[DATASET_COLUMNS.index(column)] = cell
@@ -610,9 +601,9 @@ def _grid_samples(walks=4, frames=3):
 
 def test_split_holds_out_whole_combos_and_last_walks():
     samples = _grid_samples()
-    train_set, test_set = split_dataset(samples, split_seed=0, held_out_combos=7)
+    train_set, test_set = map(rows_of, split_dataset(dataset_of(samples), split_seed=0, held_out_combos=7))
     assert len(train_set) + len(test_set) == len(samples)
-    key = lambda s: (round(s.d_true_m * 1000), round(s.h_true_m * 1000))
+    key = lambda s: (round(s["d_true_m"] * 1000), round(s["h_true_m"] * 1000))
     train_combos = {key(s) for s in train_set}
     test_combos = {key(s) for s in test_set}
     # 7 of the 35 combinations never appear in training
@@ -620,26 +611,65 @@ def test_split_holds_out_whole_combos_and_last_walks():
     # within shared combos only the highest walk index is held out
     for s in test_set:
         if key(s) in train_combos:
-            assert s.scenario_id.endswith("_w3")
+            assert s["scenario_id"].endswith("_w3")
     for s in train_set:
-        assert not s.scenario_id.endswith("_w3")
+        assert not s["scenario_id"].endswith("_w3")
 
 
 def test_split_determinism_and_seed_sensitivity():
-    samples = _grid_samples(walks=2, frames=2)
-    a = split_dataset(samples, split_seed=0)
-    b = split_dataset(samples, split_seed=0)
-    c = split_dataset(samples, split_seed=1)
+    samples = dataset_of(_grid_samples(walks=2, frames=2))
+    a, b, c = (
+        [rows_of(part) for part in split_dataset(samples, split_seed=seed)] for seed in (0, 0, 1)
+    )
     assert a == b
-    key = lambda subset: {s.scenario_id for s in subset}
+    key = lambda subset: {s["scenario_id"] for s in subset}
     assert key(a[1]) != key(c[1])
 
 
 def test_split_degenerate_cases():
     rng = np.random.default_rng(93)
-    few = [_random_sample(rng, d=0.26 + 0.02 * i, sid=f"d{i}h10_w0", fid=i) for i in range(3)]
+    few = dataset_of([_random_sample(rng, d=0.26 + 0.02 * i, sid=f"d{i}h10_w0", fid=i) for i in range(3)])
     with pytest.raises(ValueError, match="hold out"):
         split_dataset(few, held_out_combos=7)
-    single_walk = _grid_samples(walks=1, frames=2)
+    with pytest.raises(ValueError, match="cannot hold out 7 of 0 combinations"):
+        split_dataset(Dataset.from_rows([]), held_out_combos=7)
+    single_walk = dataset_of(_grid_samples(walks=1, frames=2))
     with pytest.raises(ValueError, match="degenerate"):
         split_dataset(single_walk, held_out_combos=7)
+
+
+_SPLIT_IDS = st.one_of(
+    st.builds("{}_w{}".format, st.sampled_from(["a", "d26h10", "x_w2"]), st.integers(0, 6)),
+    # walk numbers past 64 bits, and ids whose tail is no walk number
+    st.builds("b_w{}".format, st.integers(2**63, 2**63 + 2)),
+    st.sampled_from(["a", "b_w", "c_wx", "_w", "x_w3_y", "d_w-1"]),
+)
+
+
+@st.composite
+def _split_rows(draw):
+    n = draw(st.integers(1, 40))
+    # labels on a half-millimetre grid, so some round half to even
+    label = st.integers(0, 12).map(lambda k: 0.26 + k / 2000)
+    return [
+        dict(
+            _random_sample(np.random.default_rng(i), sid=draw(_SPLIT_IDS), fid=i),
+            d_true_m=draw(label),
+            h_true_m=draw(label),
+        )
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_rows(), st.integers(0, 3), st.integers(0, 4))
+def test_split_equals_naive_row_by_row_split(rows, split_seed, held_out_combos):
+    try:
+        expected = naive_split(rows, split_seed, held_out_combos)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            split_dataset(dataset_of(rows), split_seed, held_out_combos)
+        assert str(got.value) == str(exc)
+        return
+    train_set, test_set = split_dataset(dataset_of(rows), split_seed, held_out_combos)
+    assert (rows_of(train_set), rows_of(test_set)) == expected

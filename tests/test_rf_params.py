@@ -82,3 +82,7 @@ def test_config_validation():
         RadarConfig(samples_per_chirp=144.5)
     with pytest.raises(ValueError):
         RadarConfig(tx_count=0)
+    # a frame's cube holds at most 2**20 samples
+    RadarConfig(samples_per_chirp=2**17, chirps_per_frame=8, tx_count=1, rx_count=1)
+    with pytest.raises(ValueError, match="a cube of 1048584 samples"):
+        RadarConfig(samples_per_chirp=2**17 + 1, chirps_per_frame=8, tx_count=1, rx_count=1)

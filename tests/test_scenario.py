@@ -21,8 +21,6 @@ from stairdim.dsp_chain import (
     local_maxima,
     process_frame,
     range_doppler_transform,
-    read_target_lists,
-    write_target_lists,
 )
 from stairdim.rf_params import RadarConfig, derive_attributes
 from stairdim.scene import StaircaseSpec, WalkConfig, corner_scatterers
@@ -387,11 +385,3 @@ def test_stage_by_stage_chain_equals_process_frame(dsp):
         assert _stage_by_stage(cube, dsp) == tl, i  # exactly, sub-bin fields included
         entries += len(tl.entries)
     assert entries > 50
-
-
-def test_targets_jsonl_round_trip_is_exact(tmp_path, noisy_interp_walk):
-    tls = run_scenario(noisy_interp_walk).target_lists
-    assert len(tls) == 50 and sum(len(tl.entries) for tl in tls) > 50
-    path = tmp_path / "targets.jsonl"
-    write_target_lists(tls, path)
-    assert read_target_lists(path) == tls

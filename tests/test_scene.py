@@ -125,6 +125,10 @@ def test_walk_validation():
         WalkConfig(rate_hz=0.0)
     with pytest.raises(ValueError):
         WalkConfig(duration_s=-1.0)
+    # a walk spans at most 100,000 frames
+    WalkConfig(duration_s=10_000.0, rate_hz=10.0)
+    with pytest.raises(ValueError, match="100010 frames exceeds the limit of 100000"):
+        WalkConfig(duration_s=10_001.0, rate_hz=10.0)
     with pytest.raises(ValueError):
         WalkConfig(mount_height_m=0.0)
     with pytest.raises(ValueError):
