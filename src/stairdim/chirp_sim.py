@@ -12,20 +12,30 @@ T_s = T_ch / N_S and A = reflectivity / max(r, range_resolution). Scatterer
 contributions add linearly; receiver noise is complex circular Gaussian with
 power set by the configured SNR at the nearest scatterer.
 
+Per radar configuration the fast-time, chirp and antenna axes are built
+once; per scene the scatterers' positions, reflectivities and radial
+velocities become columns once (:func:`scene_arrays`), which a walk passes
+to every frame's :func:`synthesize_frame`. Each frame still draws its own
+seeded noise.
+
 Cube files: little-endian, 64-byte header (magic ``DIMRADC1``, u32 counts
 N_S/N_P/N_A, f64 timestamp/gamma/v_host, zero padding), then interleaved
 float32 re/im samples ordered s-fastest, then p, then a. Round-trips are
 bit-exact; in-memory synthesis keeps complex128 so that linearity holds to
-tight tolerances, and the wire format quantizes to complex64.
+tight tolerances, and the wire format quantizes to complex64. A cube whose
+complex64 form is not finite (a part beyond the float32 range, a level set
+by ``noise.power``, ``snr_db`` and the reflectivities) is refused by
+:func:`save_cube` and :func:`quantize_to_wire` alike.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +48,8 @@ __all__ = [
     "NoiseConfig",
     "FrameMeta",
     "ChirpCube",
+    "SceneArrays",
+    "scene_arrays",
     "synthesize_frame",
     "quantize_to_wire",
     "save_cube",
@@ -103,8 +115,40 @@ class ChirpCube:
         )
         if self.samples.shape != expected:
             raise ValueError(f"cube shape {self.samples.shape} != config shape {expected}")
-        if not np.isfinite(self.samples).all():
+        # the real view of a complex cube tests both parts in one pass
+        if not np.isfinite(self.samples.view(self.samples.real.dtype)).all():
             raise ValueError("cube contains non-finite samples")
+
+
+class SceneArrays(NamedTuple):
+    """A scene's scatterers as read-only columns, built once and reused for every frame."""
+
+    x_m: np.ndarray
+    y_m: np.ndarray
+    reflectivity: np.ndarray
+    radial_velocity_mps: np.ndarray
+
+
+def scene_arrays(scatterers: Sequence[Scatterer]) -> SceneArrays:
+    """The columns :func:`synthesize_frame` reads, for a walk to build once."""
+    rows = [(sc.x_m, sc.y_m, sc.reflectivity, sc.radial_velocity_mps) for sc in scatterers]
+    columns = [np.array(column, dtype=float) for column in zip(*rows)] or [np.zeros(0)] * 4
+    for column in columns:
+        column.flags.writeable = False
+    return SceneArrays(*columns)
+
+
+@functools.lru_cache(maxsize=8)
+def _axes(cfg: RadarConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fast-time and chirp start times and antenna indices as columns; built once, read-only."""
+    columns = (
+        np.arange(cfg.samples_per_chirp)[:, None] * cfg.sample_interval_s,
+        np.arange(cfg.chirps_per_frame)[:, None] * cfg.chirp_duration_s,
+        np.arange(cfg.virtual_antennas)[:, None],
+    )
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 def _sum_over_scatterers(fast: np.ndarray, slow: np.ndarray, aper: np.ndarray) -> np.ndarray:
@@ -117,7 +161,7 @@ def _sum_over_scatterers(fast: np.ndarray, slow: np.ndarray, aper: np.ndarray) -
 def synthesize_frame(
     cfg: RadarConfig,
     frame: GaitFrame,
-    scatterers: Sequence[Scatterer],
+    scatterers: Sequence[Scatterer] | SceneArrays,
     noise: NoiseConfig = NOISELESS,
     seed: int = 0,
 ) -> ChirpCube:
@@ -128,7 +172,8 @@ def synthesize_frame(
     tilt. The host's radial velocity component toward each scatterer adds to
     the scatterer's own radial velocity, so stationary world points appear at
     the (small) host closing speed, below one velocity bin for a walking
-    sensor.
+    sensor. A walk passes its scene once as :func:`scene_arrays`; the time
+    and antenna axes are built once per configuration.
 
     Raises ValueError for scatterers at or beyond the unambiguous range, at
     zero range, or when the host speed reaches the velocity resolution
@@ -140,19 +185,19 @@ def synthesize_frame(
             f"host speed {frame.v_host_mps:.2f} m/s reaches the velocity "
             f"resolution {attrs.velocity_resolution_mps:.2f} m/s"
         )
-
-    n_s = cfg.samples_per_chirp
-    n_p = cfg.chirps_per_frame
-    n_a = cfg.virtual_antennas
+    if not isinstance(scatterers, SceneArrays):
+        scatterers = scene_arrays(scatterers)
 
     nearest_amp = 0.0
-    if scatterers:
-        dx = np.array([sc.x_m - frame.x_m for sc in scatterers])
-        dy = np.array([sc.y_m - frame.y_m for sc in scatterers])
+    if scatterers.x_m.size:
+        s_t, p_t, a_i = _axes(cfg)
+        dx = scatterers.x_m - frame.x_m
+        dy = scatterers.y_m - frame.y_m
         r = np.hypot(dx, dy)
-        if np.any(r <= 0.0):
+        ranges = r.tolist()
+        if any(v <= 0.0 for v in ranges):
             raise ValueError("scatterer coincides with the radar origin")
-        if np.any(r > attrs.max_range_m):
+        if any(v > attrs.max_range_m for v in ranges):
             worst = float(r.max())
             raise ValueError(
                 f"scatterer at {worst:.2f} m beyond unambiguous range "
@@ -161,25 +206,24 @@ def synthesize_frame(
         theta_true = np.arctan2(dy, dx)
         theta = theta_true - frame.tilt_rad
         v_host_radial = frame.v_host_mps * dx / r
-        v_net = v_host_radial + np.array([sc.radial_velocity_mps for sc in scatterers])
+        v_net = v_host_radial + scatterers.radial_velocity_mps
 
-        amp = np.array([sc.reflectivity for sc in scatterers]) / np.maximum(
-            r, attrs.range_resolution_m
-        )
+        amp = scatterers.reflectivity / np.maximum(r, attrs.range_resolution_m)
         f_beat = 2.0 * cfg.bandwidth_hz * r / (SPEED_OF_LIGHT * cfg.chirp_duration_s)
-        f_dopp = 2.0 * v_net * cfg.carrier_frequency_hz / SPEED_OF_LIGHT
+        # v (2 f_o) rounds the same real product as (2 v) f_o: doubling is exact
+        f_dopp = v_net * (2.0 * cfg.carrier_frequency_hz) / SPEED_OF_LIGHT
 
-        s_t = np.arange(n_s) * cfg.sample_interval_s
-        p_t = np.arange(n_p) * cfg.chirp_duration_s
-        a_i = np.arange(n_a)
-        fast = np.exp(2j * math.pi * np.outer(s_t, f_beat)) * amp  # (N_S, K)
-        slow = np.exp(2j * math.pi * np.outer(p_t, f_dopp))  # (N_P, K)
-        aper = np.exp(1j * math.pi * np.outer(a_i, np.sin(theta)))  # (N_A, K)
+        # the broadcast products are np.outer's, one column per scatterer
+        fast = np.exp(2j * math.pi * (s_t * f_beat)) * amp  # (N_S, K)
+        slow = np.exp(2j * math.pi * (p_t * f_dopp))  # (N_P, K)
+        aper = np.exp(1j * math.pi * (a_i * np.sin(theta)))  # (N_A, K)
         cube = _sum_over_scatterers(fast, slow, aper)
 
-        nearest_amp = float(amp[np.argmin(r)])
+        nearest_amp = float(amp[r.argmin()])
     else:
-        cube = np.zeros((n_s, n_p, n_a), dtype=np.complex128)
+        cube = np.zeros(
+            (cfg.samples_per_chirp, cfg.chirps_per_frame, cfg.virtual_antennas), dtype=np.complex128
+        )
 
     sigma2 = 0.0
     if noise.power is not None:
@@ -202,18 +246,34 @@ def synthesize_frame(
     return ChirpCube(samples=cube, config=cfg, meta=meta)
 
 
+def _wire_samples(samples: np.ndarray) -> np.ndarray:
+    """``samples`` as C-ordered complex64; ValueError if any part leaves the float32 range."""
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        wire = samples.astype(np.complex64, order="C")
+    if not np.isfinite(wire.view(np.float32)).all():
+        raise ValueError(
+            f"cube samples exceed the float32 wire range (+-{np.finfo(np.float32).max:.4g}); "
+            "lower noise.power, raise snr_db or lower clutter.reflectivity"
+        )
+    return wire
+
+
 def quantize_to_wire(cube: ChirpCube) -> ChirpCube:
     """Pass the samples through the float32 wire precision.
 
     Processing results are defined over the wire format; running this before
     the DSP makes in-memory pipelines bit-identical to save/load round trips.
+    A cube the wire cannot hold raises the same ValueError as :func:`save_cube`.
     """
-    samples = cube.samples.astype(np.complex64).astype(np.complex128)
+    samples = _wire_samples(cube.samples).astype(np.complex128)
     return ChirpCube(samples=samples, config=cube.config, meta=cube.meta)
 
 
 def save_cube(cube: ChirpCube, path: str | Path) -> None:
-    """Write the cube in the binary wire format (bit-exact round trip)."""
+    """Write the cube in the binary wire format (bit-exact round trip).
+
+    Raises ValueError, writing nothing, for a cube the float32 wire cannot hold.
+    """
     header = _HEADER.pack(
         CUBE_MAGIC,
         cube.config.samples_per_chirp,
@@ -224,8 +284,10 @@ def save_cube(cube: ChirpCube, path: str | Path) -> None:
         cube.meta.v_host_mps,
     )
     # file order: s fastest, then p, then a -> contiguous (N_A, N_P, N_S)
-    body = cube.samples.transpose(2, 1, 0).astype(np.complex64, order="C").tobytes()
-    Path(path).write_bytes(header + body)
+    body = _wire_samples(cube.samples.transpose(2, 1, 0))
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(body)
 
 
 def load_cube(path: str | Path, config: RadarConfig) -> ChirpCube:

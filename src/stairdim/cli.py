@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .chirp_sim import load_cube, save_cube
+from .chirp_sim import load_cube, save_cube, scene_arrays
 from .codec import to_dict
 from .dimension import aggregate_estimates, estimate_initial
 from .dsp_chain import DspConfig, process_frame, write_target_lists
@@ -60,6 +60,7 @@ from .scenario import (
     load_scenario,
     run_scenario,
     scenario_from_dict,
+    scenario_scatterers,
     scenario_to_dict,
     scenario_trajectory,
     synthesize_scenario_frame,
@@ -128,8 +129,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cube_dir = out_dir / "cubes"
     cube_dir.mkdir(parents=True, exist_ok=True)
     trajectory = scenario_trajectory(sc)
+    scene = scene_arrays(scenario_scatterers(sc))
     for i in range(len(trajectory.frames)):
-        save_cube(synthesize_scenario_frame(sc, trajectory, i), cube_dir / f"frame_{i:05d}.bin")
+        cube = synthesize_scenario_frame(sc, trajectory, i, scene)
+        save_cube(cube, cube_dir / f"frame_{i:05d}.bin")
     _write_sidecar(sc, trajectory, out_dir)
     _write_manifest(
         out_dir,

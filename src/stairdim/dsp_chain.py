@@ -19,9 +19,16 @@ Stage order for one frame:
    fft_len). Exhaustive AoA runs the batch over every bin and masks it.
 5. Every entry also carries sub-bin positions of its peaks: a three-point
    parabola through the range peak of the accumulated profile and through
-   each angle peak of the angular power profile. The reported range and
-   angles stay on the bin grid (unless ``peak_interp`` refines the range);
-   the sub-bin values are what the error enhancer measures a corner pair by.
+   each angle peak of the angular power profile. The parabolas are fitted at
+   the detected peaks only, on Python floats, with the operations an
+   every-cell array fit would make, so the values are the same to the bit.
+   The reported range and angles stay on the bin grid (unless
+   ``peak_interp`` refines the range); the sub-bin values are what the
+   error enhancer measures a corner pair by.
+
+Constants are built once and kept read-only: per radar configuration the
+chirp-sum ones, the range window column and the range bin size; per profile
+length and CFAR configuration the training-cell counts and alpha.
 
 CFAR thresholds are alpha * (mean of training cells), guard cells excluded,
 with one-sided fallback at the profile edges; alpha always derives from the
@@ -193,14 +200,22 @@ class TargetList:
     timestamp_s: float
 
 
+@functools.lru_cache(maxsize=8)
+def _slice_weights(c: RadarConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """The chirp-sum ones, the range window as a column and the bin size; built once, read-only."""
+    ones = np.ones(c.chirps_per_frame)
+    ones.flags.writeable = False
+    range_bin_m = derive_attributes(c).range_resolution_m
+    return ones, numerics.window(c.samples_per_chirp)[:, None], range_bin_m
+
+
 def stationary_slice(cube: ChirpCube) -> StationarySlice:
     """Doppler bin 0 without the full cube: the windowed range FFT of the chirp sum."""
-    c = cube.config
+    ones, w, range_bin_m = _slice_weights(cube.config)
     # the matmul with ones is an exact sum, faster than .sum(axis=1)
-    chirp_sum = np.ones(c.chirps_per_frame) @ cube.samples  # (N_S, N_A)
-    w = numerics.window(c.samples_per_chirp)
-    spectra = numerics.fft(w[:, None] * chirp_sum, axis=0)
-    return StationarySlice(spectra, derive_attributes(c).range_resolution_m, c, cube.meta)
+    chirp_sum = ones @ cube.samples  # (N_S, N_A)
+    spectra = numerics.fft(w * chirp_sum, axis=0)
+    return StationarySlice(spectra, range_bin_m, cube.config, cube.meta)
 
 
 def range_doppler_transform(cube: ChirpCube, cfg: DspConfig | None = None) -> RangeDopplerCube:
@@ -244,28 +259,37 @@ def _cfar_mask(power: np.ndarray, cfg: CfarConfig) -> np.ndarray:
     """CA-CFAR along the last axis, one-sided at the edges; each row sees only its own cells."""
     n = power.shape[-1]
     t, g = cfg.training_cells, cfg.guard_cells
-    if n <= 2 * (t + g) + 1:
-        raise ValueError(f"profile length {n} too short for training {t} + guard {g} per side")
+    counts, alpha = _cfar_window(n, cfg)
     if not np.isfinite(power).all():
         raise ValueError("profile contains non-finite values")
-    cs = np.zeros(power.shape[:-1] + (n + 1,))
-    np.cumsum(power, axis=-1, out=cs[..., 1:])
-    (lo_a, lo_b, hi_a, hi_b), counts, alpha = _cfar_window(n, cfg)
-    sums = (cs[..., lo_b] - cs[..., lo_a]) + (cs[..., hi_b] - cs[..., hi_a])
+    # running sums with t + g cells of margin on either side, 0 before the
+    # profile and its total after it, so every cell's window bounds are plain
+    # slices: left window [i-g-t, i-g), right window (i+g, i+g+t]
+    m = t + g
+    cs = np.zeros(power.shape[:-1] + (n + 2 * m + 1,))
+    power.cumsum(axis=-1, out=cs[..., m + 1 : m + 1 + n])
+    cs[..., m + 1 + n :] = cs[..., m + n : m + n + 1]
+    left = cs[..., t : t + n] - cs[..., :n]
+    sums = left + (cs[..., 2 * m + 1 :] - cs[..., m + g + 1 : m + g + 1 + n])
     return power > alpha * sums / counts
 
 
 @functools.lru_cache(maxsize=16)
-def _cfar_window(n: int, cfg: CfarConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Training-window bounds (4, n), cell counts and alpha per cell; cached, read-only."""
+def _cfar_window(n: int, cfg: CfarConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Training cells per cell and alpha per cell; cached, read-only.
+
+    Raises ValueError when n leaves no room for the windows.
+    """
     t, g, idx = cfg.training_cells, cfg.guard_cells, np.arange(n)
-    # training windows: [i-g-t, i-g) on the left, (i+g, i+g+t] on the right
-    bounds = np.clip(np.stack((idx - g - t, idx - g, idx + g + 1, idx + g + 1 + t)), 0, n)
-    counts = (bounds[1] - bounds[0]) + (bounds[3] - bounds[2])
+    if n <= 2 * (t + g) + 1:
+        raise ValueError(f"profile length {n} too short for training {t} + guard {g} per side")
+    bounds = np.stack((idx - g - t, idx - g, idx + g + 1, idx + g + 1 + t))
+    lo_a, lo_b, hi_a, hi_b = np.clip(bounds, 0, n)
+    counts = (lo_b - lo_a) + (hi_b - hi_a)
     alpha = counts * (cfg.pfa ** (-1.0 / counts) - 1.0)
-    for a in (bounds, counts, alpha):
+    for a in (counts, alpha):
         a.flags.writeable = False
-    return bounds, counts, alpha
+    return counts, alpha
 
 
 def _local_max_mask(power: np.ndarray) -> np.ndarray:
@@ -294,53 +318,71 @@ def local_maxima(profile: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return indices[_local_max_mask(np.asarray(profile))[indices]]
 
 
-def _parabolic_offset(profile: np.ndarray, k) -> np.ndarray:
-    """Three-point parabolic peak refinement along the last axis, clamped to half a bin.
+def _vertex_offset(values: list[float], i: int) -> float:
+    """Three-point parabolic peak refinement at ``values[i]``, clamped to half a bin.
 
-    Fitted at every cell (0 at the edges and for flat triples); ``k`` indexes the result.
+    0 at the ends of ``values`` and for a flat triple.
     """
-    a, b, c = profile[..., :-2], profile[..., 1:-1], profile[..., 2:]
+    if i <= 0 or i >= len(values) - 1:
+        return 0.0
+    a, b, c = values[i - 1], values[i], values[i + 1]
     denom = a - 2.0 * b + c
-    offset = np.zeros(profile.shape)
-    np.divide(0.5 * (a - c), denom, out=offset[..., 1:-1], where=denom != 0.0)
-    return np.minimum(np.maximum(offset, -0.5), 0.5)[k]  # np.clip costs more on small arrays
+    if denom == 0.0:
+        return 0.0
+    return min(max(0.5 * (a - c) / denom, -0.5), 0.5)
 
 
 def _aoa_spectra(channels: np.ndarray, cfg: DspConfig) -> tuple[np.ndarray, np.ndarray]:
     """Angular power rows (fftshifted) of channel snapshots, and their CFAR local-max mask."""
     spectra = numerics.fft(channels, n=cfg.aoa_fft_len)
     half = cfg.aoa_fft_len // 2  # fftshift, without np.roll's overhead on a single row
-    power = np.abs(np.concatenate((spectra[..., -half:], spectra[..., :-half]), axis=-1)) ** 2
-    return power, _cfar_mask(power, cfg.aoa_cfar) & _local_max_mask(power)
+    power = np.abs(np.concatenate((spectra[..., -half:], spectra[..., :-half]), axis=-1))
+    power *= power
+    peaks = _cfar_mask(power, cfg.aoa_cfar)
+    peaks &= _local_max_mask(power)
+    return power, peaks
 
 
 def _target_list(sl: StationarySlice, bins: np.ndarray, power: np.ndarray, peaks: np.ndarray,
                  cfg: DspConfig, profile: np.ndarray) -> TargetList:
-    """Entries for ascending range ``bins`` from their :func:`_aoa_spectra` rows (none without peaks)."""
-    rows, cols = np.nonzero(peaks)
+    """Entries for ascending range ``bins`` from their :func:`_aoa_spectra` rows (none without peaks).
+
+    Sub-bin positions are fitted at the detected peaks only: the range
+    parabola at each entry's bin of ``profile``, the angle parabola at each
+    peak of its power row. The fits and the bin arithmetic run on Python
+    floats, the same IEEE operations the array form makes; the angles take
+    one ``arcsin`` call for the whole frame.
+    """
+    rows, cols = (a.tolist() for a in peaks.nonzero())
+    meta = sl.meta
+    if not rows:
+        return TargetList((), gamma_rad=meta.gamma_rad, timestamp_s=meta.timestamp_s)
+    fft_len, half, r_bin = cfg.aoa_fft_len, cfg.aoa_fft_len // 2, sl.range_bin_m
+    rows_power = power.tolist()
     # nonzero walks row by row with ascending columns, and arcsin is
     # monotonic, so every entry's angles come sorted; theta = arcsin(2 b / fft_len)
-    centered = cols - cfg.aoa_fft_len // 2
-    fine_centered = centered + _parabolic_offset(power, (rows, cols))
-    angles = np.arcsin(2.0 * centered / cfg.aoa_fft_len).tolist()
-    fine_angles = np.arcsin(2.0 * fine_centered / cfg.aoa_fft_len).tolist()
-    fine_r = ((bins + _parabolic_offset(profile, bins)) * sl.range_bin_m).tolist()
-    bin_r = (bins * sl.range_bin_m).tolist()
-    mags = np.max(power, axis=-1, where=peaks, initial=0.0).tolist()
+    sines = [2.0 * (c - half) / fft_len for c in cols]
+    sines += [2.0 * (c - half + _vertex_offset(rows_power[r], c)) / fft_len
+              for r, c in zip(rows, cols)]
+    angles = np.arcsin(sines).tolist()
+    n_peaks, bin_of_row, levels = len(rows), bins.tolist(), profile.tolist()
     entries, start = [], 0
-    for i, end in enumerate(np.cumsum(peaks.sum(axis=-1)).tolist()):
-        if end > start:
-            entries.append(
-                TargetEntry(
-                    range_m=fine_r[i] if cfg.peak_interp else bin_r[i],
-                    angles_rad=tuple(angles[start:end]),
-                    magnitude=mags[i],
-                    fine_range_m=fine_r[i],
-                    fine_angles_rad=tuple(fine_angles[start:end]),
-                )
+    for end in range(1, n_peaks + 1):
+        if end < n_peaks and rows[end] == rows[start]:
+            continue
+        row, k = rows_power[rows[start]], bin_of_row[rows[start]]
+        fine_r = (k + _vertex_offset(levels, k)) * r_bin
+        entries.append(
+            TargetEntry(
+                range_m=fine_r if cfg.peak_interp else k * r_bin,
+                angles_rad=tuple(angles[start:end]),
+                magnitude=max(row[c] for c in cols[start:end]),
+                fine_range_m=fine_r,
+                fine_angles_rad=tuple(angles[n_peaks + start : n_peaks + end]),
             )
+        )
         start = end
-    return TargetList(tuple(entries), gamma_rad=sl.meta.gamma_rad, timestamp_s=sl.meta.timestamp_s)
+    return TargetList(tuple(entries), gamma_rad=meta.gamma_rad, timestamp_s=meta.timestamp_s)
 
 
 def aoa_on_targets(
@@ -357,11 +399,12 @@ def aoa_on_targets(
     theta = arcsin(2 b / fft_len) for the centered bin b. The entry magnitude
     is the strongest detected angular power.
 
-    Sub-bin positions are fitted for every entry: ``fine_range_m`` from a
-    three-point parabola on the accumulated range ``profile`` (computed from
-    the slice when not given), ``fine_angles_rad`` from a parabola on each
-    detected peak of the angular power profile. With ``cfg.peak_interp`` the
-    reported range is the fitted one; otherwise it is the bin centre.
+    Sub-bin positions are fitted for every entry, at its peaks only:
+    ``fine_range_m`` from a three-point parabola through the entry's bin of
+    the accumulated range ``profile`` (computed from the slice when not
+    given), ``fine_angles_rad`` from a parabola through each detected peak of
+    the angular power profile. With ``cfg.peak_interp`` the reported range is
+    the fitted one; otherwise it is the bin centre.
 
     Each row of the batch is handled independently, so a range bin gets the
     same entry whatever else is selected with it.

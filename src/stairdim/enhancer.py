@@ -284,7 +284,8 @@ def _combo_keys(data: Dataset) -> np.ndarray:
 def _walk_index(scenario_id: str) -> int | None:
     if "_w" in scenario_id:
         tail = scenario_id.rsplit("_w", 1)[1]
-        if tail.isdigit():
+        # isdecimal, not isdigit: a superscript such as '²' is a digit int() rejects
+        if tail.isdecimal():
             return int(tail)
     return None
 

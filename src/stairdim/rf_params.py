@@ -8,6 +8,7 @@ angular resolution from the virtual aperture.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,8 +90,12 @@ class DerivedAttributes:
     virtual_antennas: int
 
 
+@functools.lru_cache(maxsize=16)
 def derive_attributes(cfg: RadarConfig) -> DerivedAttributes:
     """Derive resolution attributes from the chirp configuration.
+
+    Built once per configuration (the result is frozen), since synthesis and
+    the DSP chain read them every frame.
 
     range resolution  c / (2 B)
     max range         N_S * range resolution

@@ -29,7 +29,14 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .chirp_sim import ChirpCube, NoiseConfig, quantize_to_wire, synthesize_frame
+from .chirp_sim import (
+    ChirpCube,
+    NoiseConfig,
+    SceneArrays,
+    quantize_to_wire,
+    scene_arrays,
+    synthesize_frame,
+)
 from .codec import from_dict, to_dict
 from .dimension import (
     SWEEP_STANDARDS,
@@ -150,12 +157,18 @@ def scenario_scatterers(sc: ScenarioConfig) -> tuple[Scatterer, ...]:
     return tuple(scatterers)
 
 
-def synthesize_scenario_frame(sc: ScenarioConfig, trajectory: Trajectory, frame_idx: int) -> ChirpCube:
-    """One frame's cube, seeded by (scenario seed, frame index)."""
+def synthesize_scenario_frame(
+    sc: ScenarioConfig, trajectory: Trajectory, frame_idx: int, scene: SceneArrays | None = None
+) -> ChirpCube:
+    """One frame's cube, seeded by (scenario seed, frame index).
+
+    A caller that synthesizes the whole walk passes ``scene``: the scenario's
+    :func:`scenario_scatterers` as :func:`scene_arrays`, built once per walk.
+    """
     return synthesize_frame(
         sc.radar,
         trajectory.frames[frame_idx],
-        scenario_scatterers(sc),
+        scenario_scatterers(sc) if scene is None else scene,
         sc.noise,
         seed=_frame_seed(sc.seed, frame_idx),
     )
@@ -180,10 +193,11 @@ def run_scenario(sc: ScenarioConfig) -> ScenarioResult:
     in-memory pipeline is bit-identical to a save/load round trip.
     """
     trajectory = scenario_trajectory(sc)
+    scene = scene_arrays(scenario_scatterers(sc))
     target_lists: list[TargetList] = []
     estimates: list[Optional[DimensionEstimate]] = []
     for i, frame in enumerate(trajectory.frames):
-        cube = synthesize_scenario_frame(sc, trajectory, i)
+        cube = synthesize_scenario_frame(sc, trajectory, i, scene)
         tl = process_frame(quantize_to_wire(cube), sc.dsp)
         h_r = radar_height(sc.walk.mount_height_m, frame.gamma_rad)
         estimates.append(estimate_initial(tl, frame.gamma_rad, sc.standards, radar_height_m=h_r))

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from stairdim.dsp_chain import TargetEntry, TargetList
 from stairdim.enhancer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -76,6 +77,65 @@ def naive_ca_cfar(profile, training_cells: int, guard_cells: int, pfa: float) ->
         if profile[i] > alpha * sum(cells) / len(cells):
             hits.append(i)
     return hits
+
+
+def naive_local_maxima(profile, indices) -> list[int]:
+    """The indices whose cell is >= its left and > its right neighbour; an end compares inward."""
+    p = [float(v) for v in profile]
+    last = len(p) - 1
+    return [i for i in indices if (i == 0 or p[i] >= p[i - 1]) and (i == last or p[i] > p[i + 1])]
+
+
+def naive_parabolic_offset(profile: np.ndarray) -> np.ndarray:
+    """Three-point parabolic vertex offset at every cell along the last axis, clamped to half a bin.
+
+    The array form: every cell is fitted and a caller indexes the cells it
+    wants. 0 at the edges and where the denominator ``a - 2b + c`` is 0.
+    """
+    a, b, c = profile[..., :-2], profile[..., 1:-1], profile[..., 2:]
+    denom = a - 2.0 * b + c
+    offset = np.zeros(profile.shape)
+    np.divide(0.5 * (a - c), denom, out=offset[..., 1:-1], where=denom != 0.0)
+    return np.minimum(np.maximum(offset, -0.5), 0.5)
+
+
+def naive_target_list(sl, bins, cfg, profile) -> TargetList:
+    """The target list of the range ``bins`` (ascending, repeats kept), built in array form.
+
+    Angular power is ``|fftshift(fft(row, aoa_fft_len))|^2`` per bin; its
+    peaks pass :func:`naive_ca_cfar` and :func:`naive_local_maxima` row by
+    row. Every cell of the power rows and of ``profile`` gets a parabolic fit
+    (:func:`naive_parabolic_offset`), which the peaks then index, and the
+    reported and sub-bin angles take one ``arcsin`` call each.
+    """
+    bins = np.asarray(bins, dtype=np.intp)
+    n = cfg.aoa_fft_len
+    power = np.abs(np.fft.fftshift(np.fft.fft(sl.samples[bins], n=n), axes=-1)) ** 2
+    c = cfg.aoa_cfar
+    peaks = np.zeros(power.shape, dtype=bool)
+    for i, row in enumerate(power):
+        hits = naive_ca_cfar(row, c.training_cells, c.guard_cells, c.pfa)
+        peaks[i, naive_local_maxima(row, hits)] = True
+    rows, cols = np.nonzero(peaks)
+    centered = cols - n // 2
+    angles = np.arcsin(2.0 * centered / n)
+    fine_angles = np.arcsin(2.0 * (centered + naive_parabolic_offset(power)[rows, cols]) / n)
+    fine_r = (bins + naive_parabolic_offset(np.asarray(profile))[bins]) * sl.range_bin_m
+    bin_r = bins * sl.range_bin_m
+    entries = []
+    for i in range(bins.size):
+        on_row = rows == i
+        if on_row.any():
+            entries.append(
+                TargetEntry(
+                    range_m=float(fine_r[i] if cfg.peak_interp else bin_r[i]),
+                    angles_rad=tuple(angles[on_row].tolist()),
+                    magnitude=float(power[i, peaks[i]].max()),
+                    fine_range_m=float(fine_r[i]),
+                    fine_angles_rad=tuple(fine_angles[on_row].tolist()),
+                )
+            )
+    return TargetList(tuple(entries), gamma_rad=sl.meta.gamma_rad, timestamp_s=sl.meta.timestamp_s)
 
 
 def hann_periodic(n: int) -> np.ndarray:
@@ -178,7 +238,7 @@ def rows_of(data: Dataset) -> list[dict]:
 
 def _walk_number(scenario_id: str) -> int | None:
     head, sep, tail = scenario_id.rpartition("_w")
-    return int(tail) if sep and tail.isdigit() else None
+    return int(tail) if sep and tail.isdecimal() else None
 
 
 def naive_split(rows: list[dict], split_seed: int = 0, held_out_combos: int = 7):

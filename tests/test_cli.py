@@ -367,6 +367,26 @@ def test_malformed_scenario_exits_with_one_line(tmp_path, capsys, doc, fragment)
     assert fragment in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "level",
+    [{"noise": {"power": 1e300}}, {"clutter": {"count": 2, "reflectivity": 1e40}}],
+    ids=["noise_power", "clutter_reflectivity"],
+)
+def test_cube_beyond_the_float32_wire_exits_with_one_line(tmp_path, capsys, recwarn, level):
+    # the complex128 cube is finite, its complex64 wire form is not
+    config = tmp_path / "loud.json"
+    config.write_text(json.dumps({**level, "walk": {"duration_s": 1.2}}))
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(sim)]) == 1
+    err = _one_line_error(capsys)
+    for name in ("float32 wire range", "noise.power", "snr_db", "clutter.reflectivity"):
+        assert name in err
+    assert not list(sim.rglob("*.bin"))
+    assert cli.main(["process", "--config", str(config), "--out", str(tmp_path / "p")]) == 1
+    assert _one_line_error(capsys) == err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     run = tmp_path_factory.mktemp("trained") / "run"

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import dft_matrix, hann_periodic, naive_ca_cfar, naive_dft
+from oracles import (
+    dft_matrix,
+    hann_periodic,
+    naive_ca_cfar,
+    naive_dft,
+    naive_local_maxima,
+    naive_target_list,
+)
 from stairdim import numerics
 from stairdim.chirp_sim import (
     NOISELESS,
@@ -26,7 +33,7 @@ from stairdim.dsp_chain import (
     TargetEntry,
     TargetList,
     _cfar_mask,
-    _parabolic_offset,
+    _vertex_offset,
     accumulate_range_profile,
     aoa_on_targets,
     cfar_detect,
@@ -260,11 +267,12 @@ def test_local_maxima_selection():
 
 
 def test_parabolic_offset_hand_cases():
-    assert _parabolic_offset(np.array([1.0, 3.0, 2.0]), 1) == pytest.approx(1.0 / 6.0)
-    assert _parabolic_offset(np.array([1.0, 3.0, 1.0]), 1) == 0.0
-    assert _parabolic_offset(np.array([2.0, 2.0, 2.0]), 1) == 0.0  # degenerate
-    assert _parabolic_offset(np.array([1.0, 3.0, 2.0]), 0) == 0.0  # edge
-    assert _parabolic_offset(np.array([0.0, 1.0, 10.0]), 1) == -0.5  # clamped
+    assert _vertex_offset([1.0, 3.0, 2.0], 1) == pytest.approx(1.0 / 6.0)
+    assert _vertex_offset([1.0, 3.0, 1.0], 1) == 0.0
+    assert _vertex_offset([2.0, 2.0, 2.0], 1) == 0.0  # degenerate
+    assert _vertex_offset([1.0, 3.0, 2.0], 0) == 0.0  # edge
+    assert _vertex_offset([1.0, 3.0, 2.0], 2) == 0.0  # edge
+    assert _vertex_offset([0.0, 1.0, 10.0], 1) == -0.5  # clamped
 
 
 # --- AoA ---
@@ -430,6 +438,90 @@ def test_selective_equals_exhaustive():
     entries = process_frame(cases[0]).entries
     assert any(e.fine_range_m != e.range_m for e in entries)
     assert any(e.fine_angles_rad != e.angles_rad for e in entries)
+
+
+# --- the sub-bin fits and the target list against their array form ---
+
+# corners anywhere in range, from the first range bin to the last, and at any
+# angle, the AoA spectrum's edges (sin theta near -1) included
+_CORNERS = st.lists(
+    st.tuples(
+        st.one_of(st.floats(0.01, 5.99), st.sampled_from([0.01, 0.03, 5.95, 5.98])),
+        st.one_of(st.floats(-1.57, 1.57), st.sampled_from([-1.5707, -1.45, 1.5707])),
+        st.floats(0.2, 3.0),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corners=_CORNERS,
+    snr_db=st.one_of(st.none(), st.floats(0.0, 40.0)),
+    seed=st.integers(0, 2**32 - 1),
+    peak_interp=st.booleans(),
+    exhaustive=st.booleans(),
+)
+def test_process_frame_equals_the_array_form(corners, snr_db, seed, peak_interp, exhaustive):
+    scs = [Scatterer(r * math.cos(th), r * math.sin(th), reflectivity=a) for r, th, a in corners]
+    noise = NOISELESS if snr_db is None else NoiseConfig(snr_db=snr_db)
+    cube = synthesize_frame(CFG, _frame(), scs, noise, seed=seed)
+    cfg = DspConfig(peak_interp=peak_interp, exhaustive_aoa=exhaustive)
+    sl = stationary_slice(cube)
+    profile = accumulate_range_profile(sl)
+    rc = cfg.range_cfar
+    det = naive_local_maxima(profile, naive_ca_cfar(profile, rc.training_cells, rc.guard_cells, rc.pfa))
+    # repr tells every float bit apart, -0.0 too
+    assert repr(process_frame(cube, cfg)) == repr(naive_target_list(sl, det, cfg, profile))
+
+
+def _exact_phasor_row(step: int, level: int) -> list[complex]:
+    """Eight channels advancing by step quarter turns, every sample's magnitude exactly ``level``."""
+    return [level * 1j ** (step * a % 4) for a in range(8)]
+
+
+@st.composite
+def _integer_slices(draw):
+    """Slices whose rows have exact integer channel magnitudes, so the profile holds exact
+    flat and linear triples, and AoA peaks at centered bins 0, +-16 and -32 (the row's edge)."""
+    rows = draw(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=144, max_size=144)
+    )
+    samples = np.array([_exact_phasor_row(step, level) for step, level in rows])
+    return StationarySlice(samples, R_RES, CFG, FrameMeta(0.25, -0.3, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sl=st.one_of(
+        _integer_slices(),
+        st.builds(
+            lambda seed: stationary_slice(_staircase_cube(seed=seed)[0]), st.integers(0, 2**16)
+        ),
+    ),
+    bins=st.lists(st.one_of(st.integers(0, 143), st.sampled_from([0, 1, 142, 143])), max_size=12),
+    peak_interp=st.booleans(),
+)
+def test_aoa_on_targets_equals_the_array_form(sl, bins, peak_interp):
+    cfg = DspConfig(peak_interp=peak_interp)
+    profile = accumulate_range_profile(sl)
+    got = aoa_on_targets(sl, bins, cfg, profile=profile)
+    assert repr(got) == repr(naive_target_list(sl, sorted(bins), cfg, profile))
+
+
+def test_integer_slices_reach_flat_triples_and_edge_peaks():
+    # the cases the property above is there for, in one hand-made slice: a
+    # constant profile (every triple flat) and an AoA peak in the row's first cell
+    samples = np.array([_exact_phasor_row(2, 1)] * 144)
+    sl = StationarySlice(samples, R_RES, CFG, FrameMeta(0.0, 0.0, 0.0))
+    profile = accumulate_range_profile(sl)
+    assert set(profile.tolist()) == {8.0}
+    tl = aoa_on_targets(sl, [0, 70, 143], DspConfig(peak_interp=True), profile=profile)
+    assert [e.fine_range_m for e in tl.entries] == [k * R_RES for k in (0, 70, 143)]
+    for e in tl.entries:  # an edge peak keeps its bin position
+        assert e.angles_rad[0] == e.fine_angles_rad[0] == -math.pi / 2
+    assert repr(tl) == repr(naive_target_list(sl, [0, 70, 143], DspConfig(peak_interp=True), profile))
 
 
 def test_entry_ordering_and_bounds():

@@ -642,7 +642,9 @@ _SPLIT_IDS = st.one_of(
     st.builds("{}_w{}".format, st.sampled_from(["a", "d26h10", "x_w2"]), st.integers(0, 6)),
     # walk numbers past 64 bits, and ids whose tail is no walk number
     st.builds("b_w{}".format, st.integers(2**63, 2**63 + 2)),
-    st.sampled_from(["a", "b_w", "c_wx", "_w", "x_w3_y", "d_w-1"]),
+    st.sampled_from(["a", "b_w", "c_wx", "_w", "x_w3_y", "d_w-1", "e_w²", "f_w1²"]),
+    # decimal digits of other scripts, which int() reads: Arabic-Indic 3, fullwidth 2
+    st.sampled_from(["g_w\u0663", "g_w\uff12"]),
 )
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from stairdim import scenario
 from stairdim.chirp_sim import NOISELESS, ChirpCube, NoiseConfig, quantize_to_wire
-from stairdim.dimension import SWEEP_STANDARDS, StairStandards
+from stairdim.dimension import SWEEP_STANDARDS, StairStandards, estimate_initial
 from stairdim.dsp_chain import (
     CfarConfig,
     DspConfig,
@@ -21,7 +21,9 @@ from stairdim.dsp_chain import (
     local_maxima,
     process_frame,
     range_doppler_transform,
+    stationary_slice,
 )
+from stairdim.enhancer import radar_height
 from stairdim.rf_params import RadarConfig, derive_attributes
 from stairdim.scene import StaircaseSpec, WalkConfig, corner_scatterers
 from stairdim.scenario import (
@@ -385,3 +387,28 @@ def test_stage_by_stage_chain_equals_process_frame(dsp):
         assert _stage_by_stage(cube, dsp) == tl, i  # exactly, sub-bin fields included
         entries += len(tl.entries)
     assert entries > 50
+
+
+@pytest.mark.parametrize(
+    "dsp, clutter",
+    [(DspConfig(), 0), (DspConfig(peak_interp=True), 0), (DspConfig(), 5)],
+    ids=["default", "peak_interp", "clutter"],
+)
+def test_run_scenario_equals_the_public_stages_composed(dsp, clutter):
+    # the walk builds its scene columns once; frame by frame from the scatterer
+    # list, through every public stage, gives the same lists and estimates
+    sc = replace(build_sweep(3, 1)[1], dsp=dsp, clutter=ClutterConfig(count=clutter))
+    result = run_scenario(sc)
+    traj = scenario_trajectory(sc)
+    assert len(traj.frames) == len(result.estimates) == 50
+    for i, frame in enumerate(traj.frames):
+        cube = quantize_to_wire(synthesize_scenario_frame(sc, traj, i))
+        sl = stationary_slice(cube)
+        profile = accumulate_range_profile(sl)
+        det = local_maxima(profile, cfar_detect(profile, dsp.range_cfar))
+        tl = aoa_on_targets(sl, det, dsp, profile=profile)
+        h_r = radar_height(sc.walk.mount_height_m, frame.gamma_rad)
+        estimate = estimate_initial(tl, frame.gamma_rad, sc.standards, radar_height_m=h_r)
+        assert repr(result.target_lists[i]) == repr(tl), i
+        assert repr(result.estimates[i]) == repr(estimate), i
+    assert sum(e is not None for e in result.estimates) > 10
