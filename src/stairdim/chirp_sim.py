@@ -176,8 +176,9 @@ def synthesize_frame(
     and antenna axes are built once per configuration.
 
     Raises ValueError for scatterers at or beyond the unambiguous range, at
-    zero range, or when the host speed reaches the velocity resolution
-    (the stationary-slice premise would not hold).
+    zero range, when the host speed reaches the velocity resolution (the
+    stationary-slice premise would not hold), or when the noise level that
+    ``snr_db`` sets leaves the float range.
     """
     attrs = derive_attributes(cfg)
     if abs(frame.v_host_mps) >= attrs.velocity_resolution_mps:
@@ -229,7 +230,15 @@ def synthesize_frame(
     if noise.power is not None:
         sigma2 = float(noise.power)
     elif noise.snr_db is not None and nearest_amp > 0.0:
-        sigma2 = nearest_amp**2 / 10.0 ** (noise.snr_db / 10.0)
+        try:
+            sigma2 = nearest_amp**2 / 10.0 ** (noise.snr_db / 10.0)
+        except OverflowError:  # the square leaves the float range
+            sigma2 = math.inf
+        if not math.isfinite(sigma2):
+            raise ValueError(
+                f"the noise level of snr_db {noise.snr_db:g} at the nearest scatterer's "
+                f"amplitude {nearest_amp:.4g} leaves the float range"
+            )
     if sigma2 > 0.0:
         # one draw holds the real then the imaginary parts, the stream two
         # draws of the cube's shape would give

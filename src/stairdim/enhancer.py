@@ -16,11 +16,15 @@ Every weight and bias lives in one flat ``params`` vector, layer by layer:
 the weights row-major (fan_out, fan_in), then the bias. The per-layer arrays
 are views into it, and gradients and Adam's moments share that layout. A
 seeded tenth of the training rows is held out for the validation curve.
-Each epoch permutes the training rows into one shuffled copy, and a batch is
-a contiguous slice of it. A training step writes its activations, deltas,
+``train`` normalizes the training and validation rows once per training and
+hands the normalized rows to ``loss_and_gradients`` and ``forward``. Each
+epoch permutes the training rows into one shuffled copy, and a batch is a
+contiguous slice of it. A training step writes its activations, deltas,
 ReLU masks and gradient into one ``StepScratch`` that ``train`` makes per
-training, and the Adam update runs in place on preallocated buffers, yet
-both match the textbook out-of-place computation bit for bit (see ``train``).
+training; the gradient is the first half of the scratch's ``g|g²`` buffer,
+and Adam's moments are one ``m|v`` vector, so the moment update is four
+whole-vector operations. It all runs in place on preallocated buffers, yet
+matches the textbook out-of-place computation bit for bit (see ``train``).
 The gradient ``loss_and_gradients`` returns is a view into its scratch,
 valid until the next call with that scratch.
 
@@ -208,8 +212,9 @@ def write_dataset(data: Dataset, path: str | Path) -> None:
 def read_dataset(path: str | Path) -> Dataset:
     """The columns of a ``write_dataset`` file; every numeric cell must be a finite number.
 
-    Cells are converted a column at a time; a malformed file raises ValueError
-    naming the file and the line of the first bad row or cell.
+    Cells are converted a column at a time, a float column straight into its
+    array with no list of cells; a malformed file raises ValueError naming
+    the file and the line of the first bad row or cell.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -228,8 +233,12 @@ def read_dataset(path: str | Path) -> Dataset:
     columns = []
     for name, kind, dtype, raw in zip(DATASET_COLUMNS, _CELL_KINDS, _COLUMN_DTYPES, zip(*rows)):
         try:
-            values = np.array(raw if kind is str else list(map(kind, raw)), dtype=dtype)
-            ok = kind is not float or np.isfinite(values).all()
+            if kind is float:
+                values = np.fromiter(map(float, raw), float, count=len(raw))
+                ok = np.isfinite(values).all()
+            else:
+                values = np.array(raw if kind is str else list(map(kind, raw)), dtype=dtype)
+                ok = True
         except (ValueError, OverflowError):
             ok = False
         if not ok:
@@ -378,7 +387,8 @@ class EnhancerModel:
 
     ``params`` holds every weight and bias, layer by layer: the weights
     row-major (fan_out, fan_in), then the bias. ``weights[i]`` and
-    ``biases[i]`` are views into it, so writing either writes ``params``.
+    ``biases[i]`` are views into it, so writing either writes ``params``;
+    ``weights_t[i]`` is the transposed view the forward pass multiplies by.
     """
 
     layer_sizes: list[int]
@@ -387,9 +397,11 @@ class EnhancerModel:
     norm_scale: np.ndarray
     weights: list[np.ndarray] = field(init=False)
     biases: list[np.ndarray] = field(init=False)
+    weights_t: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.weights, self.biases = _layer_views(self.params, self.layer_sizes)
+        self.weights_t = [w.T for w in self.weights]
 
 
 def init_model(
@@ -419,60 +431,78 @@ class StepScratch:
 
     It holds the normalized input and each layer's output, the backward
     deltas, the ReLU masks of the hidden layers and the flat gradient in the
-    ``params`` layout of a network with ``layer_sizes``. A batch of n rows
-    uses the leading n rows of each per-row buffer; the views of those rows
-    are made once per n and kept.
+    ``params`` layout of a network with ``layer_sizes``. ``grad`` is the first
+    half of ``terms``, a ``g|g²`` buffer whose second half ``train`` fills
+    with the squared gradient. A batch of n rows uses the leading n rows of
+    each per-row buffer; those views, and the deltas' transposes, are made
+    once per n and kept.
     """
 
     def __init__(self, layer_sizes: Sequence[int], rows: int) -> None:
         sizes = tuple(layer_sizes)
+        n_params = _layer_slices(sizes)[-1][2].stop
         self.rows = rows
         self.acts = [np.empty((rows, k)) for k in sizes]
         self.deltas = [np.empty((rows, k)) for k in sizes[1:]]
         self.masks = [np.empty((rows, k), dtype=bool) for k in sizes[1:-1]]
-        self.grad = np.empty(_layer_slices(sizes)[-1][2].stop)
+        self.terms = np.empty(2 * n_params)
+        self.grad = self.terms[:n_params]
         self.grads_w, self.grads_b = _layer_views(self.grad, sizes)
         self._leading: dict[int, tuple] = {}
 
-    def leading(self, n: int) -> tuple[list, list, list]:
-        """The first ``n`` rows of the activations, deltas and masks."""
+    def leading(self, n: int) -> tuple[list, list, list, list]:
+        """The first ``n`` rows of the activations, deltas, transposed deltas and masks."""
         views = self._leading.get(n)
         if views is None:
             if n > self.rows:
                 raise ValueError(f"a batch of {n} rows does not fit a scratch of {self.rows}")
+            deltas = [d[:n] for d in self.deltas]
             views = self._leading[n] = (
                 [a[:n] for a in self.acts],
-                [d[:n] for d in self.deltas],
+                deltas,
+                [d.T for d in deltas],
                 [m[:n] for m in self.masks],
             )
         return views
 
 
-def _forward_into(model: EnhancerModel, x: np.ndarray, acts: Sequence[np.ndarray]) -> None:
-    """Write the normalized input (n, 6), then each layer's output, into ``acts``.
+def _layers_into(model: EnhancerModel, x: np.ndarray, outs: Sequence[np.ndarray]) -> None:
+    """Write each layer's output for normalized rows ``x`` into ``outs``, one buffer a layer.
 
     Hidden layers are ReLU'd; every buffer is overwritten in full.
     """
-    np.subtract(x, model.norm_mean, out=acts[0])
-    acts[0] /= model.norm_scale
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = acts[i + 1]
-        np.matmul(acts[i], w.T, out=z)
+    last = len(outs) - 1
+    a = x
+    for i, (w_t, b, z) in enumerate(zip(model.weights_t, model.biases, outs)):
+        np.matmul(a, w_t, out=z)
         z += b
         if i < last:
             np.maximum(z, 0.0, out=z)
+        a = z
 
 
-def forward(model: EnhancerModel, x: np.ndarray) -> np.ndarray:
-    """Predictions for raw (unnormalized) inputs, shape (6,) or (n, 6)."""
+def _normalize_into(model: EnhancerModel, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``(x - mean) / scale`` into ``out``, the two operations every normalized row goes through."""
+    np.subtract(x, model.norm_mean, out=out)
+    out /= model.norm_scale
+    return out
+
+
+def forward(model: EnhancerModel, x: np.ndarray, *, normalized: bool = False) -> np.ndarray:
+    """Predictions for raw (unnormalized) inputs, shape (6,) or (n, 6).
+
+    ``normalized=True`` takes rows already normalized with the model's
+    statistics (``train`` does so once) and predicts as for their raw rows.
+    """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("non-finite input")
     x2 = np.atleast_2d(x)
-    acts = [np.empty((x2.shape[0], k)) for k in model.layer_sizes]
-    _forward_into(model, x2, acts)
-    return acts[-1][0] if x.ndim == 1 else acts[-1]
+    if not normalized:
+        x2 = _normalize_into(model, x2, np.empty(x2.shape))
+    outs = [np.empty((x2.shape[0], k)) for k in model.layer_sizes[1:]]
+    _layers_into(model, x2, outs)
+    return outs[-1][0] if x.ndim == 1 else outs[-1]
 
 
 def _as_rows(a: np.ndarray) -> np.ndarray:
@@ -482,7 +512,12 @@ def _as_rows(a: np.ndarray) -> np.ndarray:
 
 
 def loss_and_gradients(
-    model: EnhancerModel, x: np.ndarray, y: np.ndarray, scratch: StepScratch | None = None
+    model: EnhancerModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    scratch: StepScratch | None = None,
+    *,
+    normalized: bool = False,
 ) -> tuple[float, np.ndarray]:
     """MSE (mean over batch and output dims) and its gradient in the ``params`` layout.
 
@@ -490,30 +525,38 @@ def loss_and_gradients(
     ``scratch``, whose ``rows`` must be at least the batch size; without one,
     a scratch sized for this batch is made. The returned gradient is
     ``scratch.grad`` itself, a view that the next call with the same scratch
-    overwrites: copy it to keep it.
+    overwrites: copy it to keep it. ``normalized=True`` takes 2-D float rows
+    already normalized with the model's statistics, as ``forward`` does.
     """
-    x = _as_rows(x)
-    y = _as_rows(y)
+    if not normalized:
+        x = _as_rows(x)
+        y = _as_rows(y)
+    n = x.shape[0]
     if scratch is None:
-        scratch = StepScratch(model.layer_sizes, x.shape[0])
-    acts, deltas, masks = scratch.leading(x.shape[0])
-    _forward_into(model, x, acts)
+        scratch = StepScratch(model.layer_sizes, n)
+    acts, deltas, deltas_t, masks = scratch.leading(n)
+    if not normalized:
+        x = _normalize_into(model, x, acts[0])
+    outs = acts[1:]
+    _layers_into(model, x, outs)
     delta = deltas[-1]  # the error, scaled in place into d(loss)/d(output)
-    np.subtract(acts[-1], y, out=delta)
+    np.subtract(outs[-1], y, out=delta)
     loss = float(np.add.reduce(delta * delta, axis=None)) / delta.size
     delta *= 2.0
-    delta /= x.shape[0] * y.shape[1]
+    delta /= delta.size
 
-    for i in range(len(deltas) - 1, -1, -1):
-        np.matmul(delta.T, acts[i], out=scratch.grads_w[i])
-        np.add.reduce(delta, axis=0, out=scratch.grads_b[i])
-        if i > 0:
-            below = deltas[i - 1]
-            np.matmul(delta, model.weights[i], out=below)
-            # a hidden activation is positive exactly where its ReLU input was
-            np.greater(acts[i], 0.0, out=masks[i - 1])
-            below *= masks[i - 1]
-            delta = below
+    grads_w, grads_b, weights = scratch.grads_w, scratch.grads_b, model.weights
+    for i in range(len(deltas) - 1, 0, -1):
+        np.matmul(deltas_t[i], outs[i - 1], out=grads_w[i])
+        np.add.reduce(delta, axis=0, out=grads_b[i])
+        below = deltas[i - 1]
+        np.matmul(delta, weights[i], out=below)
+        # a hidden activation is positive exactly where its ReLU input was
+        np.greater(outs[i - 1], 0.0, out=masks[i - 1])
+        below *= masks[i - 1]
+        delta = below
+    np.matmul(deltas_t[0], x, out=grads_w[0])
+    np.add.reduce(delta, axis=0, out=grads_b[0])
     return loss, scratch.grad
 
 
@@ -530,18 +573,24 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()) -> TrainResult:
     The network is 6-16-8-2 with ReLU hidden layers, trained in batches of
     32. Feature statistics come from all the rows handed in (the
     sweep's training split); a seeded tenth of it is carved out internally
-    for the validation curve. Each epoch permutes the training rows into one
-    shuffled copy, and its batches are contiguous slices of that copy.
+    for the validation curve. Both parts are normalized once per training,
+    by the two operations the forward pass applies to raw rows, so every
+    value is the one it would compute. Each epoch permutes the normalized
+    training rows into one shuffled copy, and its batches are contiguous
+    slices of that copy.
 
-    Every step calls ``loss_and_gradients`` with one ``StepScratch`` sized for
-    ``BATCH_SIZE`` rows and made once per training; the short last batch of
-    an epoch uses its leading rows. The gradient it returns is used before the
-    next step overwrites it. ``forward`` runs once per curve per epoch.
+    Every step calls ``loss_and_gradients`` on normalized rows with one
+    ``StepScratch`` sized for ``BATCH_SIZE`` rows and made once per training;
+    the short last batch of an epoch uses its leading rows. ``forward`` runs
+    on normalized rows once per curve per epoch.
 
-    Adam's moments are two flat arrays in the ``params`` layout. A step
-    updates ``m``, ``v`` and ``params`` in place through two preallocated
-    scratch vectors, one numpy operation at a time in the textbook order, so
-    every element is bit-identical to ``m = b1 m + (1 - b1) g``,
+    Adam's moments are one ``m|v`` vector and the gradient is the first half
+    of the scratch's ``g|g²`` buffer, both halves in the ``params`` layout. A
+    step writes ``g*g`` into the buffer's second half, scales the buffer by
+    ``(1 - b1)|(1 - b2)`` and the moments by ``b1|b2``, adds the buffer to
+    the moments, then updates ``params`` in place through two preallocated
+    vectors. Each element goes through the textbook operations in their
+    order, so it is bit-identical to ``m = b1 m + (1 - b1) g``,
     ``v = b2 v + (1 - b2) g²`` and ``params -= lr (m / c1) / (sqrt(v / c2) + eps)``;
     ``tests/test_enhancer.py::test_train_matches_naive_reference_trainer``
     pins that against the naive trainer in ``tests/oracles.py``.
@@ -569,14 +618,20 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()) -> TrainResult:
     n_val = int(round(n * VAL_FRACTION))
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    x_tr, y_tr = x[train_idx], y_std[train_idx]
-    x_val = x[val_idx]
+    x_norm = _normalize_into(model, x, np.empty(x.shape))
+    x_tr, y_tr = x_norm[train_idx], y_std[train_idx]
+    x_val = x_norm[val_idx]
     y_tr_m, y_val_m = y[train_idx], y[val_idx]
 
     params = model.params
+    n_params = params.size
     scratch = StepScratch(model.layer_sizes, BATCH_SIZE)
-    m = np.zeros_like(params)
-    v = np.zeros_like(params)
+    terms = scratch.terms
+    g_sq = terms[n_params:]
+    moments = np.zeros(2 * n_params)
+    m, v = moments[:n_params], moments[n_params:]
+    betas = np.repeat([ADAM_BETA1, ADAM_BETA2], n_params)
+    one_minus_betas = np.repeat([1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2], n_params)
     s1 = np.empty_like(params)
     s2 = np.empty_like(params)
     step = 0
@@ -588,19 +643,18 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()) -> TrainResult:
         x_ep, y_ep = x_tr[order], y_tr[order]
         for start in range(0, order.size, BATCH_SIZE):
             stop = start + BATCH_SIZE
-            loss, g = loss_and_gradients(model, x_ep[start:stop], y_ep[start:stop], scratch)
+            loss, g = loss_and_gradients(
+                model, x_ep[start:stop], y_ep[start:stop], scratch, normalized=True
+            )
             if not math.isfinite(loss):
                 raise TrainingError(f"training diverged at epoch {epoch}")
             step += 1
             c1 = 1.0 - ADAM_BETA1**step
             c2 = 1.0 - ADAM_BETA2**step
-            m *= ADAM_BETA1
-            np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
-            m += s1
-            v *= ADAM_BETA2
-            np.multiply(g, g, out=s1)
-            s1 *= 1.0 - ADAM_BETA2
-            v += s1
+            np.multiply(g, g, out=g_sq)
+            terms *= one_minus_betas
+            moments *= betas
+            moments += terms
             np.divide(m, c1, out=s1)
             s1 *= cfg.learning_rate
             np.divide(v, c2, out=s2)
@@ -608,10 +662,10 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()) -> TrainResult:
             s2 += ADAM_EPS
             s1 /= s2
             params -= s1
-        pred_tr = forward(model, x_tr) * lscale + lmean
+        pred_tr = forward(model, x_tr, normalized=True) * lscale + lmean
         train_curve.append(float(np.mean((pred_tr - y_tr_m) ** 2)))
         if x_val.shape[0] > 0:
-            val_pred = forward(model, x_val) * lscale + lmean
+            val_pred = forward(model, x_val, normalized=True) * lscale + lmean
             val_curve.append(float(np.mean((val_pred - y_val_m) ** 2)))
     # in place, so the layers stay views into params
     model.weights[-1] *= lscale[:, None]

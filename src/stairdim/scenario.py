@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -86,6 +87,10 @@ class ClutterConfig:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ValueError(f"clutter count must be >= 0, got {self.count}")
+        if not (math.isfinite(self.reflectivity) and self.reflectivity >= 0.0):
+            raise ValueError(
+                f"clutter.reflectivity must be finite and >= 0, got {self.reflectivity!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,19 @@ def test_synthesis_preconditions():
         synthesize_frame(CFG, fast, [Scatterer(2.0, 0.0)], NOISELESS)
 
 
+@pytest.mark.parametrize("reflectivity", [1e155, 1e300, math.inf])
+def test_noise_level_beyond_the_float_range_is_a_value_error(recwarn, reflectivity):
+    # snr_db fixes the noise variance from the nearest return's squared
+    # amplitude, which leaves the float range past about 1e154
+    with pytest.raises(ValueError, match="noise level of snr_db 20 .* leaves the float range"):
+        synthesize_frame(CFG, _frame(), [Scatterer(2.0, 0.0, reflectivity)], NoiseConfig(snr_db=20.0))
+    if math.isfinite(reflectivity):
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    # a return whose squared amplitude stays in range still synthesizes
+    cube = synthesize_frame(CFG, _frame(), [Scatterer(2.0, 0.0, 1e150)], NoiseConfig(snr_db=20.0))
+    assert np.isfinite(cube.samples).all()
+
+
 def test_noise_config_validation():
     NoiseConfig(snr_db=-300.0)
     NoiseConfig(snr_db=300.0, power=1e-300)

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -352,6 +353,10 @@ _STAIRS = {"depth_m": 0.3, "height_m": 0.15}
             {"radar": {"samples_per_chirp": 2**17, "chirps_per_frame": 1, "tx_count": 1, "rx_count": 1}},
             "131072 range bins x dsp.aoa_fft_len 64 exceed the limit of 4194304 AoA cells",
         ),
+        # a clutter reflectivity that is negative or not a number
+        ({"clutter": {"count": 4, "reflectivity": -1.0}}, "clutter.reflectivity must be finite and >= 0, got -1.0"),
+        ({"clutter": {"count": 4, "reflectivity": math.nan}}, "clutter.reflectivity must be finite and >= 0, got nan"),
+        ({"clutter": {"count": 4, "reflectivity": math.inf}}, "clutter.reflectivity must be finite and >= 0, got inf"),
     ],
 )
 def test_malformed_scenario_exits_with_one_line(tmp_path, capsys, doc, fragment):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stairdim.dimension import CorrectedTarget, DimensionEstimate
@@ -403,6 +403,61 @@ def test_train_matches_naive_reference_trainer(seed):
     assert res.model.params.tobytes() == params.tobytes()
     assert res.train_loss == train_curve and len(train_curve) == 3
     assert res.val_loss == val_curve and len(val_curve) == 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    epochs=st.integers(1, 3),
+    learning_rate=st.sampled_from([1e-3, 1e-2, 5e-2, 0.2]),
+    seed=st.integers(0, 2**16),
+    data_seed=st.integers(0, 2**16),
+)
+# one row; the most rows with an empty validation split; the fewest with one
+# validation row; 33 training rows, whose last batch is a single row
+@example(n=1, epochs=2, learning_rate=1e-2, seed=0, data_seed=0)
+@example(n=5, epochs=3, learning_rate=1e-2, seed=1, data_seed=1)
+@example(n=6, epochs=1, learning_rate=1e-3, seed=2, data_seed=2)
+@example(n=37, epochs=2, learning_rate=5e-2, seed=3, data_seed=3)
+def test_train_matches_naive_reference_trainer_over_shapes(n, epochs, learning_rate, seed, data_seed):
+    rng = np.random.default_rng(data_seed)
+    samples = [
+        _random_sample(rng, d=0.26 + 0.02 * rng.integers(5), h=0.10 + 0.02 * rng.integers(4), fid=i)
+        for i in range(n)
+    ]
+    data = dataset_of(samples)
+    res = train(data, TrainConfig(epochs=epochs, learning_rate=learning_rate, seed=seed))
+    params, train_curve, val_curve = naive_train(
+        data.features(), data.labels(), epochs=epochs, learning_rate=learning_rate, seed=seed
+    )
+    assert res.model.params.tobytes() == params.tobytes()
+    assert res.train_loss == train_curve and len(train_curve) == epochs
+    assert res.val_loss == val_curve and len(val_curve) == (epochs if n > 5 else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, BATCH_SIZE), offset=st.integers(0, 8))
+def test_normalized_rows_equal_raw_rows(seed, n, offset):
+    # train normalizes its rows once and hands slices of them on; that path
+    # must give the loss, gradient and predictions of the raw rows, bit for bit
+    rng = np.random.default_rng(seed)
+    mean = rng.normal(size=6) * rng.uniform(0.1, 10.0, size=6)
+    scale = rng.uniform(0.05, 20.0, size=6)
+    model = init_model([6, 16, 8, 2], mean, scale, seed=int(rng.integers(1000)))
+    model.params += rng.normal(scale=0.1, size=model.params.size)  # biases off zero too
+    x = mean + scale * rng.normal(size=(n + offset, 6)) * rng.uniform(0.5, 3.0)
+    y = rng.normal(size=(n + offset, 2))
+    x_norm = np.subtract(x, mean)
+    x_norm /= scale
+    x, y, x_norm = x[offset:], y[offset:], x_norm[offset:]
+
+    loss, grad = loss_and_gradients(model, x, y)
+    scratch = StepScratch(model.layer_sizes, BATCH_SIZE)
+    for buf in (*scratch.acts, *scratch.deltas, scratch.terms):
+        buf.fill(np.nan)
+    loss_n, grad_n = loss_and_gradients(model, x_norm, y, scratch, normalized=True)
+    assert loss_n == loss and grad_n.tobytes() == grad.tobytes()
+    assert forward(model, x_norm, normalized=True).tobytes() == forward(model, x).tobytes()
 
 
 def _param_blocks(model, flat):
