@@ -84,7 +84,6 @@ from .scenario import (
     build_sweep,
     load_scenario,
     run_scenario,
-    save_scenario,
     scenario_trajectory,
 )
 from .scene import (

@@ -297,7 +297,7 @@ def _per_acquisition(
 
     A scenario's truth is that of its first row.
     """
-    _, first, group = np.unique(data.scenario_id, return_index=True, return_inverse=True)
+    _, first, group = data.scenario_groups()
     order = np.argsort(group, kind="stable")
     walks = np.split(order, np.cumsum(np.bincount(group))[:-1])
     init = np.array([np.median(initial[idx], axis=0) for idx in walks])

@@ -30,8 +30,9 @@ valid until the next call with that scratch.
 
 A dataset is a ``Dataset`` named tuple of column arrays, one field per
 ``dataset.csv`` column in file order. The sweep builds it once from per-frame
-row tuples, reading a file converts it a column at a time, and the split,
-the training and the evaluation work on whole columns.
+row tuples, ``read_dataset`` parses a file with one ``np.loadtxt`` call (or
+the csv module, where numpy would read it otherwise), and the split, the
+training and the evaluation work on whole columns.
 
 The pair is the one the initial estimator chose from the reported, bin-level
 detections, and its initial estimate uses those values. The network is fed
@@ -50,9 +51,11 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
-from functools import cache
-from itertools import islice
+from functools import cache, partial
+from itertools import count, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -138,6 +141,22 @@ class Dataset(NamedTuple):
     def n_rows(self) -> int:
         return len(self.frame_id)
 
+    def scenario_groups(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """The distinct scenario ids sorted, the row each first appears on, and each row's index into them.
+
+        What ``np.unique(scenario_id, return_index=True, return_inverse=True)``
+        gives; a dict finds each id's first row, so only distinct ids are sorted.
+        """
+        first_row: dict[str, int] = {}
+        first_of_row = np.fromiter(
+            map(first_row.setdefault, self.scenario_id, count()), np.intp, count=self.n_rows
+        )
+        ids = sorted(first_row)
+        first = np.fromiter(map(first_row.__getitem__, ids), np.intp, count=len(ids))
+        index_of_first = np.empty(self.n_rows, dtype=np.intp)
+        index_of_first[first] = np.arange(len(ids))
+        return ids, first, index_of_first[first_of_row]
+
     def take(self, index: np.ndarray) -> Dataset:
         """The rows a boolean mask or an index array selects, in that order."""
         return self._make(c[index] for c in self)
@@ -165,6 +184,12 @@ FEATURE_COLUMNS = (
 LABEL_COLUMNS = ("d_true_m", "h_true_m")
 _CELL_KINDS = tuple({"scenario_id": str, "frame_id": int}.get(c, float) for c in DATASET_COLUMNS)
 _COLUMN_DTYPES = tuple({str: object, int: np.int64}.get(k, float) for k in _CELL_KINDS)
+# a dataset row as loadtxt parses it: frame_id as text, which int() converts,
+# since numpy's int64 parser misreads (or crashes on) a non-ASCII cell
+_RECORD = np.dtype(
+    [(c, float if k is float else object) for c, k in zip(DATASET_COLUMNS, _CELL_KINDS)]
+)
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def sample_from_estimate(
@@ -212,9 +237,14 @@ def write_dataset(data: Dataset, path: str | Path) -> None:
 def read_dataset(path: str | Path) -> Dataset:
     """The columns of a ``write_dataset`` file; every numeric cell must be a finite number.
 
-    Cells are converted a column at a time, a float column straight into its
-    array with no list of cells; a malformed file raises ValueError naming
-    the file and the line of the first bad row or cell.
+    One ``np.loadtxt`` call parses the rows from the open file, with no copy
+    of its text: floats in C, ``frame_id`` as text then through ``int()``. A
+    file numpy cannot take, or would read otherwise than the csv module with
+    ``float()``/``int()`` (a blank line, which numpy skips; the separators
+    ``\\x1c``-``\\x1f`` around a float, or a cell over
+    ``csv.field_size_limit()``, which numpy takes), goes through the csv pass
+    instead. Either way a malformed file raises ValueError naming the file
+    and the line of the first bad row or cell.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -223,6 +253,64 @@ def read_dataset(path: str | Path) -> Dataset:
             raise ValueError(f"{path}: empty file, expected the dataset header")
         if tuple(header) != DATASET_COLUMNS:
             raise ValueError(f"{path}: unexpected dataset columns {tuple(header)!r}")
+        data = _parse_rows(fh) if _loadtxt_reads_as_csv(path) else None
+    return _read_cells(path) if data is None else data
+
+
+def _loadtxt_reads_as_csv(path: str | Path) -> bool:
+    """Whether the file has no byte on which loadtxt may read otherwise than the csv pass.
+
+    Such bytes are ``\\x1c``-``\\x1f`` (whitespace to numpy's float parser,
+    not to ``float()``) and 64 KiB without a line break, which a cell over
+    the csv field limit of 128 Ki characters needs.
+    """
+    with open(path, "rb") as fh:
+        for chunk in iter(partial(fh.read, 1 << 16), b""):
+            if not (b"\n" in chunk or b"\r" in chunk) or any(c in chunk for c in _SEPARATORS):
+                return False
+    return True
+
+
+def _parse_rows(fh: Iterable[str]) -> Dataset | None:
+    """The rows of ``fh`` parsed by loadtxt, or None for the csv pass to read and judge.
+
+    None when loadtxt refuses a cell, a float is not finite, a ``frame_id``
+    is no int64 to ``int()``, or the rows are fewer than the lines (a blank
+    line skipped, or a quoted cell spanning lines).
+    """
+    lines = count()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt's warning on a file of no rows
+            table = np.loadtxt(
+                map(itemgetter(0), zip(fh, lines)),  # counts the lines numpy reads
+                _RECORD, comments=None, delimiter=",", ndmin=1, quotechar='"',
+            )
+    except ValueError:
+        return None
+    if len(table) != next(lines):
+        return None
+    columns = []
+    for name, kind in zip(DATASET_COLUMNS, _CELL_KINDS):
+        cells = table[name]
+        if kind is int:
+            try:
+                values = np.fromiter(map(int, cells), np.int64, count=len(cells))
+            except (ValueError, OverflowError):
+                return None
+        else:
+            values = cells.copy()
+            if kind is float and not np.isfinite(values).all():
+                return None
+        columns.append(values)
+    return Dataset._make(columns)
+
+
+def _read_cells(path: str | Path) -> Dataset:
+    """The csv pass: the rows as lists of cells, converted by ``float()`` and ``int()``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header, checked by read_dataset
         rows = list(reader)
     if not rows:
         return Dataset.from_rows(())
@@ -290,6 +378,21 @@ def _combo_keys(data: Dataset) -> np.ndarray:
     return keys
 
 
+def _sorted_groups(keys: np.ndarray) -> tuple[int, np.ndarray]:
+    """The number of distinct rows of ``keys`` (n, 2) and each row's index into their sorted list.
+
+    What ``np.unique(keys, axis=0, return_inverse=True)`` gives: -0.0 and 0.0
+    are one key.
+    """
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    group = np.empty(len(keys), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return int(np.count_nonzero(starts)), group
+
+
 def _walk_index(scenario_id: str) -> int | None:
     if "_w" in scenario_id:
         tail = scenario_id.rsplit("_w", 1)[1]
@@ -310,25 +413,26 @@ def split_dataset(
     chosen by the seeded generator. On top of that, the highest-index walk of
     every remaining combination is held out: sweep walks stratify the mount
     height h_i in ascending order, so the last walk carries h_i values never
-    seen in training. Both parts keep the rows in file order.
+    seen in training. Both parts keep the rows in file order. Combinations
+    and scenario ids are numbered as ``np.unique`` would, without
+    sorting every row: by one ``np.lexsort`` and by ``Dataset.scenario_groups``.
     """
-    combos, combo = np.unique(_combo_keys(data), axis=0, return_inverse=True)
-    combo = combo.reshape(-1)
-    if held_out_combos >= len(combos):
+    n_combos, combo = _sorted_groups(_combo_keys(data))
+    if held_out_combos >= n_combos:
         raise ValueError(
-            f"cannot hold out {held_out_combos} of {len(combos)} combinations"
+            f"cannot hold out {held_out_combos} of {n_combos} combinations"
         )
     rng = rng_for(split_seed, 0x59117)
-    held_out = np.zeros(len(combos), dtype=bool)
-    held_out[rng.choice(len(combos), held_out_combos, replace=False)] = True
+    held_out = np.zeros(n_combos, dtype=bool)
+    held_out[rng.choice(n_combos, held_out_combos, replace=False)] = True
 
     # a walk's frames share its scenario id, so each id is parsed once; walks
     # are compared by rank, which keeps walk numbers of any size exact
-    ids, id_of_row = np.unique(data.scenario_id, return_inverse=True)
+    ids, _, id_of_row = data.scenario_groups()
     walk_of_id = [_walk_index(sid) for sid in ids]
     rank = {w: r for r, w in enumerate(sorted({w for w in walk_of_id if w is not None}))}
     walk = np.array([rank.get(w, -1) for w in walk_of_id], dtype=np.int64)[id_of_row]
-    last_walk = np.full(len(combos), -1)
+    last_walk = np.full(n_combos, -1)
     np.maximum.at(last_walk, combo, walk)
 
     test = held_out[combo] | ((walk >= 0) & (walk == last_walk[combo]))
@@ -589,8 +693,9 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()) -> TrainResult:
     step writes ``g*g`` into the buffer's second half, scales the buffer by
     ``(1 - b1)|(1 - b2)`` and the moments by ``b1|b2``, adds the buffer to
     the moments, then updates ``params`` in place through two preallocated
-    vectors. Each element goes through the textbook operations in their
-    order, so it is bit-identical to ``m = b1 m + (1 - b1) g``,
+    vectors: eleven numpy calls a step (one ``(2, P) / (2, 1)`` division in
+    place of the two measured slower). Each element goes through the textbook
+    operations in their order, so it is bit-identical to ``m = b1 m + (1 - b1) g``,
     ``v = b2 v + (1 - b2) g²`` and ``params -= lr (m / c1) / (sqrt(v / c2) + eps)``;
     ``tests/test_enhancer.py::test_train_matches_naive_reference_trainer``
     pins that against the naive trainer in ``tests/oracles.py``.

@@ -65,7 +65,6 @@ __all__ = [
     "ScenarioResult",
     "scenario_to_dict",
     "scenario_from_dict",
-    "save_scenario",
     "load_scenario",
     "run_scenario",
     "build_sweep",
@@ -140,12 +139,6 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     return from_dict(ScenarioConfig(), d)
-
-
-def save_scenario(sc: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(scenario_to_dict(sc), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

@@ -145,13 +145,21 @@ class Scatterer:
 
     ``radial_velocity_mps`` is the scatterer's own line-of-sight velocity
     relative to a stationary world (positive closing); the host's radial
-    velocity is added on top during synthesis.
+    velocity is added on top during synthesis. ``reflectivity`` must be
+    finite and >= 0, as ``clutter.reflectivity`` must.
     """
 
     x_m: float
     y_m: float
     reflectivity: float = 1.0
     radial_velocity_mps: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.reflectivity) and self.reflectivity >= 0.0):
+            raise ValueError(
+                f"scatterer at ({self.x_m!r}, {self.y_m!r}) m: reflectivity must be "
+                f"finite and >= 0, got {self.reflectivity!r}"
+            )
 
 
 def corner_scatterers(spec: StaircaseSpec, reflectivity: float = 1.0) -> list[Scatterer]:

@@ -6,6 +6,7 @@ bug in the library's vectorized code cannot hide in a shared shortcut.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -223,6 +224,61 @@ def naive_train(
 
 
 # --- datasets as lists of dicts, one per row, keyed by column name ---
+
+_DATASET_FILE_COLUMNS = (
+    "r1_m", "theta1_rad", "r2_m", "theta2_rad", "hr_m", "gamma_rad", "d_true_m", "h_true_m",
+    "scenario_id", "frame_id", "r1_fine_m", "theta1_fine_rad", "r2_fine_m", "theta2_fine_rad",
+)
+
+
+def naive_read_dataset(path) -> list[np.ndarray]:
+    """The columns of a dataset file, read a row at a time by the csv module.
+
+    Each cell goes through ``float()`` or ``int()`` on its own. Returns the
+    14 columns in file order: float64 arrays, ``scenario_id`` as an object
+    array of str and ``frame_id`` as int64. A bad file raises ValueError with
+    the message of ``read_dataset``: every row is checked for its width
+    first, then the cells column by column, and the line named is the one on
+    which the bad row ends.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected the dataset header")
+        if tuple(header) != _DATASET_FILE_COLUMNS:
+            raise ValueError(f"{path}: unexpected dataset columns {tuple(header)!r}")
+        rows, ends = [], []
+        for row in reader:
+            rows.append(row)
+            ends.append(reader.line_num)
+    for row, line in zip(rows, ends):
+        if len(row) != len(_DATASET_FILE_COLUMNS):
+            raise ValueError(f"{path}: line {line} has {len(row)} cells")
+    columns = []
+    for j, name in enumerate(_DATASET_FILE_COLUMNS):
+        values = []
+        for row, line in zip(rows, ends):
+            cell = row[j]
+            if name == "scenario_id":
+                values.append(cell)
+                continue
+            try:
+                value = int(cell) if name == "frame_id" else float(cell)
+            except ValueError:
+                value = None
+            if name == "frame_id":
+                if value is None or not -(2**63) <= value < 2**63:
+                    raise ValueError(f"{path}: line {line}: {name} {cell!r} is not an integer")
+            elif value is None or not math.isfinite(value):
+                raise ValueError(f"{path}: line {line}: {name} {cell!r} is not a finite number")
+            values.append(value)
+        dtype = {"scenario_id": object, "frame_id": np.int64}.get(name, np.float64)
+        column = np.empty(len(values), dtype=dtype)
+        column[:] = values
+        columns.append(column)
+    return columns
+
 
 
 def dataset_of(rows: list[dict]) -> Dataset:

@@ -139,17 +139,26 @@ def test_synthesis_preconditions():
         synthesize_frame(CFG, fast, [Scatterer(2.0, 0.0)], NOISELESS)
 
 
-@pytest.mark.parametrize("reflectivity", [1e155, 1e300, math.inf])
+@pytest.mark.parametrize("reflectivity", [1e155, 1e300])
 def test_noise_level_beyond_the_float_range_is_a_value_error(recwarn, reflectivity):
     # snr_db fixes the noise variance from the nearest return's squared
     # amplitude, which leaves the float range past about 1e154
     with pytest.raises(ValueError, match="noise level of snr_db 20 .* leaves the float range"):
         synthesize_frame(CFG, _frame(), [Scatterer(2.0, 0.0, reflectivity)], NoiseConfig(snr_db=20.0))
-    if math.isfinite(reflectivity):
-        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     # a return whose squared amplitude stays in range still synthesizes
     cube = synthesize_frame(CFG, _frame(), [Scatterer(2.0, 0.0, 1e150)], NoiseConfig(snr_db=20.0))
     assert np.isfinite(cube.samples).all()
+
+
+@pytest.mark.parametrize("reflectivity", [math.inf, math.nan, -math.inf, -1.0, -5e-324])
+def test_scatterer_reflectivity_must_be_finite_and_non_negative(recwarn, reflectivity):
+    # rejected where the scatterer is built, before synthesis can warn
+    with pytest.raises(ValueError, match=r"scatterer at \(2\.0, -0\.5\) m: reflectivity must be finite and >= 0"):
+        synthesize_frame(CFG, _frame(), [Scatterer(2.0, -0.5, reflectivity)], NoiseConfig(snr_db=20.0))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert Scatterer(2.0, -0.5, 0.0).reflectivity == 0.0
+    assert Scatterer(2.0, -0.5, -0.0).reflectivity == 0.0
 
 
 def test_noise_config_validation():

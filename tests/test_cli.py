@@ -19,7 +19,7 @@ from stairdim.enhancer import (
     write_dataset,
 )
 from stairdim.rf_params import RadarConfig, derive_attributes
-from stairdim.scenario import ScenarioConfig, load_scenario, save_scenario
+from stairdim.scenario import ScenarioConfig, load_scenario, scenario_to_dict
 from stairdim.scene import WalkConfig
 
 from oracles import dataset_of, naive_per_acquisition
@@ -31,7 +31,7 @@ R_RES = derive_attributes(RadarConfig()).range_resolution_m
 def short_config(tmp_path):
     sc = ScenarioConfig(name="short", seed=4, walk=WalkConfig(duration_s=1.2), noise=NOISELESS)
     path = tmp_path / "short.json"
-    save_scenario(sc, path)
+    path.write_text(json.dumps(scenario_to_dict(sc)))
     return path
 
 
@@ -80,7 +80,7 @@ def test_process_from_disk_equals_in_memory(tmp_path, short_config, capsys):
     # range profile in another order, which changes the last bit of about one
     # noisy frame in 50, so this leg runs a noisy 50-frame walk.
     noisy = tmp_path / "noisy.json"
-    save_scenario(ScenarioConfig(name="noisy", seed=4, walk=WalkConfig(duration_s=5.0)), noisy)
+    noisy.write_text(json.dumps(scenario_to_dict(ScenarioConfig(name="noisy", seed=4, walk=WalkConfig(duration_s=5.0)))))
     noisy_sim = tmp_path / "noisy_sim"
     assert cli.main(["simulate", "--config", str(noisy), "--out", str(noisy_sim)]) == 0
     interp_disk = tmp_path / "interp_disk"
@@ -474,6 +474,37 @@ def test_train_makes_the_calls_the_benchmark_tracer_wraps(tmp_path, monkeypatch)
     assert steps > 1  # the short last batch is among them
     # per epoch: the steps, then the forward passes of the two loss curves
     assert events == (["loss_and_gradients"] * steps + ["forward"] * 2) * epochs
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_train_and_evaluate_read_and_split_through_the_names_the_benchmark_tracer_wraps(
+    trained_run, tmp_path, monkeypatch, command
+):
+    """``train`` and ``evaluate`` each make one ``cli.read_dataset`` and one
+    ``cli.split_dataset`` call.
+
+    ``bench/tracing.py`` wraps those two names of ``cli`` for its
+    ``enhancer.read_dataset`` and ``enhancer.split_dataset`` spans, so a
+    command that read or split the dataset some other way, or more than once,
+    would leave the spans empty or count them twice.
+    """
+    events = []
+    for name in ("read_dataset", "split_dataset"):
+        fn = getattr(cli, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            events.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--dataset", str(trained_run / "dataset.csv")]
+    if command == "train":
+        argv += ["--epochs", "1"]
+    else:
+        argv += ["--model", str(trained_run / "model.json")]
+    assert cli.main(argv) == 0
+    assert events == ["read_dataset", "split_dataset"]
 
 
 @pytest.mark.parametrize(

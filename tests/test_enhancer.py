@@ -35,7 +35,7 @@ from stairdim.enhancer import (
 )
 from stairdim.numerics import rng_for
 
-from oracles import dataset_of, naive_split, naive_train, rows_of
+from oracles import dataset_of, naive_read_dataset, naive_split, naive_train, rows_of
 
 
 def _ct(x, y, mag=1.0, fine_dr=0.0, fine_dth=0.0):
@@ -606,6 +606,13 @@ def test_read_dataset_rejects_foreign_header(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="bad.csv: empty file"):
         read_dataset(path)
+    # a blank line, which the csv module reads as a row of 0 cells, mid-file
+    # and at the end
+    row = ",".join(["1.0"] * 8 + ["d30h15_w0", "0"] + ["1.0"] * 4)
+    for lines, bad_line in (([row, "", row], 3), ([row, row, ""], 4), ([""], 2)):
+        path.write_text("\r\n".join([",".join(DATASET_COLUMNS), *lines]) + "\r\n", newline="")
+        with pytest.raises(ValueError, match=f"bad.csv: line {bad_line} has 0 cells"):
+            read_dataset(path)
 
 
 @pytest.mark.parametrize(
@@ -617,6 +624,9 @@ def test_read_dataset_rejects_foreign_header(tmp_path):
         ("d_true_m", "thirty", "d_true_m 'thirty' is not a finite number"),
         ("frame_id", "2.5", "frame_id '2.5' is not an integer"),
         ("frame_id", "9223372036854775808", "frame_id '9223372036854775808' is not an integer"),
+        ("frame_id", "2.0", "frame_id '2.0' is not an integer"),
+        # numpy's own int64 parser would read this as 462
+        ("frame_id", "\u01fe", "frame_id '\u01fe' is not an integer"),
     ],
 )
 def test_read_dataset_rejects_bad_cells(tmp_path, column, cell, message):
@@ -630,6 +640,137 @@ def test_read_dataset_rejects_bad_cells(tmp_path, column, cell, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"bad.csv: line 4: {message}"):
         read_dataset(path)
+
+
+def _dataset_file(tmp_path, rows, line_end="\r\n", trailing=True):
+    """A dataset file of the header and the given lines of text."""
+    path = tmp_path / "odd.csv"
+    text = line_end.join([",".join(DATASET_COLUMNS), *rows]) + (line_end if trailing else "")
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
+
+
+def _read_both(path):
+    """``read_dataset`` and ``naive_read_dataset`` of one file: their columns, or their error."""
+    out = []
+    for read in (read_dataset, naive_read_dataset):
+        try:
+            columns = read(path)
+        except ValueError as exc:
+            out.append(str(exc))
+        else:
+            out.append([(c.dtype, c.tolist() if c.dtype == object else c.tobytes()) for c in columns])
+    return out
+
+
+@pytest.mark.parametrize(
+    "column, cell, value",
+    [
+        # comments are off: a '#' is text like any other
+        ("scenario_id", "#d30h15_w0", "#d30h15_w0"),
+        ("scenario_id", " d30 # h15 ", " d30 # h15 "),
+        ("theta2_fine_rad", "1.5#", None),
+        # what float() and int() take, and numpy's parser does not
+        ("r1_m", "1_0.5", 10.5),
+        ("r1_m", "\u0661.5", 1.5),
+        ("frame_id", "1_0", 10),
+        ("frame_id", "\u0663", 3),
+        # what both take
+        ("frame_id", " 3", 3),
+        ("frame_id", "+4", 4),
+        ("r1_m", " 1.5 ", 1.5),
+        ("r1_m", "\u20031.5\xa0", 1.5),
+        # ASCII separators numpy strips from a float as whitespace, float() does not
+        ("r1_m", "\x1c1.5", None),
+        ("theta2_fine_rad", "1.5\x1f", None),
+    ],
+)
+def test_read_dataset_reads_odd_cells_as_the_csv_module_and_python_do(tmp_path, column, cell, value):
+    plain = {"scenario_id": "d30h15_w0", "frame_id": 7}
+    cells = [str(plain.get(c, 0.25)) for c in DATASET_COLUMNS]
+    row = ",".join(cells)
+    cells[DATASET_COLUMNS.index(column)] = cell
+    path = _dataset_file(tmp_path, [row, ",".join(cells), row])
+    got, expected = _read_both(path)
+    assert got == expected
+    if value is None:
+        assert isinstance(got, str) and f"line 3: {column} {cell!r} is not" in got
+    else:
+        other = plain.get(column, 0.25)
+        assert getattr(read_dataset(path), column).tolist() == [other, value, other]
+
+
+# ids and floats that stress the file format: delimiters, quotes, line
+# breaks, '#', padding, non-ASCII text, the empty id; signed zeros,
+# subnormals and the float range's ends; frame ids at both int64 ends
+_FILE_IDS = st.one_of(
+    st.text(st.sampled_from([",", '"', "\r", "\n", "#", " ", "_", "w", "1", "é", "\u2028", "\x1c"]), max_size=6),
+    st.text(max_size=4),
+)
+_FILE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+_FILE_FRAME_IDS = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), 2**63 - 1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(*[_FILE_FLOATS] * 8, _FILE_IDS, _FILE_FRAME_IDS, *[_FILE_FLOATS] * 4), max_size=6
+    )
+)
+def test_read_dataset_equals_naive_reader(tmp_path_factory, rows):
+    data = Dataset.from_rows(rows)
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_dataset(data, path)
+    got, expected = _read_both(path)
+    assert got == expected
+    assert got == [(c.dtype, c.tolist() if c.dtype == object else c.tobytes()) for c in data]
+
+
+# hand-edited cells: a number inside padding, or any short text
+_PADDING = st.text(
+    st.sampled_from([" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\x85", "\u2003", "\u200b", "\ufeff", "\x00"]),
+    max_size=2,
+)
+_CORES = st.one_of(
+    st.sampled_from(
+        ["1.5", "-0.0", "1_0.5", "\u0663", "\u01fe", "1e999", "nan", "inf", "", "2.0", "+4", "0x10",
+         "9223372036854775808", "-9223372036854775809", "4.9e-324", "1.5#", '"1.5"', "1\"5", "#"]
+    ),
+    st.from_regex(r"[-+]?[0-9_]{0,3}\.?[0-9]{0,2}([eE][-+]?[0-9]{1,3})?", fullmatch=True),
+    st.text(max_size=3),
+)
+_ODD_CELLS = st.builds(lambda a, b, c: a + b + c, _PADDING, _CORES, _PADDING)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 13), _ODD_CELLS), max_size=3),
+    st.lists(st.integers(0, 4), max_size=2),
+    st.sampled_from(["\r\n", "\n", "\r"]),
+    st.booleans(),
+)
+@example([(1, 13, "1.5#")], [], "\r\n", True)  # a comment character would cut this cell short
+@example([], [2], "\r\n", True)  # a blank line mid-file
+@example([], [4], "\n", True)  # and at the end
+def test_read_dataset_equals_naive_reader_on_hand_edited_files(
+    tmp_path_factory, edits, blank_lines, line_end, trailing
+):
+    rng = np.random.default_rng(97)
+    rows = [
+        [repr(v) if isinstance(v, float) else str(v) for v in _random_sample(rng, fid=i).values()]
+        for i in range(4)
+    ]
+    for i, j, cell in edits:
+        rows[i][j] = cell
+    lines = [",".join(r) for r in rows]
+    for at in blank_lines:
+        lines.insert(at, "")
+    path = _dataset_file(tmp_path_factory.getbasetemp(), lines, line_end, trailing)
+    got, expected = _read_both(path)
+    assert got == expected
 
 
 # --- splitting ---
@@ -706,8 +847,13 @@ _SPLIT_IDS = st.one_of(
 @st.composite
 def _split_rows(draw):
     n = draw(st.integers(1, 40))
-    # labels on a half-millimetre grid, so some round half to even
-    label = st.integers(0, 12).map(lambda k: 0.26 + k / 2000)
+    # labels on a half-millimetre grid, so some round half to even; near 0,
+    # keys of -0.0 and of negative millimetres, and -0.0 groups with 0.0
+    label = st.one_of(
+        st.integers(0, 12).map(lambda k: 0.26 + k / 2000),
+        st.integers(-3, 3).map(lambda k: k / 2000),
+        st.just(-0.0),
+    )
     return [
         dict(
             _random_sample(np.random.default_rng(i), sid=draw(_SPLIT_IDS), fid=i),

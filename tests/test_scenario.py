@@ -35,7 +35,6 @@ from stairdim.scenario import (
     hash_name,
     load_scenario,
     run_scenario,
-    save_scenario,
     scenario_from_dict,
     scenario_scatterers,
     scenario_to_dict,
@@ -125,7 +124,7 @@ def test_scenario_serialization_round_trip():
 def test_scenario_file_round_trip(tmp_path):
     sc = ScenarioConfig(name="file", seed=7)
     path = tmp_path / "scenario.json"
-    save_scenario(sc, path)
+    path.write_text(json.dumps(scenario_to_dict(sc)))
     back = load_scenario(path)
     assert back.name == "file" and back.seed == 7
     assert back.radar == sc.radar
