@@ -25,7 +25,8 @@ bit-exact; in-memory synthesis keeps complex128 so that linearity holds to
 tight tolerances, and the wire format quantizes to complex64. A cube whose
 complex64 form is not finite (a part beyond the float32 range, a level set
 by ``noise.power``, ``snr_db`` and the reflectivities) is refused by
-:func:`save_cube` and :func:`quantize_to_wire` alike.
+:func:`save_cube` and :func:`quantize_to_wire` alike, and :func:`load_cube`
+refuses a file with a non-finite sample. Each tests the complex64 form once.
 """
 
 from __future__ import annotations
@@ -115,9 +116,26 @@ class ChirpCube:
         )
         if self.samples.shape != expected:
             raise ValueError(f"cube shape {self.samples.shape} != config shape {expected}")
-        # the real view of a complex cube tests both parts in one pass
-        if not np.isfinite(self.samples.view(self.samples.real.dtype)).all():
+        if not _finite(self.samples):
             raise ValueError("cube contains non-finite samples")
+
+
+def _finite(samples: np.ndarray) -> bool:
+    """Whether every part of a complex array is finite."""
+    # the real view tests both parts in one pass
+    return bool(np.isfinite(samples.view(samples.real.dtype)).all())
+
+
+def _from_wire(wire: np.ndarray, config: RadarConfig, meta: FrameMeta) -> ChirpCube:
+    """A cube of complex64 ``wire`` samples of the configured shape, already tested finite.
+
+    The samples are widened to C-ordered complex128 without ChirpCube's own
+    checks, which the widened copy of a finite complex64 array cannot fail.
+    """
+    cube = object.__new__(ChirpCube)
+    cube.samples = wire.astype(np.complex128, order="C")
+    cube.config, cube.meta = config, meta
+    return cube
 
 
 class SceneArrays(NamedTuple):
@@ -259,7 +277,7 @@ def _wire_samples(samples: np.ndarray) -> np.ndarray:
     """``samples`` as C-ordered complex64; ValueError if any part leaves the float32 range."""
     with np.errstate(over="ignore"):  # an overflow is reported below
         wire = samples.astype(np.complex64, order="C")
-    if not np.isfinite(wire.view(np.float32)).all():
+    if not _finite(wire):
         raise ValueError(
             f"cube samples exceed the float32 wire range (+-{np.finfo(np.float32).max:.4g}); "
             "lower noise.power, raise snr_db or lower clutter.reflectivity"
@@ -274,8 +292,7 @@ def quantize_to_wire(cube: ChirpCube) -> ChirpCube:
     the DSP makes in-memory pipelines bit-identical to save/load round trips.
     A cube the wire cannot hold raises the same ValueError as :func:`save_cube`.
     """
-    samples = _wire_samples(cube.samples).astype(np.complex128)
-    return ChirpCube(samples=samples, config=cube.config, meta=cube.meta)
+    return _from_wire(_wire_samples(cube.samples), cube.config, cube.meta)
 
 
 def save_cube(cube: ChirpCube, path: str | Path) -> None:
@@ -303,7 +320,7 @@ def load_cube(path: str | Path, config: RadarConfig) -> ChirpCube:
     """Read a cube file; the chirp configuration comes from the sidecar.
 
     The header carries only the axis sizes, which are validated against the
-    supplied configuration.
+    supplied configuration. A file holding a non-finite sample is refused.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -323,10 +340,10 @@ def load_cube(path: str | Path, config: RadarConfig) -> ChirpCube:
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")
     flat = np.frombuffer(raw, dtype=np.complex64, offset=_HEADER.size)
-    # widened straight into C order, so ChirpCube need not copy it again
-    samples = flat.reshape(n_a, n_p, n_s).transpose(2, 1, 0).astype(np.complex128, order="C")
-    return ChirpCube(
-        samples=samples,
-        config=config,
-        meta=FrameMeta(timestamp_s=t, gamma_rad=gamma, v_host_mps=v_host),
+    if not _finite(flat):
+        raise ValueError(f"{path}: cube contains non-finite samples")
+    return _from_wire(
+        flat.reshape(n_a, n_p, n_s).transpose(2, 1, 0),
+        config,
+        FrameMeta(timestamp_s=t, gamma_rad=gamma, v_host_mps=v_host),
     )

@@ -17,6 +17,13 @@ Stage order for one frame:
    power profile as a row of one batch; a second CA-CFAR along the rows
    yields each range's angles. Centered bin b maps to theta = arcsin(2 b /
    fft_len). Exhaustive AoA runs the batch over every bin and masks it.
+   The batch is angle-major, (fft_len, bins) in memory, so the kernels along
+   the angle axis read contiguous blocks. Per batch it holds one complex
+   spectra buffer, released once the fftshifted magnitudes are written
+   straight into one float power buffer and squared in place; then the
+   CFAR's running sums and one buffer of window sums, formed in place.
+   Every operation is the one the out-of-place form makes, in its order,
+   so the results are the same to the bit.
 5. Every entry also carries sub-bin positions of its peaks: a three-point
    parabola through the range peak of the accumulated profile and through
    each angle peak of the angular power profile. The parabolas are fitted at
@@ -256,22 +263,33 @@ def accumulate_range_profile(sl: StationarySlice) -> np.ndarray:
 
 
 def _cfar_mask(power: np.ndarray, cfg: CfarConfig) -> np.ndarray:
-    """CA-CFAR along the last axis, one-sided at the edges; each row sees only its own cells."""
-    n = power.shape[-1]
+    """CA-CFAR along the last axis, one-sided at the edges; each row sees only its own cells.
+
+    The arithmetic runs along the first axis of ``power.T``, which is
+    contiguous for the angle-major batch of :func:`_aoa_spectra`.
+    """
+    x = power.T
+    n = x.shape[0]
     t, g = cfg.training_cells, cfg.guard_cells
-    counts, alpha = _cfar_window(n, cfg)
-    if not np.isfinite(power).all():
+    counts, alpha = (a.reshape((n,) + (1,) * (x.ndim - 1)) for a in _cfar_window(n, cfg))
+    if not np.isfinite(x).all():
         raise ValueError("profile contains non-finite values")
     # running sums with t + g cells of margin on either side, 0 before the
     # profile and its total after it, so every cell's window bounds are plain
     # slices: left window [i-g-t, i-g), right window (i+g, i+g+t]
     m = t + g
-    cs = np.zeros(power.shape[:-1] + (n + 2 * m + 1,))
-    power.cumsum(axis=-1, out=cs[..., m + 1 : m + 1 + n])
-    cs[..., m + 1 + n :] = cs[..., m + n : m + n + 1]
-    left = cs[..., t : t + n] - cs[..., :n]
-    sums = left + (cs[..., 2 * m + 1 :] - cs[..., m + g + 1 : m + g + 1 + n])
-    return power > alpha * sums / counts
+    cs = np.zeros((n + 2 * m + 1,) + x.shape[1:])
+    x.cumsum(axis=0, out=cs[m + 1 : m + 1 + n])
+    cs[m + 1 + n :] = cs[m + n : m + n + 1]
+    # left + right, then alpha * sums / counts, the same IEEE operations in
+    # the same order, in the one buffer of the left sums
+    sums = cs[t : t + n] - cs[:n]
+    right = cs[2 * m + 1 :] - cs[m + g + 1 : m + g + 1 + n]
+    del cs
+    sums += right
+    sums *= alpha
+    sums /= counts
+    return (x > sums).T
 
 
 @functools.lru_cache(maxsize=16)
@@ -293,11 +311,15 @@ def _cfar_window(n: int, cfg: CfarConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _local_max_mask(power: np.ndarray) -> np.ndarray:
-    """Cells >= the left and > the right neighbour along the last axis; edges compare inward."""
-    mask = np.ones(power.shape, dtype=bool)
-    mask[..., 1:] = power[..., 1:] >= power[..., :-1]
-    mask[..., :-1] &= power[..., :-1] > power[..., 1:]
-    return mask
+    """Cells >= the left and > the right neighbour along the last axis; edges compare inward.
+
+    Like :func:`_cfar_mask`, it compares along the first axis of ``power.T``.
+    """
+    x = power.T
+    mask = np.ones(x.shape, dtype=bool)
+    np.greater_equal(x[1:], x[:-1], out=mask[1:])
+    mask[:-1] &= x[:-1] > x[1:]
+    return mask.T
 
 
 def cfar_detect(profile: np.ndarray, cfg: CfarConfig) -> np.ndarray:
@@ -333,11 +355,21 @@ def _vertex_offset(values: list[float], i: int) -> float:
 
 
 def _aoa_spectra(channels: np.ndarray, cfg: DspConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Angular power rows (fftshifted) of channel snapshots, and their CFAR local-max mask."""
-    spectra = numerics.fft(channels, n=cfg.aoa_fft_len)
-    half = cfg.aoa_fft_len // 2  # fftshift, without np.roll's overhead on a single row
-    power = np.abs(np.concatenate((spectra[..., -half:], spectra[..., :-half]), axis=-1))
+    """Angular power rows (fftshifted) of channel snapshots, and their CFAR local-max mask.
+
+    The batch is angle-major: the rows come back as the ``.T`` views of
+    (fft_len, rows) arrays, so that the kernels along the angle axis read
+    contiguous blocks of memory.
+    """
+    n, half = cfg.aoa_fft_len, cfg.aoa_fft_len // 2
+    spectra = numerics.fft(np.ascontiguousarray(channels.T), n=n, axis=0)
+    # fftshift: the magnitudes of the two halves written straight into place
+    power = np.empty(spectra.shape)
+    np.abs(spectra[n - half :], out=power[:half])
+    np.abs(spectra[: n - half], out=power[half:])
+    del spectra
     power *= power
+    power = power.T
     peaks = _cfar_mask(power, cfg.aoa_cfar)
     peaks &= _local_max_mask(power)
     return power, peaks

@@ -57,7 +57,7 @@ from functools import cache, partial
 from itertools import count, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -247,14 +247,25 @@ def read_dataset(path: str | Path) -> Dataset:
     and the line of the first bad row or cell.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(_csv_rows(path, fh), None)
         if header is None:
             raise ValueError(f"{path}: empty file, expected the dataset header")
         if tuple(header) != DATASET_COLUMNS:
             raise ValueError(f"{path}: unexpected dataset columns {tuple(header)!r}")
         data = _parse_rows(fh) if _loadtxt_reads_as_csv(path) else None
     return _read_cells(path) if data is None else data
+
+
+def _csv_rows(path: str | Path, fh: IO[str]) -> Iterator[list[str]]:
+    """The csv module's rows of ``fh``; a ValueError naming the line for a cell it refuses.
+
+    The csv module refuses a cell longer than ``csv.field_size_limit()``.
+    """
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _loadtxt_reads_as_csv(path: str | Path) -> bool:
@@ -309,9 +320,7 @@ def _parse_rows(fh: Iterable[str]) -> Dataset | None:
 def _read_cells(path: str | Path) -> Dataset:
     """The csv pass: the rows as lists of cells, converted by ``float()`` and ``int()``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # the header, checked by read_dataset
-        rows = list(reader)
+        rows = list(islice(_csv_rows(path, fh), 1, None))  # the header is read_dataset's to check
     if not rows:
         return Dataset.from_rows(())
     width = len(DATASET_COLUMNS)
@@ -356,8 +365,12 @@ def _line_of_row(path: str | Path, index: int) -> int:
 
 
 def dataset_fingerprint(path: str | Path) -> str:
-    """sha256 of the dataset file, recorded into trained model files."""
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """sha256 of the dataset file, recorded into trained model files; read in 64 KiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(partial(fh.read, 1 << 16), b""):
+            digest.update(chunk)
+    return "sha256:" + digest.hexdigest()
 
 
 # --- train/test split ---

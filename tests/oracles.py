@@ -239,19 +239,24 @@ def naive_read_dataset(path) -> list[np.ndarray]:
     array of str and ``frame_id`` as int64. A bad file raises ValueError with
     the message of ``read_dataset``: every row is checked for its width
     first, then the cells column by column, and the line named is the one on
-    which the bad row ends.
+    which the bad row ends. A cell the csv module refuses (one longer than
+    ``csv.field_size_limit()``) raises ValueError naming the line it was
+    read on.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected the dataset header")
-        if tuple(header) != _DATASET_FILE_COLUMNS:
-            raise ValueError(f"{path}: unexpected dataset columns {tuple(header)!r}")
         rows, ends = [], []
-        for row in reader:
-            rows.append(row)
-            ends.append(reader.line_num)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected the dataset header")
+            if tuple(header) != _DATASET_FILE_COLUMNS:
+                raise ValueError(f"{path}: unexpected dataset columns {tuple(header)!r}")
+            for row in reader:
+                rows.append(row)
+                ends.append(reader.line_num)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     for row, line in zip(rows, ends):
         if len(row) != len(_DATASET_FILE_COLUMNS):
             raise ValueError(f"{path}: line {line} has {len(row)} cells")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_dft
+from stairdim import chirp_sim
 from stairdim.chirp_sim import (
     CUBE_MAGIC,
     NOISELESS,
@@ -220,6 +221,30 @@ def test_load_cube_validation(tmp_path):
 
     with pytest.raises(ValueError):
         load_cube(frame_path, RadarConfig(samples_per_chirp=128))
+
+    not_finite = tmp_path / "nan.bin"
+    part = 64 + 8 * 1000 + 4  # the imaginary part of one sample
+    not_finite.write_bytes(bytes(raw[:part]) + np.float32(math.nan).tobytes() + bytes(raw[part + 4 :]))
+    with pytest.raises(ValueError, match="nan.bin: cube contains non-finite samples"):
+        load_cube(not_finite, CFG)
+
+
+def test_wire_cubes_are_tested_finite_once_in_their_complex64_form(tmp_path, monkeypatch):
+    cube = synthesize_frame(CFG, _frame(), [Scatterer(2.0, 0.1)], NoiseConfig(snr_db=20.0), seed=2)
+    path = tmp_path / "frame.bin"
+    save_cube(cube, path)
+    tested = []
+    finite = chirp_sim._finite
+    monkeypatch.setattr(chirp_sim, "_finite", lambda a: tested.append(a.dtype) or finite(a))
+    for make in (lambda: quantize_to_wire(cube), lambda: load_cube(path, CFG)):
+        tested.clear()
+        wired = make()
+        assert tested == [np.dtype(np.complex64)]
+        assert wired.samples.dtype == np.complex128 and wired.samples.flags.c_contiguous
+    # a cube built directly is still tested
+    tested.clear()
+    ChirpCube(cube.samples, CFG, cube.meta)
+    assert tested == [np.dtype(np.complex128)]
 
 
 def test_synthesis_returns_c_ordered_samples():

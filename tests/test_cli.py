@@ -537,6 +537,16 @@ def test_malformed_dataset_exits_with_one_line(trained_run, tmp_path, capsys, li
     assert _one_line_error(capsys) == err
 
 
+def test_dataset_cell_over_the_csv_field_limit_exits_with_one_line(tmp_path, capsys):
+    bad = tmp_path / "long.csv"
+    cells = {c: "0.25" for c in enhancer.DATASET_COLUMNS}
+    cells.update(scenario_id="w" * 200_000, frame_id="0")
+    bad.write_text(",".join(enhancer.DATASET_COLUMNS) + "\n" + ",".join(cells.values()) + "\n")
+    assert cli.main(["train", "--out", str(tmp_path / "o"), "--dataset", str(bad)]) == 1
+    err = _one_line_error(capsys)
+    assert f"{bad}: line 2: field larger than field limit" in err
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", "5", '"model"', "{not json"])
 def test_evaluate_rejects_model_file_that_is_not_an_object(trained_run, tmp_path, capsys, text):
     bad = tmp_path / "bad_model.json"

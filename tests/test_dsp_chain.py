@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,7 @@ from stairdim.dsp_chain import (
     TargetEntry,
     TargetList,
     _cfar_mask,
+    _local_max_mask,
     _vertex_offset,
     accumulate_range_profile,
     aoa_on_targets,
@@ -250,6 +252,19 @@ def test_cfar_rows_of_the_batch_kernel_equal_one_row_detection(case):
 
 
 @settings(max_examples=100, deadline=None)
+@given(_cfar_cases())
+def test_cfar_and_local_max_masks_do_not_depend_on_the_memory_layout(case):
+    # the AoA batch is angle-major, a test's rows are row-major: the same
+    # operations in the same order either way, so the masks match to the cell
+    power, cfg = case
+    angle_major = np.asfortranarray(power)
+    for c in (cfg, replace(cfg, pfa=0.2)):
+        assert np.array_equal(_cfar_mask(angle_major, c), _cfar_mask(power, c))
+    assert np.array_equal(_local_max_mask(angle_major), _local_max_mask(power))
+    assert np.array_equal(_local_max_mask(power[0]), _local_max_mask(power)[0])
+
+
+@settings(max_examples=100, deadline=None)
 @given(_cfar_cases(rows=st.just(1)), st.floats(1e-9, 0.5), st.floats(1e-9, 0.5))
 def test_cfar_detections_grow_with_pfa(case, pfa_a, pfa_b):
     power, cfg = case
@@ -406,6 +421,23 @@ def test_exhaustive_frame_makes_one_aoa_fft(monkeypatch):
         calls.clear()
         assert len(process_frame(cube, cfg).entries) >= 2
         assert len(calls) == 2
+
+
+def test_exhaustive_frame_peak_memory_stays_under_two_and_a_half_cubes():
+    cube, _, _ = _staircase_cube(seed=2)
+    cfg = DspConfig(exhaustive_aoa=True, peak_interp=True)
+    process_frame(cube, cfg)  # fills per-shape caches
+    tracemalloc.start()
+    try:
+        process_frame(cube, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the complex AoA spectra (one cube size, released before CFAR), then the
+    # power, the CFAR's running sums and its left and right window sums: 2.3
+    # cube sizes, where a concatenated copy of the spectra and out-of-place
+    # window arithmetic took 4.7
+    assert peak < 2.5 * cube.samples.nbytes
 
 
 # --- full frame pipeline ---

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import math
 
@@ -698,6 +700,26 @@ def test_read_dataset_reads_odd_cells_as_the_csv_module_and_python_do(tmp_path, 
     else:
         other = plain.get(column, 0.25)
         assert getattr(read_dataset(path), column).tolist() == [other, value, other]
+
+
+def test_read_dataset_names_the_line_of_a_cell_over_the_csv_field_limit(tmp_path):
+    refused = f"field larger than field limit ({csv.field_size_limit()})"
+    cells = [str({"scenario_id": "d30h15_w0", "frame_id": 7}.get(c, 0.25)) for c in DATASET_COLUMNS]
+    row = ",".join(cells)
+    cells[DATASET_COLUMNS.index("scenario_id")] = "w" * 200_000
+    path = _dataset_file(tmp_path, [row, ",".join(cells), row])
+    assert _read_both(path) == [f"{path}: line 3: {refused}"] * 2
+    path.write_text("w" * 200_000 + "\n" + row + "\n")
+    assert _read_both(path) == [f"{path}: line 1: {refused}"] * 2
+
+
+def test_dataset_fingerprint_is_the_sha256_of_the_whole_file(tmp_path):
+    rng = np.random.default_rng(16)
+    path = tmp_path / "dataset.csv"
+    # empty, shorter than one 64 KiB chunk, one chunk exactly, and a partial last chunk
+    for size in (0, 1, 1 << 16, 3 * (1 << 16) + 5):
+        path.write_bytes(rng.bytes(size))
+        assert dataset_fingerprint(path) == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # ids and floats that stress the file format: delimiters, quotes, line
