@@ -51,20 +51,19 @@ print(f"trained {len(res.train_loss)} epochs, "
 
 enhanced = forward(res.model, test_set.features())
 
-report = build_error_report(test_set.initial_estimate(), enhanced, test_set.labels())
+report = build_error_report(
+    {"initial": test_set.initial_estimate(), "enhanced": enhanced}, test_set.labels()
+)
 print("\nheld-out per-frame errors (cm):")
 print("              mae     rmse    sigma     bias")
-for label, m in (
-    ("depth  in ", report.initial_depth),
-    ("depth  out", report.enhanced_depth),
-    ("height in ", report.initial_height),
-    ("height out", report.enhanced_height),
-):
-    print(f"  {label} {m.mae_cm:7.3f} {m.rmse_cm:8.3f} {m.sigma_cm:8.3f} {m.bias_cm:+8.3f}")
+for dim in ("depth", "height"):
+    for name, tag in (("initial", "in "), ("enhanced", "out")):
+        m = report[name][dim]
+        print(f"  {dim:<6} {tag} {m.mae_cm:7.3f} {m.rmse_cm:8.3f} {m.sigma_cm:8.3f} {m.bias_cm:+8.3f}")
 
 summary = compare_estimators(report)
 print("\nrelative improvement (positive = enhanced is better):")
-for dim, imps in (("depth", summary.depth), ("height", summary.height)):
-    parts = ", ".join(f"{k} {v * 100:+.1f}%" for k, v in imps.items())
+for dim in ("depth", "height"):
+    parts = ", ".join(f"{k} {v * 100:+.1f}%" for k, v in summary[dim].items())
     print(f"  {dim}: {parts}")
-print(f"all metrics improved: {summary.all_metrics_improved}")
+print(f"all metrics improved: {summary['all_metrics_improved']}")

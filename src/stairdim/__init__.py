@@ -70,7 +70,6 @@ from .enhancer import (
 )
 from .evaluation import (
     DimensionMetrics,
-    ErrorReport,
     build_error_report,
     compare_estimators,
     compute_metrics,

@@ -10,10 +10,14 @@ Subcommands map to the pipeline stages:
 
 ``sweep`` builds its dataset as one ``enhancer.Dataset`` of column arrays;
 ``train`` and ``evaluate`` read ``dataset.csv`` back into that form, split it,
-and work on whole columns.
+and work on whole columns. ``evaluate`` names its estimators once, in
+``evaluate_split``; the report, its histograms and the printed line follow
+that dict, one block, two ``hist_<estimator>_<dimension>.csv`` files and one
+MAE column per estimator.
 
 Every command honors --seed and writes a manifest.json entry (config hash,
-seed, versions; no timestamps, so fixed-seed reruns are byte-identical).
+seed, versions; no timestamps, so fixed-seed reruns are byte-identical). All
+JSON goes through ``codec.read_json`` and ``codec.write_json``.
 Exit codes: 0 success, 1 validation error or diverged training, 2 I/O error.
 """
 
@@ -32,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .chirp_sim import load_cube, save_cube, scene_arrays
-from .codec import to_dict
+from .codec import read_json_object, to_dict, write_json
 from .dimension import aggregate_estimates, estimate_initial
 from .dsp_chain import DspConfig, process_frame, write_target_lists
 from .enhancer import (
@@ -52,7 +56,7 @@ from .enhancer import (
     train,
     write_dataset,
 )
-from .evaluation import build_error_report, report_to_dict, write_histogram_csv
+from .evaluation import DIMENSIONS, build_error_report, report_to_dict, write_histogram_csv
 from .scene import Trajectory, corners_of
 from .scenario import (
     ScenarioConfig,
@@ -81,11 +85,9 @@ def _config_hash(sc: ScenarioConfig) -> str:
 
 def _write_manifest(out_dir: Path, command: str, entry: dict) -> None:
     path = out_dir / "manifest.json"
-    doc = {}
-    if path.exists():
-        doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = read_json_object(path) if path.exists() else {}
     doc[command] = entry
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(doc, path)
 
 
 def _dsp_overrides(dsp: DspConfig, args: argparse.Namespace) -> DspConfig:
@@ -118,9 +120,7 @@ def _write_sidecar(sc: ScenarioConfig, trajectory: Trajectory, out_dir: Path) ->
         "d_true_m": sc.staircase.depth_m,
         "h_true_m": sc.staircase.height_m,
     }
-    (out_dir / "sidecar.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(sidecar, out_dir / "sidecar.json")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -175,7 +175,7 @@ def cmd_process(args: argparse.Namespace) -> int:
         given = Path(args.cubes)
         run_dir = given if (given / "sidecar.json").exists() else given.parent
         cube_dir = given / "cubes" if (given / "cubes").is_dir() else given
-        sidecar = json.loads((run_dir / "sidecar.json").read_text(encoding="utf-8"))
+        sidecar = read_json_object(run_dir / "sidecar.json")
         sc = _apply_overrides(scenario_from_dict(sidecar["scenario"]), args)
         paths = sorted(cube_dir.glob("frame_*.bin"))
         if not paths:
@@ -196,11 +196,7 @@ def cmd_process(args: argparse.Namespace) -> int:
         target_lists, estimates = result.target_lists, result.estimates
 
     write_target_lists(target_lists, out_dir / "targets.jsonl")
-    (out_dir / "report.json").write_text(
-        json.dumps(_report_from_estimates(estimates, target_lists), indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
+    write_json(_report_from_estimates(estimates, target_lists), out_dir / "report.json")
     _write_manifest(
         out_dir,
         "process",
@@ -260,15 +256,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         result = train(train_split, cfg)
     fingerprint = dataset_fingerprint(dataset_path)
     save_model(result.model, out_dir / "model.json", train_config=cfg, fingerprint=fingerprint)
-    (out_dir / "training_curve.json").write_text(
-        json.dumps(
-            {"train_loss": result.train_loss, "val_loss": result.val_loss},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    curve = {"train_loss": result.train_loss, "val_loss": result.val_loss}
+    write_json(curve, out_dir / "training_curve.json")
     _write_manifest(
         out_dir,
         "train",
@@ -287,37 +276,32 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _per_acquisition(
-    data: Dataset,
-    initial: np.ndarray,
-    enhanced: np.ndarray,
-    truths: np.ndarray,
-):
-    """Median-aggregate the per-frame initial/enhanced rows per scenario, ids sorted.
+def _per_acquisition(data: Dataset, estimates: dict[str, np.ndarray], truths: np.ndarray):
+    """Median-aggregate each estimator's per-frame rows per scenario, ids sorted.
 
-    A scenario's truth is that of its first row.
+    Returns the per-scenario estimates, keyed as ``estimates`` is, and truths;
+    a scenario's truth is that of its first row.
     """
     _, first, group = data.scenario_groups()
     order = np.argsort(group, kind="stable")
     walks = np.split(order, np.cumsum(np.bincount(group))[:-1])
-    init = np.array([np.median(initial[idx], axis=0) for idx in walks])
-    enh = np.array([np.median(enhanced[idx], axis=0) for idx in walks])
-    return init, enh, truths[first]
+    medians = {
+        name: np.array([np.median(est[idx], axis=0) for idx in walks])
+        for name, est in estimates.items()
+    }
+    return medians, truths[first]
 
 
 def evaluate_split(data: Dataset, model) -> dict:
     """Per-frame and per-acquisition error reports for a dataset's rows."""
-    initial = data.initial_estimate()
     truths = data.labels()
-    enhanced = forward(model, data.features())
-    frame_report = build_error_report(initial, enhanced, truths)
-    acq = _per_acquisition(data, initial, enhanced, truths)
-    acq_report = build_error_report(*acq)
+    estimates = {"initial": data.initial_estimate(), "enhanced": forward(model, data.features())}
+    acq_estimates, acq_truths = _per_acquisition(data, estimates, truths)
     return {
-        "per_frame": frame_report,
-        "per_acquisition": acq_report,
+        "per_frame": build_error_report(estimates, truths),
+        "per_acquisition": build_error_report(acq_estimates, acq_truths),
         "n_frames": data.n_rows,
-        "n_acquisitions": acq[0].shape[0],
+        "n_acquisitions": acq_truths.shape[0],
     }
 
 
@@ -343,17 +327,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "per_frame": report_to_dict(results["per_frame"]),
         "per_acquisition": report_to_dict(results["per_acquisition"]),
     }
-    (eval_dir / "report.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    fr = results["per_frame"]
-    for name, metrics in (
-        ("initial_depth", fr.initial_depth),
-        ("initial_height", fr.initial_height),
-        ("enhanced_depth", fr.enhanced_depth),
-        ("enhanced_height", fr.enhanced_height),
-    ):
-        write_histogram_csv(metrics, eval_dir / f"hist_{name}.csv")
+    write_json(doc, eval_dir / "report.json")
+    per_frame = results["per_frame"]
+    for name, dims in per_frame.items():
+        for dim, metrics in dims.items():
+            write_histogram_csv(metrics, eval_dir / f"hist_{name}_{dim}.csv")
     _write_manifest(
         out_dir,
         "evaluate",
@@ -364,12 +342,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "versions": _versions(),
         },
     )
-    pf = doc["per_frame"]
-    print(
-        "per-frame MAE (cm): "
-        f"depth {pf['initial']['depth']['mae_cm']:.2f} -> {pf['enhanced']['depth']['mae_cm']:.2f}, "
-        f"height {pf['initial']['height']['mae_cm']:.2f} -> {pf['enhanced']['height']['mae_cm']:.2f}"
+    columns = (
+        f"{dim} " + " -> ".join(f"{dims[dim].mae_cm:.2f}" for dims in per_frame.values())
+        for dim in DIMENSIONS
     )
+    print("per-frame MAE (cm): " + ", ".join(columns))
     return 0
 
 

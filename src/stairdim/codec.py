@@ -6,18 +6,24 @@ JSON object over a default instance, checks each value against its field's
 annotation and rejects unknown keys; ``scenario`` lists the file rules. Every
 failure is a ValueError, or a KeyError naming a missing key that a field's
 ``metadata={"required": True}`` demands.
+
+``read_json`` reads every JSON input file and names the file in its
+ValueError; ``write_json`` writes every JSON artifact in the indented,
+key-sorted form that keeps fixed-seed reruns byte-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import sys
 import types
 import typing
+from pathlib import Path
 
-__all__ = ["to_dict", "from_dict"]
+__all__ = ["to_dict", "from_dict", "read_json", "read_json_object", "write_json"]
 
 _BAD = object()  # _check's verdict on a value that does not fit
 
@@ -101,3 +107,24 @@ def from_dict(base, d, section: str = ""):
             raise ValueError(f"scenario key {path!r} must be {f.type}, got {d[key]!r}")
         changes[f.name] = math.radians(value) if f.name.endswith("_rad") else value
     return dataclasses.replace(base, **changes)
+
+
+def read_json(path: str | Path):
+    """The JSON value in file ``path``; text that is not JSON is a ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from None
+
+
+def read_json_object(path: str | Path) -> dict:
+    """``read_json`` of a file that must hold a JSON object."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def write_json(doc, path: str | Path) -> None:
+    """``doc`` written to ``path`` indented, with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -61,7 +60,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .codec import to_dict
+from .codec import read_json_object, to_dict, write_json
 from .dimension import DimensionEstimate
 from .numerics import rng_for
 
@@ -844,7 +843,7 @@ def save_model(
         "train_config": to_dict(train_config) if train_config else None,
         "dataset_fingerprint": fingerprint,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(doc, path)
 
 
 def load_model(path: str | Path) -> EnhancerModel:
@@ -852,12 +851,7 @@ def load_model(path: str | Path) -> EnhancerModel:
 
     A file that is not such a model raises ValueError naming the file.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a model file must hold a JSON object")
+    doc = read_json_object(path)
     norm = doc["normalization"]
     if not isinstance(norm, dict):
         raise ValueError(f"{path}: normalization must be an object")

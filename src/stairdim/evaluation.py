@@ -1,11 +1,15 @@
 """Error metrics and estimator comparison.
 
 Errors are estimate minus truth. Storage and estimator interfaces stay in
-meters; reports convert to centimeters. Metrics per estimator and dimension:
-MAE, RMSE, and the population standard deviation, which tie together as
-RMSE^2 = sigma^2 + bias^2 exactly. Error histograms use fixed 0.5 cm bins
-over [-15, +15] cm; samples are clipped into that span for binning only (the
-moments use the raw errors) so the densities integrate to exactly one.
+meters; reports convert to centimeters. An error report is keyed by estimator
+name, then by dimension: ``{estimator: {"depth" | "height": DimensionMetrics}}``,
+so an estimator is one more entry of the dict given to ``build_error_report``.
+Metrics per estimator and dimension: MAE, RMSE, and the population standard
+deviation, which tie together as RMSE^2 = sigma^2 + bias^2 exactly. Error
+histograms use fixed 0.5 cm bins over [-15, +15] cm; samples are clipped into
+that span for binning only (the moments use the raw errors) so the densities
+integrate to exactly one. ``compare_estimators`` scores the enhanced estimator
+against the initial one.
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ import numpy as np
 __all__ = [
     "HIST_SPAN_CM",
     "HIST_BIN_CM",
+    "DIMENSIONS",
     "DimensionMetrics",
-    "ErrorReport",
-    "ImprovementSummary",
     "compute_metrics",
     "build_error_report",
     "compare_estimators",
@@ -32,6 +35,7 @@ __all__ = [
 
 HIST_SPAN_CM = 15.0
 HIST_BIN_CM = 0.5
+DIMENSIONS = ("depth", "height")  # the columns of every (n, 2) estimate array
 
 
 @dataclass(frozen=True)
@@ -45,25 +49,6 @@ class DimensionMetrics:
     n: int
     hist_centers_cm: tuple[float, ...]
     hist_density: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Initial vs enhanced estimator metrics for both stair dimensions."""
-
-    initial_depth: DimensionMetrics
-    initial_height: DimensionMetrics
-    enhanced_depth: DimensionMetrics
-    enhanced_height: DimensionMetrics
-
-
-@dataclass(frozen=True)
-class ImprovementSummary:
-    """Relative improvement (initial - enhanced) / initial, per metric."""
-
-    depth: dict[str, float]
-    height: dict[str, float]
-    all_metrics_improved: bool
 
 
 def compute_metrics(estimates_m: Sequence[float], truths_m: Sequence[float]) -> DimensionMetrics:
@@ -97,70 +82,45 @@ def compute_metrics(estimates_m: Sequence[float], truths_m: Sequence[float]) -> 
 
 
 def build_error_report(
-    initial_dh_m: np.ndarray,
-    enhanced_dh_m: np.ndarray,
-    truths_dh_m: np.ndarray,
-) -> ErrorReport:
-    """Assemble the four metric blocks from (n, 2) arrays of (depth, height)."""
-    initial_dh_m = np.asarray(initial_dh_m, dtype=float)
-    enhanced_dh_m = np.asarray(enhanced_dh_m, dtype=float)
+    estimates_dh_m: dict[str, np.ndarray], truths_dh_m: np.ndarray
+) -> dict[str, dict[str, DimensionMetrics]]:
+    """Metrics per estimator and dimension from (n, 2) arrays of (depth, height)."""
     truths_dh_m = np.asarray(truths_dh_m, dtype=float)
-    if not (initial_dh_m.shape == enhanced_dh_m.shape == truths_dh_m.shape):
-        raise ValueError("initial/enhanced/truth arrays must share a shape")
-    if initial_dh_m.ndim != 2 or initial_dh_m.shape[1] != 2:
-        raise ValueError(f"expected (n, 2) arrays, got {initial_dh_m.shape}")
-    return ErrorReport(
-        initial_depth=compute_metrics(initial_dh_m[:, 0], truths_dh_m[:, 0]),
-        initial_height=compute_metrics(initial_dh_m[:, 1], truths_dh_m[:, 1]),
-        enhanced_depth=compute_metrics(enhanced_dh_m[:, 0], truths_dh_m[:, 0]),
-        enhanced_height=compute_metrics(enhanced_dh_m[:, 1], truths_dh_m[:, 1]),
-    )
+    estimates_dh_m = {name: np.asarray(a, dtype=float) for name, a in estimates_dh_m.items()}
+    shapes = {name: a.shape for name, a in estimates_dh_m.items()}
+    if truths_dh_m.shape[1:] != (2,) or any(sh != truths_dh_m.shape for sh in shapes.values()):
+        raise ValueError(f"expected (n, 2) arrays of one shape, got {shapes}, truths {truths_dh_m.shape}")
+    return {
+        name: {dim: compute_metrics(a[:, j], truths_dh_m[:, j]) for j, dim in enumerate(DIMENSIONS)}
+        for name, a in estimates_dh_m.items()
+    }
 
 
-def _improvements(initial: DimensionMetrics, enhanced: DimensionMetrics) -> dict[str, float]:
-    out = {}
-    for name in ("mae_cm", "rmse_cm", "sigma_cm"):
-        before = getattr(initial, name)
-        after = getattr(enhanced, name)
-        out[name.removesuffix("_cm")] = (before - after) / before if before > 0 else math.nan
+def _improvements(before: DimensionMetrics, after: DimensionMetrics) -> dict[str, float]:
+    pairs = ((k, getattr(before, f"{k}_cm"), getattr(after, f"{k}_cm")) for k in ("mae", "rmse", "sigma"))
+    return {k: (b - a) / b if b > 0 else math.nan for k, b, a in pairs}
+
+
+def compare_estimators(report: dict[str, dict[str, DimensionMetrics]]) -> dict:
+    """Relative improvement (initial - enhanced) / initial of the enhanced estimator.
+
+    One ``{"mae", "rmse", "sigma"}`` dict per dimension, and
+    ``all_metrics_improved``, true when every one of them is positive.
+    """
+    out = {dim: _improvements(report["initial"][dim], report["enhanced"][dim]) for dim in DIMENSIONS}
+    out["all_metrics_improved"] = all(v > 0 for dim in DIMENSIONS for v in out[dim].values())
     return out
 
 
-def compare_estimators(report: ErrorReport) -> ImprovementSummary:
-    """Relative improvement of the enhanced estimator over the initial one."""
-    depth = _improvements(report.initial_depth, report.enhanced_depth)
-    height = _improvements(report.initial_height, report.enhanced_height)
-    improved = all(v > 0 for v in (*depth.values(), *height.values()))
-    return ImprovementSummary(depth=depth, height=height, all_metrics_improved=improved)
-
-
 def _metrics_dict(m: DimensionMetrics) -> dict:
-    return {
-        "mae_cm": m.mae_cm,
-        "rmse_cm": m.rmse_cm,
-        "sigma_cm": m.sigma_cm,
-        "bias_cm": m.bias_cm,
-        "n": m.n,
-    }
+    return {k: getattr(m, k) for k in ("mae_cm", "rmse_cm", "sigma_cm", "bias_cm", "n")}
 
 
-def report_to_dict(report: ErrorReport) -> dict:
-    summary = compare_estimators(report)
-    return {
-        "initial": {
-            "depth": _metrics_dict(report.initial_depth),
-            "height": _metrics_dict(report.initial_height),
-        },
-        "enhanced": {
-            "depth": _metrics_dict(report.enhanced_depth),
-            "height": _metrics_dict(report.enhanced_height),
-        },
-        "improvement": {
-            "depth": summary.depth,
-            "height": summary.height,
-            "all_metrics_improved": summary.all_metrics_improved,
-        },
-    }
+def report_to_dict(report: dict[str, dict[str, DimensionMetrics]]) -> dict:
+    """Every estimator's block of metrics, without histograms, plus ``improvement``."""
+    doc = {name: {dim: _metrics_dict(m) for dim, m in dims.items()} for name, dims in report.items()}
+    doc["improvement"] = compare_estimators(report)
+    return doc
 
 
 def write_histogram_csv(metrics: DimensionMetrics, path: str | Path) -> None:

@@ -24,7 +24,6 @@ length and its range-by-angle cells, and the SNR.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -38,7 +37,7 @@ from .chirp_sim import (
     scene_arrays,
     synthesize_frame,
 )
-from .codec import from_dict, to_dict
+from .codec import from_dict, read_json, to_dict
 from .dimension import (
     SWEEP_STANDARDS,
     DimensionEstimate,
@@ -142,7 +141,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    return scenario_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return scenario_from_dict(read_json(path))
 
 
 @functools.lru_cache(maxsize=8)

@@ -333,16 +333,18 @@ def naive_split(rows: list[dict], split_seed: int = 0, held_out_combos: int = 7)
     return train, test
 
 
-def naive_per_acquisition(rows: list[dict], initial, enhanced, truths):
-    """Per scenario id, in sorted id order: ``np.median`` of each estimate over
-    the id's rows, gathered in a dict of row lists, and the truth of its first row."""
+def naive_per_acquisition(rows: list[dict], estimates: dict, truths):
+    """Per scenario id, in sorted id order: ``np.median`` of each named estimate
+    over the id's rows, gathered in a dict of row lists, and the truth of its
+    first row. Returns ``({name: medians}, truths)``."""
     groups: dict[str, list[int]] = {}
     for i, r in enumerate(rows):
         groups.setdefault(r["scenario_id"], []).append(i)
-    out = ([], [], [])
+    medians = {name: [] for name in estimates}
+    first_truths = []
     for sid in sorted(groups):
         idx = groups[sid]
-        out[0].append(np.median([initial[i] for i in idx], axis=0))
-        out[1].append(np.median([enhanced[i] for i in idx], axis=0))
-        out[2].append(truths[idx[0]])
-    return tuple(np.array(a) for a in out)
+        for name, est in estimates.items():
+            medians[name].append(np.median([est[i] for i in idx], axis=0))
+        first_truths.append(truths[idx[0]])
+    return {name: np.array(m) for name, m in medians.items()}, np.array(first_truths)

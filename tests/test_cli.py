@@ -373,6 +373,38 @@ def test_malformed_scenario_exits_with_one_line(tmp_path, capsys, doc, fragment)
 
 
 @pytest.mark.parametrize(
+    "kind, content",
+    [
+        ("sidecar", b"[1, 2]"),
+        ("sidecar", b"{not json"),
+        ("manifest", b"[]"),
+        ("manifest", b"{not json"),
+        ("scenario", b"{not json"),
+        ("scenario", b"\xff\xfe{}"),
+    ],
+    ids=["sidecar_list", "sidecar_text", "manifest_list", "manifest_text", "scenario_text", "scenario_utf16"],
+)
+def test_json_input_that_is_not_json_or_not_an_object_exits_with_one_line(
+    tmp_path, short_config, capsys, kind, content
+):
+    out = tmp_path / "o"
+    argv = ["process", "--config", str(short_config), "--out", str(out)]
+    if kind == "sidecar":
+        bad = tmp_path / "run" / "sidecar.json"
+        (tmp_path / "run" / "cubes").mkdir(parents=True)
+        argv = ["process", "--cubes", str(bad.parent), "--out", str(out)]
+    elif kind == "manifest":
+        bad = out / "manifest.json"
+        out.mkdir()
+    else:
+        bad = tmp_path / "bad.json"
+        argv[2] = str(bad)
+    bad.write_bytes(content)
+    assert cli.main(argv) == 1
+    assert str(bad) in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
     "level",
     [{"noise": {"power": 1e300}}, {"clutter": {"count": 2, "reflectivity": 1e40}}],
     ids=["noise_power", "clutter_reflectivity"],
@@ -616,7 +648,11 @@ def test_per_acquisition_equals_naive_grouping(ids, data):
         for _ in range(3)
     )
     rows = [dict.fromkeys(enhancer.DATASET_COLUMNS, 0.0) | {"scenario_id": s, "frame_id": i} for i, s in enumerate(ids)]
-    got = cli._per_acquisition(dataset_of(rows), initial, enhanced, truths)
-    expected = naive_per_acquisition(rows, initial, enhanced, truths)
+    estimates = {"initial": initial, "enhanced": enhanced}
+    got_medians, got_truths = cli._per_acquisition(dataset_of(rows), estimates, truths)
+    expected_medians, expected_truths = naive_per_acquisition(rows, estimates, truths)
+    got = [*got_medians.values(), got_truths]
+    expected = [*expected_medians.values(), expected_truths]
+    assert list(got_medians) == list(expected_medians) == ["initial", "enhanced"]
     assert [a.shape for a in got] == [a.shape for a in expected] == [(len(set(ids)), 2)] * 3
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]

@@ -103,14 +103,14 @@ def _report(seed=64, enh_scale=0.3):
     tru = np.column_stack([rng.uniform(0.24, 0.38, n), rng.uniform(0.10, 0.20, n)])
     initial = tru + rng.normal(0.003, 0.015, size=(n, 2))
     enhanced = tru + rng.normal(0.001, 0.015 * enh_scale, size=(n, 2))
-    return build_error_report(initial, enhanced, tru)
+    return build_error_report({"initial": initial, "enhanced": enhanced}, tru)
 
 
 def test_compare_estimators_direction():
     report = _report()
     summary = compare_estimators(report)
-    assert summary.all_metrics_improved
-    for block in (summary.depth, summary.height):
+    assert summary["all_metrics_improved"]
+    for block in (summary["depth"], summary["height"]):
         assert set(block) == {"mae", "rmse", "sigma"}
         assert all(0.0 < v < 1.0 for v in block.values())
 
@@ -118,32 +118,34 @@ def test_compare_estimators_direction():
     rng = np.random.default_rng(65)
     tru = np.full((200, 2), 0.3)
     worse = build_error_report(
-        tru + rng.normal(0.0, 0.015, (200, 2)),
-        tru + rng.normal(0.0, 0.05, (200, 2)),
+        {
+            "initial": tru + rng.normal(0.0, 0.015, (200, 2)),
+            "enhanced": tru + rng.normal(0.0, 0.05, (200, 2)),
+        },
         tru,
     )
     bad = compare_estimators(worse)
-    assert not bad.all_metrics_improved
-    assert bad.depth["rmse"] < 0.0
+    assert not bad["all_metrics_improved"]
+    assert bad["depth"]["rmse"] < 0.0
 
 
 def test_identical_estimators_improve_nothing():
     rng = np.random.default_rng(66)
     tru = np.column_stack([rng.uniform(0.24, 0.38, 50), rng.uniform(0.10, 0.20, 50)])
     est = tru + rng.normal(0.0, 0.01, size=(50, 2))
-    report = build_error_report(est, est, tru)
+    report = build_error_report({"initial": est, "enhanced": est}, tru)
     summary = compare_estimators(report)
-    assert not summary.all_metrics_improved
-    assert summary.depth["mae"] == pytest.approx(0.0, abs=1e-12)
-    assert summary.height["rmse"] == pytest.approx(0.0, abs=1e-12)
+    assert not summary["all_metrics_improved"]
+    assert summary["depth"]["mae"] == pytest.approx(0.0, abs=1e-12)
+    assert summary["height"]["rmse"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_build_error_report_validates_shapes():
     tru = np.zeros((10, 2))
     with pytest.raises(ValueError):
-        build_error_report(np.zeros((10, 3)), np.zeros((10, 2)), tru)
+        build_error_report({"initial": np.zeros((10, 3)), "enhanced": np.zeros((10, 2))}, tru)
     with pytest.raises(ValueError):
-        build_error_report(np.zeros((9, 2)), np.zeros((10, 2)), tru)
+        build_error_report({"initial": np.zeros((9, 2)), "enhanced": np.zeros((10, 2))}, tru)
 
 
 def test_report_dict_structure():
@@ -158,10 +160,31 @@ def test_report_dict_structure():
 def test_histogram_and_report_files(tmp_path):
     report = _report()
     hist = tmp_path / "hist.csv"
-    write_histogram_csv(report.initial_depth, hist)
+    write_histogram_csv(report["initial"]["depth"], hist)
     lines = hist.read_text().splitlines()
     assert lines[0] == "bin_center_cm,density"
     assert len(lines) == 1 + int(2 * HIST_SPAN_CM / HIST_BIN_CM)
     centers = [float(line.split(",")[0]) for line in lines[1:]]
     assert centers == sorted(centers)
     assert report_to_dict(report)["improvement"]["all_metrics_improved"] is True
+
+
+def test_report_takes_any_number_of_named_estimators():
+    rng = np.random.default_rng(67)
+    tru = np.column_stack([rng.uniform(0.24, 0.38, 80), rng.uniform(0.10, 0.20, 80)])
+    names = ("initial", "subbin", "enhanced")
+    estimates = {name: tru + rng.normal(0.0, 0.01 / (k + 1), (80, 2)) for k, name in enumerate(names)}
+    report = build_error_report(estimates, tru)
+    assert list(report) == list(names)
+    for name in names:
+        assert set(report[name]) == {"depth", "height"}
+        for j, dim in enumerate(("depth", "height")):
+            assert report[name][dim] == compute_metrics(estimates[name][:, j], tru[:, j])
+    doc = report_to_dict(report)
+    assert set(doc) == {*names, "improvement"}
+    assert doc["improvement"] == compare_estimators(report)
+    assert doc["subbin"]["height"]["mae_cm"] == report["subbin"]["height"].mae_cm
+
+    for bad in (np.zeros((79, 2)), np.zeros((80, 3)), np.zeros(160)):
+        with pytest.raises(ValueError, match="subbin"):
+            build_error_report({**estimates, "subbin": bad}, tru)
