@@ -27,6 +27,8 @@ complex64 form is not finite (a part beyond the float32 range, a level set
 by ``noise.power``, ``snr_db`` and the reflectivities) is refused by
 :func:`save_cube` and :func:`quantize_to_wire` alike, and :func:`load_cube`
 refuses a file with a non-finite sample. Each tests the complex64 form once.
+:func:`save_cube` rewrites an existing file in place (``codec.rewrite``);
+``stairdim simulate`` removes the stale frame files of an earlier, longer walk.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .codec import rewrite
 from .numerics import rng_for
 from .rf_params import SPEED_OF_LIGHT, RadarConfig, derive_attributes
 from .scene import GaitFrame, Scatterer
@@ -311,7 +314,7 @@ def save_cube(cube: ChirpCube, path: str | Path) -> None:
     )
     # file order: s fastest, then p, then a -> contiguous (N_A, N_P, N_S)
     body = _wire_samples(cube.samples.transpose(2, 1, 0))
-    with open(path, "wb") as fh:
+    with rewrite(path, binary=True) as fh:
         fh.write(header)
         fh.write(body)
 

@@ -19,11 +19,18 @@ Every command honors --seed and writes a manifest.json entry (config hash,
 seed, versions; no timestamps, so fixed-seed reruns are byte-identical). All
 JSON goes through ``codec.read_json`` and ``codec.write_json``.
 Exit codes: 0 success, 1 validation error or diverged training, 2 I/O error.
+
+A run directory may be written again. Every artifact is rewritten in place
+through ``codec.rewrite``, so a rerun leaves exactly the bytes a fresh
+directory would get. ``simulate`` removes the ``frame_*.bin`` files beyond the
+frames it wrote, and ``process --cubes`` refuses a cube directory whose file
+count differs from its sidecar's trajectory.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -123,6 +130,14 @@ def _write_sidecar(sc: ScenarioConfig, trajectory: Trajectory, out_dir: Path) ->
     write_json(sidecar, out_dir / "sidecar.json")
 
 
+def _sidecar_frame_count(sidecar: dict, path: Path) -> int:
+    trajectory = sidecar["trajectory"]
+    frames = trajectory.get("frames") if isinstance(trajectory, dict) else None
+    if not isinstance(frames, list):
+        raise ValueError(f"{path}: 'trajectory' must be an object with a 'frames' list")
+    return len(frames)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     sc = _load_scenario_arg(args)
     out_dir = Path(args.out)
@@ -130,9 +145,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cube_dir.mkdir(parents=True, exist_ok=True)
     trajectory = scenario_trajectory(sc)
     scene = scene_arrays(scenario_scatterers(sc))
-    for i in range(len(trajectory.frames)):
-        cube = synthesize_scenario_frame(sc, trajectory, i, scene)
-        save_cube(cube, cube_dir / f"frame_{i:05d}.bin")
+    paths = [cube_dir / f"frame_{i:05d}.bin" for i in range(len(trajectory.frames))]
+    for i, path in enumerate(paths):
+        save_cube(synthesize_scenario_frame(sc, trajectory, i, scene), path)
+    for stale in set(cube_dir.glob("frame_*.bin")).difference(paths):  # an earlier, longer walk's frames
+        stale.unlink()
     _write_sidecar(sc, trajectory, out_dir)
     _write_manifest(
         out_dir,
@@ -180,6 +197,11 @@ def cmd_process(args: argparse.Namespace) -> int:
         paths = sorted(cube_dir.glob("frame_*.bin"))
         if not paths:
             raise ValueError(f"no cube files under {cube_dir}")
+        n_frames = _sidecar_frame_count(sidecar, run_dir / "sidecar.json")
+        if len(paths) != n_frames:
+            raise ValueError(
+                f"{cube_dir} holds {len(paths)} cube files, its sidecar's trajectory {n_frames} frames"
+            )
 
         target_lists, estimates = [], []
         for path in paths:
@@ -356,7 +378,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``stairdim`` parser, built once per process; ``command`` names the subcommand."""
     parser = _Parser(prog="stairdim", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"stairdim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -368,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthesize cube files for a scenario")
     p.add_argument("--config", help="scenario JSON (default: built-in scenario)")
     common(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("process", help="extract targets and dimensions")
     p.add_argument("--config", help="scenario JSON to synthesize and process in memory")
@@ -377,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive-aoa", action="store_true", help="AoA over all range bins")
     p.add_argument("--peak-interp", action="store_true", help="parabolic range refinement")
     p.add_argument("--cfar-pfa", type=float, default=None, help="false-alarm probability")
-    p.set_defaults(func=cmd_process)
 
     p = sub.add_parser("sweep", help="run the dimension grid and write dataset.csv")
     common(p)
@@ -385,29 +407,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive-aoa", action="store_true")
     p.add_argument("--peak-interp", action="store_true")
     p.add_argument("--cfar-pfa", type=float, default=None)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("train", help="train the error enhancer on a dataset")
     common(p)
     p.add_argument("--dataset", help="dataset CSV (default: <out>/dataset.csv)")
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--split-seed", type=int, default=0)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score initial vs enhanced on the test split")
     common(p)
     p.add_argument("--dataset", help="dataset CSV (default: <out>/dataset.csv)")
     p.add_argument("--model", help="model JSON (default: <out>/model.json)")
     p.add_argument("--split-seed", type=int, default=0)
-    p.set_defaults(func=cmd_evaluate)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a replaced cmd_<name> is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     # a KeyError is a field an input file lacks; a TrainingError a training
     # loss that went non-finite
     except (ValueError, KeyError, TrainingError) as exc:

@@ -10,20 +10,27 @@ failure is a ValueError, or a KeyError naming a missing key that a field's
 ``read_json`` reads every JSON input file and names the file in its
 ValueError; ``write_json`` writes every JSON artifact in the indented,
 key-sorted form that keeps fixed-seed reruns byte-identical.
+
+``rewrite`` is the one way the package writes a file. It rewrites an
+existing file in place instead of truncating it on open, which would free its
+blocks only for the new bytes to allocate them again, and cuts the file at
+the last byte written when it closes, so no tail of a longer old file is left.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import types
 import typing
 from pathlib import Path
 
-__all__ = ["to_dict", "from_dict", "read_json", "read_json_object", "write_json"]
+__all__ = ["to_dict", "from_dict", "read_json", "read_json_object", "rewrite", "write_json"]
 
 _BAD = object()  # _check's verdict on a value that does not fit
 
@@ -125,6 +132,28 @@ def read_json_object(path: str | Path) -> dict:
     return doc
 
 
+@contextlib.contextmanager
+def rewrite(path: str | Path, binary: bool = False):
+    """A file object that writes ``path`` from its first byte, created if missing.
+
+    Text is UTF-8 and written as given, with no newline translation. The file
+    is opened without ``O_TRUNC``, with the mode bits ``open(path, "w")``
+    gives a new file. On exit, whether the block finished or raised, the file
+    is cut at the position reached and closed: it holds exactly the bytes
+    written.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    fh = os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", encoding="utf-8", newline="")
+    try:
+        yield fh
+    finally:
+        try:
+            fh.truncate()  # flushes, then cuts at the current position
+        finally:
+            fh.close()
+
+
 def write_json(doc, path: str | Path) -> None:
     """``doc`` written to ``path`` indented, with sorted keys and a final newline."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with rewrite(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -59,6 +59,7 @@ import numpy as np
 
 from . import numerics
 from .chirp_sim import ChirpCube, FrameMeta
+from .codec import rewrite
 from .rf_params import RadarConfig, derive_attributes
 
 __all__ = [
@@ -484,6 +485,6 @@ def target_list_to_json(tl: TargetList) -> str:
 
 
 def write_target_lists(lists: Iterable[TargetList], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with rewrite(path) as fh:
         for tl in lists:
             fh.write(target_list_to_json(tl) + "\n")

@@ -60,7 +60,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .codec import read_json_object, to_dict, write_json
+from .codec import read_json_object, rewrite, to_dict, write_json
 from .dimension import DimensionEstimate
 from .numerics import rng_for
 
@@ -227,7 +227,7 @@ def sample_from_estimate(
 
 def write_dataset(data: Dataset, path: str | Path) -> None:
     """One line per row; floats are written as their repr, so they read back exactly."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with rewrite(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_COLUMNS)
         writer.writerows(zip(*(c.tolist() for c in data)))

@@ -21,6 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .codec import rewrite
+
 __all__ = [
     "HIST_SPAN_CM",
     "HIST_BIN_CM",
@@ -128,4 +130,5 @@ def write_histogram_csv(metrics: DimensionMetrics, path: str | Path) -> None:
     lines = ["bin_center_cm,density"]
     for c, d in zip(metrics.hist_centers_cm, metrics.hist_density):
         lines.append(f"{c!r},{d!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with rewrite(path) as fh:
+        fh.write("\n".join(lines) + "\n")

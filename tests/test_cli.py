@@ -167,6 +167,97 @@ def test_seed_override_reaches_the_synthesis(tmp_path, short_config):
     assert (a / "cubes/frame_00000.bin").read_bytes() != (b / "cubes/frame_00000.bin").read_bytes()
 
 
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_a_rerun_into_another_walks_run_equals_a_fresh_run(tmp_path, short_config, capsys):
+    """Every file of a simulate-and-process run is the same over an older, longer run as in a fresh directory."""
+    longer = tmp_path / "longer.json"
+    longer.write_text(json.dumps({"name": "a_longer_walk", "seed": 123456, "walk": {"duration_s": 2.5}}))
+
+    def run(config: Path, out: Path) -> None:
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert cli.main(["process", "--cubes", str(out), "--exhaustive-aoa", "--out", str(out)]) == 0
+
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    run(longer, reused)
+    assert len(list((reused / "cubes").glob("frame_*.bin"))) == 25
+    run(short_config, reused)
+    run(short_config, fresh)
+    assert "processed 12 frames" in capsys.readouterr().out
+    tree = _tree(fresh)
+    assert len(tree) == 12 + 4  # cubes, sidecar, manifest, targets, report
+    assert _tree(reused) == tree
+
+
+def test_a_shorter_resimulate_removes_the_stale_frames(tmp_path, short_config, capsys):
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--out", str(sim)]) == 0
+    (sim / "cubes" / "notes.txt").write_text("kept")
+    assert len(list((sim / "cubes").glob("frame_*.bin"))) == 50
+    slower = tmp_path / "slower.json"
+    slower.write_text(json.dumps({"walk": {"rate_hz": 4.0}}))
+    assert cli.main(["simulate", "--config", str(slower), "--out", str(sim)]) == 0
+    cubes = sorted(p.name for p in (sim / "cubes").glob("frame_*.bin"))
+    assert cubes == [f"frame_{i:05d}.bin" for i in range(20)]
+    assert (sim / "cubes" / "notes.txt").read_text() == "kept"
+    capsys.readouterr()
+    assert cli.main(["process", "--cubes", str(sim), "--out", str(tmp_path / "p")]) == 0
+    assert "processed 20 frames" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("change", ["extra", "missing"])
+def test_cube_count_unlike_the_sidecar_exits_with_one_line(tmp_path, short_config, capsys, change):
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", str(short_config), "--out", str(sim)]) == 0
+    cubes = sim / "cubes"
+    if change == "extra":
+        (cubes / "frame_00012.bin").write_bytes((cubes / "frame_00000.bin").read_bytes())
+    else:
+        (cubes / "frame_00011.bin").unlink()
+    capsys.readouterr()
+    assert cli.main(["process", "--cubes", str(sim), "--out", str(tmp_path / "p")]) == 1
+    err = _one_line_error(capsys)
+    assert f"{13 if change == 'extra' else 11} cube files" in err and "12 frames" in err
+
+
+def test_sidecar_without_a_frame_list_exits_with_one_line(tmp_path, short_config, capsys):
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", str(short_config), "--out", str(sim)]) == 0
+    sidecar = json.loads((sim / "sidecar.json").read_text())
+    sidecar["trajectory"] = [1, 2]
+    (sim / "sidecar.json").write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    assert cli.main(["process", "--cubes", str(sim), "--out", str(tmp_path / "p")]) == 1
+    assert "sidecar.json" in _one_line_error(capsys)
+
+
+def test_the_parser_is_built_once_and_the_command_resolved_at_call_time(tmp_path, monkeypatch):
+    seen = []
+
+    def fake(name):
+        def cmd(args):
+            seen.append((name, vars(args)))
+            return 7
+
+        return cmd
+
+    monkeypatch.setattr(cli, "cmd_simulate", fake("simulate"))
+    monkeypatch.setattr(cli, "cmd_process", fake("process"))
+    out = str(tmp_path / "o")
+    assert cli.main(["simulate", "--out", out, "--seed", "3"]) == 7
+    assert cli.main(["process", "--config", "x.json", "--exhaustive-aoa", "--out", out]) == 7
+    assert cli.main(["process", "--out", out]) == 7
+    assert not list(tmp_path.iterdir())  # the real commands never ran
+    assert [name for name, _ in seen] == ["simulate", "process", "process"]
+    assert seen[0][1] == {"command": "simulate", "config": None, "out": out, "seed": 3}
+    assert seen[1][1]["exhaustive_aoa"] and seen[1][1]["config"] == "x.json"
+    # the second parse starts from the defaults, not from the first one's values
+    assert not seen[2][1]["exhaustive_aoa"] and seen[2][1]["config"] is None
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
         cli.main(["simulate"])  # --out is required

@@ -1,5 +1,6 @@
 """The Python demos run to completion against the package in ``src``."""
 
+import json
 import os
 import subprocess
 import sys
@@ -17,3 +18,14 @@ def test_demo_runs(demo):
         [sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_tour_runs(tmp_path):
+    """The shell demo runs all five commands into one run directory, which keeps one manifest entry each."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
+    proc = subprocess.run(
+        ["sh", str(ROOT / "demos" / "04_cli_tour.sh")], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    manifest = next(tmp_path.glob("*/runs/demo/manifest.json"))
+    assert set(json.loads(manifest.read_text())) == {"simulate", "process", "sweep", "train", "evaluate"}
