@@ -27,8 +27,11 @@ complex64 form is not finite (a part beyond the float32 range, a level set
 by ``noise.power``, ``snr_db`` and the reflectivities) is refused by
 :func:`save_cube` and :func:`quantize_to_wire` alike, and :func:`load_cube`
 refuses a file with a non-finite sample. Each tests the complex64 form once.
-:func:`save_cube` rewrites an existing file in place (``codec.rewrite``);
-``stairdim simulate`` removes the stale frame files of an earlier, longer walk.
+:func:`save_cube` rewrites an existing file in place (``codec.rewrite``), so
+a file killed mid-rewrite can keep its size and pass :func:`load_cube`.
+``stairdim simulate`` guards the walk as a whole: it removes the sidecar
+before the first cube and writes it after the last, and removes the stale
+frame files of an earlier, longer walk.
 """
 
 from __future__ import annotations

@@ -20,11 +20,14 @@ seed, versions; no timestamps, so fixed-seed reruns are byte-identical). All
 JSON goes through ``codec.read_json`` and ``codec.write_json``.
 Exit codes: 0 success, 1 validation error or diverged training, 2 I/O error.
 
-A run directory may be written again. Every artifact is rewritten in place
-through ``codec.rewrite``, so a rerun leaves exactly the bytes a fresh
-directory would get. ``simulate`` removes the ``frame_*.bin`` files beyond the
-frames it wrote, and ``process --cubes`` refuses a cube directory whose file
-count differs from its sidecar's trajectory.
+A run directory may be written again: a later command adds its entry to the
+manifest, and a re-``simulate`` replaces the walk. Every artifact is rewritten
+in place through ``codec.rewrite``, so a rerun leaves exactly the bytes a
+fresh directory would get. ``simulate`` removes ``sidecar.json`` before it
+writes the first cube and writes it again after the last, and removes the
+``frame_*.bin`` files beyond the frames it wrote. ``process --cubes`` needs
+the sidecar and exactly the frame files its trajectory names, so a walk that
+an interrupted ``simulate`` left half rewritten is refused, not read.
 """
 
 from __future__ import annotations
@@ -138,6 +141,10 @@ def _sidecar_frame_count(sidecar: dict, path: Path) -> int:
     return len(frames)
 
 
+def _frame_paths(cube_dir: Path, n_frames: int) -> list[Path]:
+    return [cube_dir / f"frame_{i:05d}.bin" for i in range(n_frames)]
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     sc = _load_scenario_arg(args)
     out_dir = Path(args.out)
@@ -145,7 +152,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cube_dir.mkdir(parents=True, exist_ok=True)
     trajectory = scenario_trajectory(sc)
     scene = scene_arrays(scenario_scatterers(sc))
-    paths = [cube_dir / f"frame_{i:05d}.bin" for i in range(len(trajectory.frames))]
+    paths = _frame_paths(cube_dir, len(trajectory.frames))
+    # until the new sidecar is written, process --cubes refuses the walk
+    (out_dir / "sidecar.json").unlink(missing_ok=True)
     for i, path in enumerate(paths):
         save_cube(synthesize_scenario_frame(sc, trajectory, i, scene), path)
     for stale in set(cube_dir.glob("frame_*.bin")).difference(paths):  # an earlier, longer walk's frames
@@ -190,17 +199,21 @@ def cmd_process(args: argparse.Namespace) -> int:
 
     if args.cubes:
         given = Path(args.cubes)
-        run_dir = given if (given / "sidecar.json").exists() else given.parent
         cube_dir = given / "cubes" if (given / "cubes").is_dir() else given
+        run_dir = given if (given / "sidecar.json").exists() or cube_dir != given else given.parent
         sidecar = read_json_object(run_dir / "sidecar.json")
         sc = _apply_overrides(scenario_from_dict(sidecar["scenario"]), args)
-        paths = sorted(cube_dir.glob("frame_*.bin"))
-        if not paths:
+        found = set(cube_dir.glob("frame_*.bin"))
+        if not found:
             raise ValueError(f"no cube files under {cube_dir}")
-        n_frames = _sidecar_frame_count(sidecar, run_dir / "sidecar.json")
-        if len(paths) != n_frames:
+        paths = _frame_paths(cube_dir, _sidecar_frame_count(sidecar, run_dir / "sidecar.json"))
+        expected = set(paths)
+        if found != expected:
+            missing = sorted(p.name for p in expected - found)
+            extra = sorted(p.name for p in found - expected)
             raise ValueError(
-                f"{cube_dir} holds {len(paths)} cube files, its sidecar's trajectory {n_frames} frames"
+                f"{cube_dir} holds {len(found)} cube files, its sidecar's trajectory"
+                f" {len(paths)} frames (missing {missing}, not in the walk {extra})"
             )
 
         target_lists, estimates = [], []

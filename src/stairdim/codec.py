@@ -15,6 +15,10 @@ key-sorted form that keeps fixed-seed reruns byte-identical.
 existing file in place instead of truncating it on open, which would free its
 blocks only for the new bytes to allocate them again, and cuts the file at
 the last byte written when it closes, so no tail of a longer old file is left.
+A writer killed before that cut can leave the new bytes followed by the old
+file's tail, at the old length. A reader that must not take such a file keeps
+a record that is written after the files it vouches for: ``stairdim
+simulate`` removes a walk's sidecar before rewriting its cubes.
 """
 
 from __future__ import annotations

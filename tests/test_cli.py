@@ -207,19 +207,43 @@ def test_a_shorter_resimulate_removes_the_stale_frames(tmp_path, short_config, c
     assert "processed 20 frames" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("change", ["extra", "missing"])
+@pytest.mark.parametrize("change", ["extra", "missing", "gap_and_extra"])
 def test_cube_count_unlike_the_sidecar_exits_with_one_line(tmp_path, short_config, capsys, change):
     sim = tmp_path / "sim"
     assert cli.main(["simulate", "--config", str(short_config), "--out", str(sim)]) == 0
     cubes = sim / "cubes"
-    if change == "extra":
+    if change != "missing":
         (cubes / "frame_00012.bin").write_bytes((cubes / "frame_00000.bin").read_bytes())
-    else:
+    if change != "extra":
         (cubes / "frame_00011.bin").unlink()
     capsys.readouterr()
     assert cli.main(["process", "--cubes", str(sim), "--out", str(tmp_path / "p")]) == 1
     err = _one_line_error(capsys)
-    assert f"{13 if change == 'extra' else 11} cube files" in err and "12 frames" in err
+    n_files = {"extra": 13, "missing": 11, "gap_and_extra": 12}[change]
+    assert f"holds {n_files} cube files" in err and "12 frames" in err
+    assert ("frame_00011.bin" in err) == (change != "extra")
+    assert ("frame_00012.bin" in err) == (change != "missing")
+
+
+def test_an_interrupted_resimulate_is_refused_not_read(tmp_path, short_config, capsys, monkeypatch):
+    """A walk half rewritten over an older one of the same length has no sidecar until it is whole."""
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", str(short_config), "--out", str(sim)]) == 0
+    real_save = cli.save_cube
+
+    def save_five(cube, path):
+        if path.name == "frame_00005.bin":
+            raise OSError("killed")
+        real_save(cube, path)
+
+    monkeypatch.setattr(cli, "save_cube", save_five)
+    assert cli.main(["simulate", "--config", str(short_config), "--seed", "9", "--out", str(sim)]) == 2
+    assert len(list((sim / "cubes").glob("frame_*.bin"))) == 12  # five new frames, seven old
+    assert not (sim / "sidecar.json").exists()
+    capsys.readouterr()
+    assert cli.main(["process", "--cubes", str(sim), "--out", str(tmp_path / "p")]) == 2
+    assert str(sim / "sidecar.json") in _one_line_error(capsys)
+    assert not (tmp_path / "p" / "targets.jsonl").exists()
 
 
 def test_sidecar_without_a_frame_list_exits_with_one_line(tmp_path, short_config, capsys):
