@@ -16,7 +16,13 @@ Per radar configuration the fast-time, chirp and antenna axes are built
 once; per scene the scatterers' positions, reflectivities and radial
 velocities become columns once (:func:`scene_arrays`), which a walk passes
 to every frame's :func:`synthesize_frame`. Each frame still draws its own
-seeded noise.
+seeded noise: :func:`noise_draw` is the one draw, from the frame's own
+generator (:func:`noise_rng`), so the stream is the same whichever thread
+runs it and in which order. A walk may pass a frame's draw in, made ahead
+of time: ``scenario.noise_draws`` runs the draw of frame i+1 on one helper
+thread while frame i is processed, when at least two CPUs are usable and
+the walk draws noise. The scaling and the add stay in
+:func:`synthesize_frame`.
 
 Cube files: little-endian, 64-byte header (magic ``DIMRADC1``, u32 counts
 N_S/N_P/N_A, f64 timestamp/gamma/v_host, zero padding), then interleaved
@@ -57,6 +63,9 @@ __all__ = [
     "ChirpCube",
     "SceneArrays",
     "scene_arrays",
+    "draws_noise",
+    "noise_draw",
+    "noise_rng",
     "synthesize_frame",
     "quantize_to_wire",
     "save_cube",
@@ -182,12 +191,36 @@ def _sum_over_scatterers(fast: np.ndarray, slow: np.ndarray, aper: np.ndarray) -
     return np.ascontiguousarray((kap @ fast.T).reshape(n_a, n_p, n_s).transpose(2, 1, 0))
 
 
+def draws_noise(noise: NoiseConfig, scene: SceneArrays) -> bool:
+    """Whether frames of ``scene`` can draw noise: a set power, or an SNR and a scatterer.
+
+    A frame whose nearest scatterer has zero reflectivity still draws none.
+    """
+    return noise.power is not None or (noise.snr_db is not None and scene.x_m.size > 0)
+
+
+def noise_rng(seed: int) -> np.random.Generator:
+    """The noise generator of the frame seeded ``seed``, whichever thread draws from it."""
+    return rng_for(seed, 0x01)
+
+
+def noise_draw(cfg: RadarConfig, rng: np.random.Generator) -> np.ndarray:
+    """A frame's standard normals from ``noise_rng(seed)``, shape (2, N_S, N_P, N_A).
+
+    The real, then the imaginary parts: one draw holds both, the stream two
+    draws of the cube's shape would give.
+    """
+    shape = (2, cfg.samples_per_chirp, cfg.chirps_per_frame, cfg.virtual_antennas)
+    return rng.standard_normal(shape)
+
+
 def synthesize_frame(
     cfg: RadarConfig,
     frame: GaitFrame,
     scatterers: Sequence[Scatterer] | SceneArrays,
     noise: NoiseConfig = NOISELESS,
     seed: int = 0,
+    draw: np.ndarray | None = None,
 ) -> ChirpCube:
     """Synthesize the raw frame for a scene of point scatterers.
 
@@ -197,7 +230,9 @@ def synthesize_frame(
     the scatterer's own radial velocity, so stationary world points appear at
     the (small) host closing speed, below one velocity bin for a walking
     sensor. A walk passes its scene once as :func:`scene_arrays`; the time
-    and antenna axes are built once per configuration.
+    and antenna axes are built once per configuration. ``draw``, if given,
+    must be ``noise_draw(cfg, noise_rng(seed))``; it is scaled in place and
+    added, and a noiseless frame ignores it.
 
     Raises ValueError for scatterers at or beyond the unambiguous range, at
     zero range, when the host speed reaches the velocity resolution (the
@@ -264,9 +299,8 @@ def synthesize_frame(
                 f"amplitude {nearest_amp:.4g} leaves the float range"
             )
     if sigma2 > 0.0:
-        # one draw holds the real then the imaginary parts, the stream two
-        # draws of the cube's shape would give
-        draw = rng_for(seed, 0x01).standard_normal((2,) + cube.shape)
+        if draw is None:
+            draw = noise_draw(cfg, noise_rng(seed))
         draw *= math.sqrt(sigma2 / 2.0)
         cube.real += draw[0]
         cube.imag += draw[1]

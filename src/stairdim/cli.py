@@ -72,6 +72,7 @@ from .scenario import (
     ScenarioConfig,
     build_sweep,
     load_scenario,
+    noise_draws,
     run_scenario,
     scenario_from_dict,
     scenario_scatterers,
@@ -155,8 +156,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     paths = _frame_paths(cube_dir, len(trajectory.frames))
     # until the new sidecar is written, process --cubes refuses the walk
     (out_dir / "sidecar.json").unlink(missing_ok=True)
-    for i, path in enumerate(paths):
-        save_cube(synthesize_scenario_frame(sc, trajectory, i, scene), path)
+    with noise_draws(sc, len(paths), scene) as draws:
+        for i, (path, draw) in enumerate(zip(paths, draws)):
+            save_cube(synthesize_scenario_frame(sc, trajectory, i, scene, draw), path)
     for stale in set(cube_dir.glob("frame_*.bin")).difference(paths):  # an earlier, longer walk's frames
         stale.unlink()
     _write_sidecar(sc, trajectory, out_dir)

@@ -19,20 +19,42 @@ all, and each CFAR stage sets its threshold from its ``pfa``. Sizes and levels
 have fixed limits, far above the defaults, so that a file cannot exhaust
 memory or leave the float range: frames a walk, samples a cube, the AoA FFT
 length and its range-by-angle cells, and the SNR.
+
+A walk's frames get their receiver noise from :func:`noise_draws`, the one
+helper that ``run_scenario`` and ``stairdim simulate`` share. It draws frame
+i+1's normals on one helper thread, one frame ahead, while the caller
+synthesizes and processes frame i: ``Generator.standard_normal`` releases
+the GIL. Each draw comes from the frame's own seeded generator, built on the
+calling thread, so every output is byte-identical to drawing inline. A draw
+the helper has not begun when its frame needs it is cancelled and drawn
+inline, so a helper thread scheduled late never holds a frame up for a
+whole draw. The helper starts only when it can help, with at least two
+usable CPUs and a walk that draws noise (see ``chirp_sim.draws_noise``)
+over more than one frame; otherwise each frame draws inline. One
+``ThreadPoolExecutor`` serves one walk and is shut down, its pending draw
+cancelled and its thread joined, however the walk ends.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .chirp_sim import (
     ChirpCube,
     NoiseConfig,
     SceneArrays,
+    draws_noise,
+    noise_draw,
+    noise_rng,
     quantize_to_wire,
     scene_arrays,
     synthesize_frame,
@@ -155,12 +177,17 @@ def scenario_scatterers(sc: ScenarioConfig) -> tuple[Scatterer, ...]:
 
 
 def synthesize_scenario_frame(
-    sc: ScenarioConfig, trajectory: Trajectory, frame_idx: int, scene: SceneArrays | None = None
+    sc: ScenarioConfig,
+    trajectory: Trajectory,
+    frame_idx: int,
+    scene: SceneArrays | None = None,
+    draw: np.ndarray | None = None,
 ) -> ChirpCube:
     """One frame's cube, seeded by (scenario seed, frame index).
 
     A caller that synthesizes the whole walk passes ``scene``: the scenario's
-    :func:`scenario_scatterers` as :func:`scene_arrays`, built once per walk.
+    :func:`scenario_scatterers` as :func:`scene_arrays`, built once per walk,
+    and the frame's ``draw`` from :func:`noise_draws`.
     """
     return synthesize_frame(
         sc.radar,
@@ -168,7 +195,48 @@ def synthesize_scenario_frame(
         scenario_scatterers(sc) if scene is None else scene,
         sc.noise,
         seed=_frame_seed(sc.seed, frame_idx),
+        draw=draw,
     )
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def noise_draws(
+    sc: ScenarioConfig, n_frames: int, scene: SceneArrays
+) -> Iterator[Iterator[np.ndarray | None]]:
+    """Each of a walk's noise draws, in frame order, for :func:`synthesize_scenario_frame`.
+
+    Yields an iterator of ``n_frames`` items. With the helper, each is
+    ``noise_draw`` from that frame's generator, drawn while the caller worked
+    on the frame before, or here if the helper had not begun it; without the
+    helper, each is None and the frame draws inline.
+    """
+    if n_frames < 2 or not draws_noise(sc.noise, scene) or _usable_cpus() < 2:
+        yield iter([None] * n_frames)
+        return
+    seeds = [_frame_seed(sc.seed, i) for i in range(n_frames)]
+    pool = ThreadPoolExecutor(max_workers=1)
+
+    def ahead():
+        pending = None
+        for i in range(n_frames):
+            # a draw the helper has not begun is drawn here instead of waited for
+            ready = pending if pending is not None and not pending.cancel() else None
+            if i + 1 < n_frames:
+                # the generator is built here: the helper then holds the GIL only briefly
+                pending = pool.submit(noise_draw, sc.radar, noise_rng(seeds[i + 1]))
+            yield ready.result() if ready else noise_draw(sc.radar, noise_rng(seeds[i]))
+
+    try:
+        yield ahead()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _frame_seed(scenario_seed: int, frame_idx: int) -> int:
@@ -193,12 +261,15 @@ def run_scenario(sc: ScenarioConfig) -> ScenarioResult:
     scene = scene_arrays(scenario_scatterers(sc))
     target_lists: list[TargetList] = []
     estimates: list[Optional[DimensionEstimate]] = []
-    for i, frame in enumerate(trajectory.frames):
-        cube = synthesize_scenario_frame(sc, trajectory, i, scene)
-        tl = process_frame(quantize_to_wire(cube), sc.dsp)
-        h_r = radar_height(sc.walk.mount_height_m, frame.gamma_rad)
-        estimates.append(estimate_initial(tl, frame.gamma_rad, sc.standards, radar_height_m=h_r))
-        target_lists.append(tl)
+    with noise_draws(sc, len(trajectory.frames), scene) as draws:
+        for i, (frame, draw) in enumerate(zip(trajectory.frames, draws)):
+            cube = synthesize_scenario_frame(sc, trajectory, i, scene, draw)
+            tl = process_frame(quantize_to_wire(cube), sc.dsp)
+            h_r = radar_height(sc.walk.mount_height_m, frame.gamma_rad)
+            estimates.append(
+                estimate_initial(tl, frame.gamma_rad, sc.standards, radar_height_m=h_r)
+            )
+            target_lists.append(tl)
     return ScenarioResult(
         scenario=sc, trajectory=trajectory, target_lists=target_lists, estimates=estimates
     )

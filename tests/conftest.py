@@ -1,5 +1,29 @@
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import pytest
 
 # make oracles.py importable from every test module
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture()
+def helper_pools(monkeypatch):
+    """The noise helpers ``scenario.noise_draws`` starts, with two usable CPUs.
+
+    A test that wants one CPU sets ``os.sched_getaffinity`` again.
+    """
+    from stairdim import scenario
+
+    started = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(scenario, "ThreadPoolExecutor", Recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return started

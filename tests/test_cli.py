@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -31,6 +33,14 @@ R_RES = derive_attributes(RadarConfig()).range_resolution_m
 def short_config(tmp_path):
     sc = ScenarioConfig(name="short", seed=4, walk=WalkConfig(duration_s=1.2), noise=NOISELESS)
     path = tmp_path / "short.json"
+    path.write_text(json.dumps(scenario_to_dict(sc)))
+    return path
+
+
+@pytest.fixture()
+def noisy_config(tmp_path):
+    sc = ScenarioConfig(name="noisy", seed=4, walk=WalkConfig(duration_s=1.2))
+    path = tmp_path / "noisy.json"
     path.write_text(json.dumps(scenario_to_dict(sc)))
     return path
 
@@ -771,3 +781,45 @@ def test_per_acquisition_equals_naive_grouping(ids, data):
     assert list(got_medians) == list(expected_medians) == ["initial", "enhanced"]
     assert [a.shape for a in got] == [a.shape for a in expected] == [(len(set(ids)), 2)] * 3
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_simulate_writes_the_same_files_with_and_without_the_noise_helper(
+    tmp_path, noisy_config, helper_pools, monkeypatch
+):
+    with_helper, inline = tmp_path / "helper", tmp_path / "inline"
+    assert cli.main(["simulate", "--config", str(noisy_config), "--out", str(with_helper)]) == 0
+    assert len(helper_pools) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert cli.main(["simulate", "--config", str(noisy_config), "--out", str(inline)]) == 0
+    assert len(helper_pools) == 1
+    files = _tree(with_helper)
+    assert sum(name.startswith("cubes/frame_") for name in files) == 12
+    assert files == _tree(inline)
+
+
+def test_no_thread_outlives_a_command(tmp_path, noisy_config, helper_pools, monkeypatch, capsys):
+    before = threading.enumerate()
+    scenario.run_scenario(load_scenario(noisy_config))
+    assert threading.enumerate() == before
+    assert cli.main(["simulate", "--config", str(noisy_config), "--out", str(tmp_path / "s")]) == 0
+    assert threading.enumerate() == before
+
+    real = scenario.process_frame
+    frames = []
+
+    def fails_at_frame_3(cube, cfg=None):
+        frames.append(cube)
+        if len(frames) == 4:
+            raise ValueError("frame 3 fails")
+        return real(cube, cfg)
+
+    monkeypatch.setattr(scenario, "process_frame", fails_at_frame_3)
+    capsys.readouterr()
+    assert cli.main(["process", "--config", str(noisy_config), "--out", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["stairdim: frame 3 fails"]
+    assert threading.enumerate() == before
+    assert len(helper_pools) == 3

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stairdim import scenario
-from stairdim.chirp_sim import NOISELESS, ChirpCube, NoiseConfig, quantize_to_wire
+from stairdim.chirp_sim import (
+    NOISELESS,
+    ChirpCube,
+    NoiseConfig,
+    noise_draw,
+    noise_rng,
+    quantize_to_wire,
+    scene_arrays,
+)
 from stairdim.dimension import SWEEP_STANDARDS, StairStandards, estimate_initial
 from stairdim.dsp_chain import (
     CfarConfig,
@@ -23,7 +33,7 @@ from stairdim.dsp_chain import (
     range_doppler_transform,
     stationary_slice,
 )
-from stairdim.enhancer import radar_height
+from stairdim.enhancer import Dataset, assemble_dataset, radar_height
 from stairdim.rf_params import RadarConfig, derive_attributes
 from stairdim.scene import StaircaseSpec, WalkConfig, corner_scatterers
 from stairdim.scenario import (
@@ -411,3 +421,74 @@ def test_run_scenario_equals_the_public_stages_composed(dsp, clutter):
         assert repr(result.target_lists[i]) == repr(tl), i
         assert repr(result.estimates[i]) == repr(estimate), i
     assert sum(e is not None for e in result.estimates) > 10
+
+
+def _outcome(result) -> tuple[str, str]:
+    return repr(result.target_lists), repr(result.estimates)
+
+
+@pytest.mark.parametrize("clutter", [0, 5], ids=["corners", "clutter"])
+def test_the_noise_helper_changes_no_result(helper_pools, monkeypatch, clutter):
+    sc = replace(build_sweep(3, 1)[1], clutter=ClutterConfig(count=clutter))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the GIL over as often as the interpreter allows
+    try:
+        with_helper = run_scenario(sc)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(helper_pools) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    inline = run_scenario(sc)
+    assert len(helper_pools) == 1
+    assert _outcome(with_helper) == _outcome(inline)
+
+
+@pytest.mark.parametrize(
+    "cpus, noise, corners, n_frames, starts",
+    [
+        ({0, 1}, NoiseConfig(), True, 5, True),
+        ({0}, NoiseConfig(), True, 5, False),
+        ({0, 1}, NOISELESS, True, 5, False),
+        ({0, 1}, NoiseConfig(), False, 5, False),
+        ({0, 1}, NoiseConfig(snr_db=None, power=1e-6), False, 5, True),
+        ({0, 1}, NoiseConfig(), True, 1, False),
+    ],
+    ids=["noisy", "one-cpu", "noiseless", "snr-no-scatterers", "power-no-scatterers", "one-frame"],
+)
+def test_the_noise_helper_starts_only_when_it_can_help(
+    helper_pools, monkeypatch, cpus, noise, corners, n_frames, starts
+):
+    sc = ScenarioConfig(name="helper", seed=2, noise=noise)
+    scene = scene_arrays(scenario_scatterers(sc) if corners else ())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    with scenario.noise_draws(sc, n_frames, scene) as draws:
+        got = list(draws)
+    assert len(helper_pools) == int(starts)
+    assert len(got) == n_frames
+    if not starts:
+        assert got == [None] * n_frames
+    for i, draw in enumerate(got if starts else ()):
+        # the frame's own stream, whichever thread drew it
+        expected = noise_draw(sc.radar, noise_rng(scenario._frame_seed(sc.seed, i)))
+        np.testing.assert_array_equal(draw, expected)
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, usable in ((4, 4), (1, 1), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert scenario._usable_cpus() == usable
+
+
+def test_a_walks_dataset_rows_do_not_depend_on_the_walks_around_it(helper_pools):
+    # each walk gets its own helper: one that carried a draw over from the
+    # walk before would change the rows of every walk but the first
+    sweep = build_sweep(3, 1)[:6]
+    together = assemble_dataset(sweep)
+    for sc in reversed(sweep):
+        alone = assemble_dataset([sc])
+        rows = together.scenario_id == sc.name
+        assert alone.n_rows == rows.sum() > 0, sc.name
+        for name, column in zip(Dataset._fields, alone):
+            np.testing.assert_array_equal(getattr(together, name)[rows], column, err_msg=name)
+    assert len(helper_pools) == 2 * len(sweep)
