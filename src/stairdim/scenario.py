@@ -29,10 +29,21 @@ calling thread, so every output is byte-identical to drawing inline. A draw
 the helper has not begun when its frame needs it is cancelled and drawn
 inline, so a helper thread scheduled late never holds a frame up for a
 whole draw. The helper starts only when it can help, with at least two
-usable CPUs and a walk that draws noise (see ``chirp_sim.draws_noise``)
-over more than one frame; otherwise each frame draws inline. One
-``ThreadPoolExecutor`` serves one walk and is shut down, its pending draw
-cancelled and its thread joined, however the walk ends.
+usable CPUs (the affinity mask, capped by a cgroup CPU quota) and a walk
+that draws noise (see ``chirp_sim.draws_noise``) over more than one frame;
+otherwise each frame draws inline. One ``ThreadPoolExecutor`` serves one
+walk and is shut down, its pending draw cancelled and its thread joined,
+however the walk ends.
+
+Each draw hands the GIL between the two threads about twice, and each
+hand-off puts a thread to sleep until the OS wakes it. The helper pays off
+where those wake-ups take tens of microseconds, as on an otherwise idle
+2-CPU host: a walk then takes about 12% less time. Where a thread waits
+long to be woken or scheduled (another process busy on the second CPU, or
+a virtual machine whose CPUs are being stolen), the hand-offs cost more
+than the draw saves. So the helper times itself: once the calling thread
+spends more than a fifth of its CPU time off CPU, the helper stops for the
+rest of the walk, and the next walk tries again.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ import contextlib
 import functools
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -199,11 +211,36 @@ def synthesize_scenario_frame(
     )
 
 
+_CGROUP = Path("/sys/fs/cgroup")
+# the calling thread's time off CPU, as a share of its CPU time, above which
+# the noise helper stops for the rest of the walk
+_OFF_CPU_LIMIT = 0.2
+
+
 def _usable_cpus() -> int:
+    """CPUs this process can run on at once: its affinity, capped by a cgroup CPU quota."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus if quota is None else max(1, min(cpus, int(quota)))
+
+
+def _cpu_quota() -> float | None:
+    """The cgroup's CPU quota in CPUs (v2 ``cpu.max``, else v1 CFS), None if unlimited or unread."""
+    try:
+        quota, period = (_CGROUP / "cpu.max").read_text().split()
+    except (OSError, ValueError):
+        try:
+            quota = (_CGROUP / "cpu" / "cpu.cfs_quota_us").read_text().strip()
+            period = (_CGROUP / "cpu" / "cpu.cfs_period_us").read_text().strip()
+        except OSError:
+            return None
+    try:
+        return int(quota) / int(period) if quota not in ("max", "-1") else None
+    except (ValueError, ZeroDivisionError):
+        return None
 
 
 @contextlib.contextmanager
@@ -214,24 +251,36 @@ def noise_draws(
 
     Yields an iterator of ``n_frames`` items. With the helper, each is
     ``noise_draw`` from that frame's generator, drawn while the caller worked
-    on the frame before, or here if the helper had not begun it; without the
-    helper, each is None and the frame draws inline.
+    on the frame before. An item is None, and its frame draws inline in
+    ``synthesize_frame``, for the first frame, for a frame whose draw the
+    helper had not begun, for every frame after the helper stops, and for
+    every frame of a walk without the helper.
+
+    The helper checks its own cost. From the second frame on, the calling
+    thread's time off CPU is compared with its CPU time. Once it exceeds
+    ``_OFF_CPU_LIMIT`` of it, the helper stops for the rest of the walk: the
+    wake-ups of the GIL hand-offs then cost about what the draw saves.
     """
     if n_frames < 2 or not draws_noise(sc.noise, scene) or _usable_cpus() < 2:
         yield iter([None] * n_frames)
         return
-    seeds = [_frame_seed(sc.seed, i) for i in range(n_frames)]
     pool = ThreadPoolExecutor(max_workers=1)
 
     def ahead():
-        pending = None
+        pending, helping = None, True
         for i in range(n_frames):
-            # a draw the helper has not begun is drawn here instead of waited for
+            # a draw the helper has not begun is drawn inline instead of waited for
             ready = pending if pending is not None and not pending.cancel() else None
-            if i + 1 < n_frames:
+            pending = None
+            if i == 1:  # the helper thread has started: the hand-offs are timed from here
+                wall0, cpu0 = time.perf_counter(), time.thread_time()
+            elif helping and i > 1:
+                cpu = time.thread_time() - cpu0
+                helping = time.perf_counter() - wall0 - cpu <= _OFF_CPU_LIMIT * cpu
+            if helping and i + 1 < n_frames:
                 # the generator is built here: the helper then holds the GIL only briefly
-                pending = pool.submit(noise_draw, sc.radar, noise_rng(seeds[i + 1]))
-            yield ready.result() if ready else noise_draw(sc.radar, noise_rng(seeds[i]))
+                pending = pool.submit(noise_draw, sc.radar, noise_rng(_frame_seed(sc.seed, i + 1)))
+            yield ready.result() if ready else None
 
     try:
         yield ahead()

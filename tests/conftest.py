@@ -1,5 +1,6 @@
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -10,10 +11,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 
 @pytest.fixture()
-def helper_pools(monkeypatch):
+def helper_pools(monkeypatch, tmp_path):
     """The noise helpers ``scenario.noise_draws`` starts, with two usable CPUs.
 
-    A test that wants one CPU sets ``os.sched_getaffinity`` again.
+    Each counts the draws submitted to it in ``submitted``.
+    No cgroup quota applies, and the calling thread never seems off CPU, so
+    no helper stops before its walk ends. A test that wants one CPU sets
+    ``os.sched_getaffinity`` again.
     """
     from stairdim import scenario
 
@@ -22,8 +26,15 @@ def helper_pools(monkeypatch):
     class Recorded(ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.submitted = 0
             started.append(self)
 
+        def submit(self, *args, **kwargs):
+            self.submitted += 1
+            return super().submit(*args, **kwargs)
+
     monkeypatch.setattr(scenario, "ThreadPoolExecutor", Recorded)
+    monkeypatch.setattr(scenario, "_CGROUP", tmp_path / "no-cgroup")
+    monkeypatch.setattr(time, "thread_time", time.perf_counter)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     return started

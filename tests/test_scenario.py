@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -443,6 +444,22 @@ def test_the_noise_helper_changes_no_result(helper_pools, monkeypatch, clutter):
     assert _outcome(with_helper) == _outcome(inline)
 
 
+def test_the_noise_helper_stops_when_its_hand_offs_keep_the_caller_off_cpu(
+    helper_pools, monkeypatch
+):
+    sc = build_sweep(3, 1)[1]
+    kept = run_scenario(sc)  # never off CPU
+    assert helper_pools[0].submitted == len(kept.target_lists) - 1 > 2
+    monkeypatch.setattr(time, "thread_time", lambda: 0.0)  # every second spent off CPU
+    stopped = run_scenario(sc)
+    # frames 1 and 2 were submitted before the check after frame 1 stopped it
+    assert helper_pools[1].submitted == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    inline = run_scenario(sc)
+    assert len(helper_pools) == 2
+    assert _outcome(stopped) == _outcome(kept) == _outcome(inline)
+
+
 @pytest.mark.parametrize(
     "cpus, noise, corners, n_frames, starts",
     [
@@ -467,17 +484,46 @@ def test_the_noise_helper_starts_only_when_it_can_help(
     assert len(got) == n_frames
     if not starts:
         assert got == [None] * n_frames
-    for i, draw in enumerate(got if starts else ()):
-        # the frame's own stream, whichever thread drew it
-        expected = noise_draw(sc.radar, noise_rng(scenario._frame_seed(sc.seed, i)))
-        np.testing.assert_array_equal(draw, expected)
+    assert got[0] is None  # nothing runs ahead of the first frame
+    for i, draw in enumerate(got):
+        # the frame's own stream, whichever thread drew it; None draws inline
+        if draw is not None:
+            expected = noise_draw(sc.radar, noise_rng(scenario._frame_seed(sc.seed, i)))
+            np.testing.assert_array_equal(draw, expected)
 
 
-def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch, tmp_path):
+    monkeypatch.setattr(scenario, "_CGROUP", tmp_path)
     monkeypatch.delattr(os, "sched_getaffinity")
     for count, usable in ((4, 4), (1, 1), (None, 1)):
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         assert scenario._usable_cpus() == usable
+
+
+@pytest.mark.parametrize(
+    "files, usable",
+    [
+        ({"cpu.max": "max 100000\n"}, 4),
+        ({"cpu.max": "100000 100000\n"}, 1),
+        ({"cpu.max": "150000 100000\n"}, 1),
+        ({"cpu.max": "250000 100000\n"}, 2),
+        ({"cpu.max": "800000 100000\n"}, 4),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 4),
+        ({"cpu/cpu.cfs_quota_us": "50000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+        ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+        ({"cpu.max": "garbled\n"}, 4),
+        ({}, 4),
+    ],
+    ids=["v2-max", "v2-one", "v2-one-and-a-half", "v2-two", "v2-eight",
+         "v1-unlimited", "v1-half", "v1-two", "unreadable", "no-cgroup"],
+)
+def test_usable_cpus_are_capped_by_a_cgroup_quota(monkeypatch, tmp_path, files, usable):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(scenario, "_CGROUP", tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert scenario._usable_cpus() == usable
 
 
 def test_a_walks_dataset_rows_do_not_depend_on_the_walks_around_it(helper_pools):
