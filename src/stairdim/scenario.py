@@ -38,7 +38,7 @@ however the walk ends.
 Each draw hands the GIL between the two threads about twice, and each
 hand-off puts a thread to sleep until the OS wakes it. The helper pays off
 where those wake-ups take tens of microseconds, as on an otherwise idle
-2-CPU host: a walk then takes about 12% less time. Where a thread waits
+2-CPU host: a walk then takes about 11% less time. Where a thread waits
 long to be woken or scheduled (another process busy on the second CPU, or
 a virtual machine whose CPUs are being stolen), the hand-offs cost more
 than the draw saves. So the helper times itself: once the calling thread
