@@ -43,7 +43,10 @@ long to be woken or scheduled (another process busy on the second CPU, or
 a virtual machine whose CPUs are being stolen), the hand-offs cost more
 than the draw saves. So the helper times itself: once the calling thread
 spends more than a fifth of its CPU time off CPU, the helper stops for the
-rest of the walk, and the next walk tries again.
+rest of the walk. The walks after such a stop draw inline, one walk after
+the first stop and twice as many after each further one, up to 16; a
+helper that lasts its walk resets that count. The outputs never depend on
+any of this.
 """
 
 from __future__ import annotations
@@ -215,6 +218,8 @@ _CGROUP = Path("/sys/fs/cgroup")
 # the calling thread's time off CPU, as a share of its CPU time, above which
 # the noise helper stops for the rest of the walk
 _OFF_CPU_LIMIT = 0.2
+# the most walks that draw inline after a stop
+_MAX_SKIP = 16
 
 
 def _usable_cpus() -> int:
@@ -228,7 +233,11 @@ def _usable_cpus() -> int:
 
 
 def _cpu_quota() -> float | None:
-    """The cgroup's CPU quota in CPUs (v2 ``cpu.max``, else v1 CFS), None if unlimited or unread."""
+    """The CPU quota, in CPUs, of the cgroup at ``_CGROUP``; None if unlimited or unread.
+
+    Reads cgroup v2 ``cpu.max``, else v1 ``cpu.cfs_quota_us`` over
+    ``cpu.cfs_period_us``. In a container that mount is its own cgroup.
+    """
     try:
         quota, period = (_CGROUP / "cpu.max").read_text().split()
     except (OSError, ValueError):
@@ -241,6 +250,34 @@ def _cpu_quota() -> float | None:
         return int(quota) / int(period) if quota not in ("max", "-1") else None
     except (ValueError, ZeroDivisionError):
         return None
+
+
+class _Backoff:
+    """How many walks draw inline after a walk whose helper stopped early.
+
+    One after the first stop, then twice as many after each further stop,
+    up to ``_MAX_SKIP``. A helper that lasts its walk resets the count. The
+    walks skipped then pay for no thread and no hand-offs while the host
+    stays slow to wake threads.
+    """
+
+    def __init__(self) -> None:
+        self.skip, self.wait = 0, 1
+
+    def allows(self) -> bool:
+        if self.skip:
+            self.skip -= 1
+            return False
+        return True
+
+    def record(self, stopped: bool) -> None:
+        if stopped:
+            self.skip, self.wait = self.wait, min(2 * self.wait, _MAX_SKIP)
+        else:
+            self.wait = 1
+
+
+_backoff = _Backoff()
 
 
 @contextlib.contextmanager
@@ -259,15 +296,24 @@ def noise_draws(
     The helper checks its own cost. From the second frame on, the calling
     thread's time off CPU is compared with its CPU time. Once it exceeds
     ``_OFF_CPU_LIMIT`` of it, the helper stops for the rest of the walk: the
-    wake-ups of the GIL hand-offs then cost about what the draw saves.
+    wake-ups of the GIL hand-offs then cost about what the draw saves. Such
+    a stop holds the next walks' helpers back (see :class:`_Backoff`). Once
+    no draw follows, the pool is shut down without waiting, so its thread
+    exits while the caller works and the final join does not wait for a
+    wake-up.
     """
-    if n_frames < 2 or not draws_noise(sc.noise, scene) or _usable_cpus() < 2:
+    if (
+        n_frames < 2
+        or not draws_noise(sc.noise, scene)
+        or _usable_cpus() < 2
+        or not _backoff.allows()
+    ):
         yield iter([None] * n_frames)
         return
     pool = ThreadPoolExecutor(max_workers=1)
 
     def ahead():
-        pending, helping = None, True
+        pending, helping, slow = None, True, False
         for i in range(n_frames):
             # a draw the helper has not begun is drawn inline instead of waited for
             ready = pending if pending is not None and not pending.cancel() else None
@@ -276,10 +322,15 @@ def noise_draws(
                 wall0, cpu0 = time.perf_counter(), time.thread_time()
             elif helping and i > 1:
                 cpu = time.thread_time() - cpu0
-                helping = time.perf_counter() - wall0 - cpu <= _OFF_CPU_LIMIT * cpu
-            if helping and i + 1 < n_frames:
+                slow = time.perf_counter() - wall0 - cpu > _OFF_CPU_LIMIT * cpu
+            if helping and not slow and i + 1 < n_frames:
                 # the generator is built here: the helper then holds the GIL only briefly
                 pending = pool.submit(noise_draw, sc.radar, noise_rng(_frame_seed(sc.seed, i + 1)))
+            elif helping:
+                # no draw follows: the thread exits while the caller works, not at the join
+                helping = False
+                pool.shutdown(wait=False)
+                _backoff.record(stopped=slow)
             yield ready.result() if ready else None
 
     try:

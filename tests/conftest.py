@@ -14,10 +14,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 def helper_pools(monkeypatch, tmp_path):
     """The noise helpers ``scenario.noise_draws`` starts, with two usable CPUs.
 
-    Each counts the draws submitted to it in ``submitted``.
-    No cgroup quota applies, and the calling thread never seems off CPU, so
-    no helper stops before its walk ends. A test that wants one CPU sets
-    ``os.sched_getaffinity`` again.
+    Each counts the draws submitted to it in ``submitted`` and lists the
+    ``wait`` of each shutdown in ``waits``. No cgroup quota
+    applies, no earlier walk's stop holds a helper back, and the calling
+    thread never seems off CPU, so no helper stops before its walk ends. A
+    test that wants one CPU sets ``os.sched_getaffinity`` again.
     """
     from stairdim import scenario
 
@@ -26,15 +27,20 @@ def helper_pools(monkeypatch, tmp_path):
     class Recorded(ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.submitted = 0
+            self.submitted, self.waits = 0, []
             started.append(self)
 
         def submit(self, *args, **kwargs):
             self.submitted += 1
             return super().submit(*args, **kwargs)
 
+        def shutdown(self, wait=True, **kwargs):
+            self.waits.append(wait)
+            super().shutdown(wait, **kwargs)
+
     monkeypatch.setattr(scenario, "ThreadPoolExecutor", Recorded)
     monkeypatch.setattr(scenario, "_CGROUP", tmp_path / "no-cgroup")
+    monkeypatch.setattr(scenario, "_backoff", scenario._Backoff())
     monkeypatch.setattr(time, "thread_time", time.perf_counter)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     return started

@@ -454,10 +454,41 @@ def test_the_noise_helper_stops_when_its_hand_offs_keep_the_caller_off_cpu(
     stopped = run_scenario(sc)
     # frames 1 and 2 were submitted before the check after frame 1 stopped it
     assert helper_pools[1].submitted == 2
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    inline = run_scenario(sc)
+    # once no draw follows, the thread is let go at once and joined at the end
+    assert helper_pools[0].waits == helper_pools[1].waits == [False, True]
+    skipped = run_scenario(sc)  # the walk after a stop draws inline
     assert len(helper_pools) == 2
-    assert _outcome(stopped) == _outcome(kept) == _outcome(inline)
+    assert _outcome(stopped) == _outcome(kept) == _outcome(skipped)
+
+
+def test_the_noise_helper_backs_off_while_it_keeps_stopping(helper_pools, monkeypatch):
+    sc = ScenarioConfig(name="backoff", seed=2)
+    scene = scene_arrays(scenario_scatterers(sc))
+    started = []
+
+    def walk():
+        before = len(helper_pools)
+        with scenario.noise_draws(sc, 5, scene) as draws:
+            list(draws)
+        started.append(len(helper_pools) - before)
+
+    monkeypatch.setattr(time, "thread_time", lambda: 0.0)  # every helper stops
+    for _ in range(1 + 1 + 1 + 2 + 1 + 4 + 1):
+        walk()
+    # stops hold back 1, 2, then 4 walks
+    assert started == [1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1]
+    for _ in range(8 + 16 + 16):
+        walk()
+    assert started[11:] == [0] * 8 + [1] + [0] * 16 + [1] + [0] * 14  # capped at 16
+    monkeypatch.setattr(time, "thread_time", time.perf_counter)  # helpers last again
+    for _ in range(2 + 2):
+        walk()
+    # the skip already set runs out, then a lasting helper resets the wait to 1
+    assert started[-4:] == [0, 0, 1, 1]
+    monkeypatch.setattr(time, "thread_time", lambda: 0.0)
+    for _ in range(3):
+        walk()
+    assert started[-3:] == [1, 0, 1]
 
 
 @pytest.mark.parametrize(
