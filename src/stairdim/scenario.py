@@ -41,12 +41,11 @@ where those wake-ups take tens of microseconds, as on an otherwise idle
 2-CPU host: a walk then takes about 11% less time. Where a thread waits
 long to be woken or scheduled (another process busy on the second CPU, or
 a virtual machine whose CPUs are being stolen), the hand-offs cost more
-than the draw saves. So the helper times itself: once the calling thread
-spends more than a fifth of its CPU time off CPU, the helper stops for the
-rest of the walk. The walks after such a stop draw inline, one walk after
-the first stop and twice as many after each further one, up to 16; a
-helper that lasts its walk resets that count. The outputs never depend on
-any of this.
+than the draw saves. So the helper times itself: when the calling thread
+spent more than a fifth of its CPU time off CPU over a walk, the walks after
+it draw inline, one walk after the first such walk and twice as many after
+each further one, up to 16; a walk whose helper paid off resets that count.
+The outputs never depend on any of this.
 """
 
 from __future__ import annotations
@@ -215,10 +214,10 @@ def synthesize_scenario_frame(
 
 
 _CGROUP = Path("/sys/fs/cgroup")
-# the calling thread's time off CPU, as a share of its CPU time, above which
-# the noise helper stops for the rest of the walk
+# the calling thread's time off CPU during a walk with the noise helper, as a
+# share of its CPU time, above which the helper cost more than it saved
 _OFF_CPU_LIMIT = 0.2
-# the most walks that draw inline after a stop
+# the most walks that draw inline after such a walk
 _MAX_SKIP = 16
 
 
@@ -253,12 +252,13 @@ def _cpu_quota() -> float | None:
 
 
 class _Backoff:
-    """How many walks draw inline after a walk whose helper stopped early.
+    """How many walks draw inline after a walk whose helper was too slow.
 
-    One after the first stop, then twice as many after each further stop,
-    up to ``_MAX_SKIP``. A helper that lasts its walk resets the count. The
-    walks skipped then pay for no thread and no hand-offs while the host
-    stays slow to wake threads.
+    One after the first slow walk, then twice as many after each further
+    one, up to ``_MAX_SKIP``. A walk whose helper paid off resets the count.
+    The walks skipped start no thread and hand nothing off while the host
+    stays slow to wake threads, and the walks tried now and then notice
+    when it is quick again.
     """
 
     def __init__(self) -> None:
@@ -270,8 +270,8 @@ class _Backoff:
             return False
         return True
 
-    def record(self, stopped: bool) -> None:
-        if stopped:
+    def record(self, slow: bool) -> None:
+        if slow:
             self.skip, self.wait = self.wait, min(2 * self.wait, _MAX_SKIP)
         else:
             self.wait = 1
@@ -290,17 +290,15 @@ def noise_draws(
     ``noise_draw`` from that frame's generator, drawn while the caller worked
     on the frame before. An item is None, and its frame draws inline in
     ``synthesize_frame``, for the first frame, for a frame whose draw the
-    helper had not begun, for every frame after the helper stops, and for
-    every frame of a walk without the helper.
+    helper had not begun, and for every frame of a walk without the helper.
 
-    The helper checks its own cost. From the second frame on, the calling
-    thread's time off CPU is compared with its CPU time. Once it exceeds
-    ``_OFF_CPU_LIMIT`` of it, the helper stops for the rest of the walk: the
-    wake-ups of the GIL hand-offs then cost about what the draw saves. Such
-    a stop holds the next walks' helpers back (see :class:`_Backoff`). Once
-    no draw follows, the pool is shut down without waiting, so its thread
-    exits while the caller works and the final join does not wait for a
-    wake-up.
+    The helper checks its own cost. From the second frame to the last, the
+    calling thread's time off CPU is compared with its CPU time. Above
+    ``_OFF_CPU_LIMIT`` of it, the wake-ups of the GIL hand-offs cost about
+    what the draws saved, and the next walks draw inline (see
+    :class:`_Backoff`). At the last frame the pool is shut down without
+    waiting, so its thread exits while the caller works and the final join
+    does not wait for a wake-up.
     """
     if (
         n_frames < 2
@@ -313,24 +311,22 @@ def noise_draws(
     pool = ThreadPoolExecutor(max_workers=1)
 
     def ahead():
-        pending, helping, slow = None, True, False
+        pending = None
         for i in range(n_frames):
             # a draw the helper has not begun is drawn inline instead of waited for
             ready = pending if pending is not None and not pending.cancel() else None
             pending = None
             if i == 1:  # the helper thread has started: the hand-offs are timed from here
                 wall0, cpu0 = time.perf_counter(), time.thread_time()
-            elif helping and i > 1:
-                cpu = time.thread_time() - cpu0
-                slow = time.perf_counter() - wall0 - cpu > _OFF_CPU_LIMIT * cpu
-            if helping and not slow and i + 1 < n_frames:
+            if i + 1 < n_frames:
                 # the generator is built here: the helper then holds the GIL only briefly
                 pending = pool.submit(noise_draw, sc.radar, noise_rng(_frame_seed(sc.seed, i + 1)))
-            elif helping:
+            else:
                 # no draw follows: the thread exits while the caller works, not at the join
-                helping = False
                 pool.shutdown(wait=False)
-                _backoff.record(stopped=slow)
+                if i > 1:
+                    cpu = time.thread_time() - cpu0
+                    _backoff.record(slow=time.perf_counter() - wall0 - cpu > _OFF_CPU_LIMIT * cpu)
             yield ready.result() if ready else None
 
     try:

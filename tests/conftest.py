@@ -16,9 +16,9 @@ def helper_pools(monkeypatch, tmp_path):
 
     Each counts the draws submitted to it in ``submitted`` and lists the
     ``wait`` of each shutdown in ``waits``. No cgroup quota
-    applies, no earlier walk's stop holds a helper back, and the calling
-    thread never seems off CPU, so no helper stops before its walk ends. A
-    test that wants one CPU sets ``os.sched_getaffinity`` again.
+    applies, and the calling thread never seems off CPU, so no slow walk
+    holds a later helper back. A test that wants one CPU sets
+    ``os.sched_getaffinity`` again.
     """
     from stairdim import scenario
 

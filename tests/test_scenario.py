@@ -444,24 +444,23 @@ def test_the_noise_helper_changes_no_result(helper_pools, monkeypatch, clutter):
     assert _outcome(with_helper) == _outcome(inline)
 
 
-def test_the_noise_helper_stops_when_its_hand_offs_keep_the_caller_off_cpu(
+def test_a_walk_whose_noise_helper_kept_the_caller_off_cpu_holds_the_next_one_back(
     helper_pools, monkeypatch
 ):
     sc = build_sweep(3, 1)[1]
     kept = run_scenario(sc)  # never off CPU
-    assert helper_pools[0].submitted == len(kept.target_lists) - 1 > 2
     monkeypatch.setattr(time, "thread_time", lambda: 0.0)  # every second spent off CPU
-    stopped = run_scenario(sc)
-    # frames 1 and 2 were submitted before the check after frame 1 stopped it
-    assert helper_pools[1].submitted == 2
-    # once no draw follows, the thread is let go at once and joined at the end
-    assert helper_pools[0].waits == helper_pools[1].waits == [False, True]
-    skipped = run_scenario(sc)  # the walk after a stop draws inline
+    slow = run_scenario(sc)
+    skipped = run_scenario(sc)  # the walk after a slow one draws inline
     assert len(helper_pools) == 2
-    assert _outcome(stopped) == _outcome(kept) == _outcome(skipped)
+    n = len(kept.target_lists)
+    assert [pool.submitted for pool in helper_pools] == [n - 1, n - 1]
+    # at the last frame the thread is let go, and it is joined at the end
+    assert helper_pools[0].waits == helper_pools[1].waits == [False, True]
+    assert _outcome(slow) == _outcome(kept) == _outcome(skipped)
 
 
-def test_the_noise_helper_backs_off_while_it_keeps_stopping(helper_pools, monkeypatch):
+def test_the_noise_helper_backs_off_while_its_walks_stay_slow(helper_pools, monkeypatch):
     sc = ScenarioConfig(name="backoff", seed=2)
     scene = scene_arrays(scenario_scatterers(sc))
     started = []
@@ -472,18 +471,18 @@ def test_the_noise_helper_backs_off_while_it_keeps_stopping(helper_pools, monkey
             list(draws)
         started.append(len(helper_pools) - before)
 
-    monkeypatch.setattr(time, "thread_time", lambda: 0.0)  # every helper stops
+    monkeypatch.setattr(time, "thread_time", lambda: 0.0)  # every walk with a helper is slow
     for _ in range(1 + 1 + 1 + 2 + 1 + 4 + 1):
         walk()
-    # stops hold back 1, 2, then 4 walks
+    # slow walks hold back 1, 2, then 4 walks
     assert started == [1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1]
     for _ in range(8 + 16 + 16):
         walk()
     assert started[11:] == [0] * 8 + [1] + [0] * 16 + [1] + [0] * 14  # capped at 16
-    monkeypatch.setattr(time, "thread_time", time.perf_counter)  # helpers last again
+    monkeypatch.setattr(time, "thread_time", time.perf_counter)  # helpers pay off again
     for _ in range(2 + 2):
         walk()
-    # the skip already set runs out, then a lasting helper resets the wait to 1
+    # the skip already set runs out, then a walk that paid off resets the wait to 1
     assert started[-4:] == [0, 0, 1, 1]
     monkeypatch.setattr(time, "thread_time", lambda: 0.0)
     for _ in range(3):
