@@ -227,7 +227,7 @@ def _usable_cpus() -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has it
         cpus = os.cpu_count() or 1
-    quota = _cpu_quota()
+    quota = _cpu_quota() if cpus > 1 else None
     return cpus if quota is None else max(1, min(cpus, int(quota)))
 
 
