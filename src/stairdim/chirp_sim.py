@@ -21,8 +21,8 @@ generator (:func:`noise_rng`), so the stream is the same whichever thread
 runs it and in which order. A walk may pass a frame's draw in, made ahead
 of time: ``scenario.noise_draws`` runs the draw of frame i+1 on one helper
 thread while frame i is processed, when at least two CPUs are usable and
-the walk draws noise, until the calling thread waits off CPU for too long
-(see its docstring). Any frame given no draw makes its own here. The
+the walk draws noise, unless recent walks found the helper too slow (see
+its docstring). Any frame given no draw makes its own here. The
 scaling and the add stay in :func:`synthesize_frame`.
 
 Cube files: little-endian, 64-byte header (magic ``DIMRADC1``, u32 counts
