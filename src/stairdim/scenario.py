@@ -258,7 +258,9 @@ class _Backoff:
     one, up to ``_MAX_SKIP``. A walk whose helper paid off resets the count.
     The walks skipped start no thread and hand nothing off while the host
     stays slow to wake threads, and the walks tried now and then notice
-    when it is quick again.
+    when it is quick again. Walks on several threads share one count
+    without a lock: a lost update changes only when a helper runs, never an
+    output.
     """
 
     def __init__(self) -> None:
