@@ -61,7 +61,6 @@ from .enhancer import (
     gradient_check,
     init_model,
     load_model,
-    radar_height,
     read_dataset,
     save_model,
     split_dataset,
@@ -94,6 +93,7 @@ from .scene import (
     corner_scatterers,
     corners_of,
     generate_walk,
+    radar_height,
 )
 
 __version__ = "0.1.0"

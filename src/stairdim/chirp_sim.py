@@ -19,11 +19,10 @@ to every frame's :func:`synthesize_frame`. Each frame still draws its own
 seeded noise: :func:`noise_draw` is the one draw, from the frame's own
 generator (:func:`noise_rng`), so the stream is the same whichever thread
 runs it and in which order. A walk may pass a frame's draw in, made ahead
-of time: ``scenario.noise_draws`` runs the draw of frame i+1 on one helper
-thread while frame i is processed, when at least two CPUs are usable and
-the walk draws noise, unless recent walks found the helper too slow (see
-its docstring). Any frame given no draw makes its own here. The
-scaling and the add stay in :func:`synthesize_frame`.
+of time: ``scenario.walk_cubes`` is the one place that decides when a helper
+thread draws frame i+1 while frame i is processed (see its docstring). Any
+frame given no draw makes its own here. The scaling and the add stay in
+:func:`synthesize_frame`.
 
 Cube files: little-endian, 64-byte header (magic ``DIMRADC1``, u32 counts
 N_S/N_P/N_A, f64 timestamp/gamma/v_host, zero padding), then interleaved
@@ -64,7 +63,6 @@ __all__ = [
     "ChirpCube",
     "SceneArrays",
     "scene_arrays",
-    "draws_noise",
     "noise_draw",
     "noise_rng",
     "synthesize_frame",
@@ -190,14 +188,6 @@ def _sum_over_scatterers(fast: np.ndarray, slow: np.ndarray, aper: np.ndarray) -
     (n_s, k), n_p, n_a = fast.shape, slow.shape[0], aper.shape[0]
     kap = (aper.T[:, :, None] * slow.T[:, None, :]).transpose(1, 2, 0).reshape(n_a * n_p, k)
     return np.ascontiguousarray((kap @ fast.T).reshape(n_a, n_p, n_s).transpose(2, 1, 0))
-
-
-def draws_noise(noise: NoiseConfig, scene: SceneArrays) -> bool:
-    """Whether frames of ``scene`` can draw noise: a set power, or an SNR and a scatterer.
-
-    A frame whose nearest scatterer has zero reflectivity still draws none.
-    """
-    return noise.power is not None or (noise.snr_db is not None and scene.x_m.size > 0)
 
 
 def noise_rng(seed: int) -> np.random.Generator:

@@ -8,6 +8,10 @@ Subcommands map to the pipeline stages:
     train      dataset.csv -> model.json
     evaluate   dataset.csv + model.json -> eval/report.json + histograms
 
+``simulate``, and ``process --config`` and ``sweep`` through ``run_scenario``,
+take a walk's cubes from ``scenario.walk_cubes``, the one place that knows
+the noise helper thread.
+
 ``sweep`` builds its dataset as one ``enhancer.Dataset`` of column arrays;
 ``train`` and ``evaluate`` read ``dataset.csv`` back into that form, split it,
 and work on whole columns. ``evaluate`` names its estimators once, in
@@ -45,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .chirp_sim import load_cube, save_cube, scene_arrays
+from .chirp_sim import load_cube, save_cube
 from .codec import read_json_object, to_dict, write_json
 from .dimension import aggregate_estimates, estimate_initial
 from .dsp_chain import DspConfig, process_frame, write_target_lists
@@ -59,7 +63,6 @@ from .enhancer import (
     dataset_fingerprint,
     forward,
     load_model,
-    radar_height,
     read_dataset,
     save_model,
     split_dataset,
@@ -67,18 +70,17 @@ from .enhancer import (
     write_dataset,
 )
 from .evaluation import DIMENSIONS, build_error_report, report_to_dict, write_histogram_csv
-from .scene import Trajectory, corners_of
+from .scene import Trajectory, corners_of, radar_height
 from .scenario import (
     ScenarioConfig,
     build_sweep,
     load_scenario,
-    noise_draws,
     run_scenario,
     scenario_from_dict,
-    scenario_scatterers,
     scenario_to_dict,
     scenario_trajectory,
-    synthesize_scenario_frame,
+    synthesize_scenario_frame,  # unused: bench/tracing.py patches it until ROADMAP item 4
+    walk_cubes,
 )
 
 def _versions() -> dict:
@@ -152,13 +154,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cube_dir = out_dir / "cubes"
     cube_dir.mkdir(parents=True, exist_ok=True)
     trajectory = scenario_trajectory(sc)
-    scene = scene_arrays(scenario_scatterers(sc))
     paths = _frame_paths(cube_dir, len(trajectory.frames))
     # until the new sidecar is written, process --cubes refuses the walk
     (out_dir / "sidecar.json").unlink(missing_ok=True)
-    with noise_draws(sc, len(paths), scene) as draws:
-        for i, (path, draw) in enumerate(zip(paths, draws)):
-            save_cube(synthesize_scenario_frame(sc, trajectory, i, scene, draw), path)
+    with walk_cubes(sc, trajectory) as cubes:
+        for path, cube in zip(paths, cubes):
+            save_cube(cube, path)
     for stale in set(cube_dir.glob("frame_*.bin")).difference(paths):  # an earlier, longer walk's frames
         stale.unlink()
     _write_sidecar(sc, trajectory, out_dir)
@@ -196,6 +197,8 @@ def _report_from_estimates(estimates, target_lists) -> dict:
 
 
 def cmd_process(args: argparse.Namespace) -> int:
+    if args.config and args.cubes:
+        raise ValueError("--config and --cubes exclude each other: a cube run carries its scenario")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -245,10 +248,10 @@ def cmd_process(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.walks_per_combo < 1:
         raise ValueError(f"--walks-per-combo must be >= 1, got {args.walks_per_combo}")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else 0
     scenarios = build_sweep(
         base_seed=seed, walks_per_combo=args.walks_per_combo, dsp=_dsp_overrides(DspConfig(), args)

@@ -60,6 +60,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import scenario
 from .codec import read_json_object, rewrite, to_dict, write_json
 from .dimension import DimensionEstimate
 from .numerics import rng_for
@@ -70,7 +71,6 @@ __all__ = [
     "TrainResult",
     "EnhancerModel",
     "TrainingError",
-    "radar_height",
     "sample_from_estimate",
     "write_dataset",
     "read_dataset",
@@ -87,22 +87,8 @@ __all__ = [
     "assemble_dataset",
 ]
 
-_MOUNT_TILT_OFFSET_RAD = math.radians(20.0)
-
-
 class TrainingError(RuntimeError):
     """Raised when the loss diverges to a non-finite value."""
-
-
-def radar_height(h_i_m: float, gamma_rad: float) -> float:
-    """Radar height above floor from the mount height and inclination.
-
-    h_r = h_i * cos(gamma + 20 deg): at the -20 deg mount tilt the neutral
-    stance gives h_r = h_i exactly.
-    """
-    if not (math.isfinite(h_i_m) and h_i_m > 0.0):
-        raise ValueError(f"mount height must be positive, got {h_i_m!r}")
-    return h_i_m * math.cos(gamma_rad + _MOUNT_TILT_OFFSET_RAD)
 
 
 class Dataset(NamedTuple):
@@ -890,14 +876,13 @@ def assemble_dataset(scenarios) -> Dataset:
     One row per frame that yields a corner pair. ``scenarios`` is an iterable
     of ScenarioConfig.
     """
-    from .scenario import run_scenario  # runtime import, avoids a module cycle
-
     rows = []
     for sc in scenarios:
         d, h = sc.staircase.depth_m, sc.staircase.height_m
+        # looked up in the module at each call, where the benchmark's tracer patches it
         rows.extend(
             sample_from_estimate(est, d, h, sc.name, frame_id)
-            for frame_id, est in enumerate(run_scenario(sc).estimates)
+            for frame_id, est in enumerate(scenario.run_scenario(sc).estimates)
             if est is not None
         )
     return Dataset.from_rows(rows)

@@ -20,20 +20,20 @@ have fixed limits, far above the defaults, so that a file cannot exhaust
 memory or leave the float range: frames a walk, samples a cube, the AoA FFT
 length and its range-by-angle cells, and the SNR.
 
-A walk's frames get their receiver noise from :func:`noise_draws`, the one
-helper that ``run_scenario`` and ``stairdim simulate`` share. It draws frame
-i+1's normals on one helper thread, one frame ahead, while the caller
-synthesizes and processes frame i: ``Generator.standard_normal`` releases
-the GIL. Each draw comes from the frame's own seeded generator, built on the
-calling thread, so every output is byte-identical to drawing inline. A draw
-the helper has not begun when its frame needs it is cancelled and drawn
-inline, so a helper thread scheduled late never holds a frame up for a
-whole draw. The helper starts only when it can help, with at least two
-usable CPUs (the affinity mask, capped by a cgroup CPU quota) and a walk
-that draws noise (see ``chirp_sim.draws_noise``) over more than one frame;
-otherwise each frame draws inline. One ``ThreadPoolExecutor`` serves one
-walk and is shut down, its pending draw cancelled and its thread joined,
-however the walk ends.
+A walk's cubes come from :func:`walk_cubes`, the one iterator that
+``run_scenario`` and ``stairdim simulate`` share and the one place that knows
+the noise helper. It draws frame i+1's normals on one helper thread, one
+frame ahead, while the caller works on frame i: ``Generator.standard_normal``
+releases the GIL. Each draw comes from the frame's own seeded generator,
+built on the calling thread, so every output is byte-identical to drawing
+inline. A draw the helper has not begun when its frame needs it is cancelled
+and drawn inline, so a helper thread scheduled late never holds a frame up
+for a whole draw. The helper starts only when it can help, with at least two
+usable CPUs (the affinity mask, capped by a cgroup CPU quota) and a walk that
+draws noise (``noise.power`` or ``noise.snr_db`` set: every staircase has a
+corner); otherwise each frame draws inline. One ``ThreadPoolExecutor`` serves
+one walk and is shut down, its pending draw cancelled and its thread joined,
+however the caller leaves the walk.
 
 Each draw hands the GIL between the two threads about twice, and each
 hand-off puts a thread to sleep until the OS wakes it. The helper pays off
@@ -66,7 +66,6 @@ from .chirp_sim import (
     ChirpCube,
     NoiseConfig,
     SceneArrays,
-    draws_noise,
     noise_draw,
     noise_rng,
     quantize_to_wire,
@@ -81,7 +80,6 @@ from .dimension import (
     estimate_initial,
 )
 from .dsp_chain import MAX_AOA_CELLS, DspConfig, TargetList, process_frame
-from .enhancer import radar_height
 from .numerics import rng_for
 from .rf_params import RadarConfig, derive_attributes
 from .scene import (
@@ -92,6 +90,7 @@ from .scene import (
     clutter_scatterers,
     corner_scatterers,
     generate_walk,
+    radar_height,
 )
 
 __all__ = [
@@ -199,9 +198,8 @@ def synthesize_scenario_frame(
 ) -> ChirpCube:
     """One frame's cube, seeded by (scenario seed, frame index).
 
-    A caller that synthesizes the whole walk passes ``scene``: the scenario's
-    :func:`scenario_scatterers` as :func:`scene_arrays`, built once per walk,
-    and the frame's ``draw`` from :func:`noise_draws`.
+    :func:`walk_cubes` yields the same cubes: it passes the ``scene``
+    columns it built once for the walk, and the ``draw`` its helper made.
     """
     return synthesize_frame(
         sc.radar,
@@ -283,32 +281,31 @@ _backoff = _Backoff()
 
 
 @contextlib.contextmanager
-def noise_draws(
-    sc: ScenarioConfig, n_frames: int, scene: SceneArrays
-) -> Iterator[Iterator[np.ndarray | None]]:
-    """Each of a walk's noise draws, in frame order, for :func:`synthesize_scenario_frame`.
+def walk_cubes(sc: ScenarioConfig, trajectory: Trajectory) -> Iterator[Iterator[ChirpCube]]:
+    """A walk's cubes in frame order, as :func:`synthesize_scenario_frame` makes them.
 
-    Yields an iterator of ``n_frames`` items. With the helper, each is
-    ``noise_draw`` from that frame's generator, drawn while the caller worked
-    on the frame before. An item is None, and its frame draws inline in
-    ``synthesize_frame``, for the first frame, for a frame whose draw the
-    helper had not begun, and for every frame of a walk without the helper.
-
-    The helper checks its own cost. From the second frame to the last, the
-    calling thread's time off CPU is compared with its CPU time. Above
-    ``_OFF_CPU_LIMIT`` of it, the wake-ups of the GIL hand-offs cost about
-    what the draws saved, and the next walks draw inline (see
-    :class:`_Backoff`). At the last frame the pool is shut down without
-    waiting, so its thread exits while the caller works and the final join
-    does not wait for a wake-up.
+    Used as ``with walk_cubes(sc, trajectory) as cubes:``. With the noise
+    helper, each frame's draw was made while the caller worked on the frame
+    before; the first frame, a frame whose draw the helper had not begun,
+    and every frame of a walk without the helper draw inline. The helper's
+    cost is timed from the second frame to the last: above
+    ``_OFF_CPU_LIMIT`` of the calling thread's CPU time spent off CPU, the
+    next walks draw inline (see :class:`_Backoff`). At the last frame the
+    pool is shut down without waiting, so its thread exits while the caller
+    works and the final join waits for no wake-up.
     """
+    scene = scene_arrays(scenario_scatterers(sc))
+    n_frames = len(trajectory.frames)
+
+    def cube(i: int, draw: np.ndarray | None = None) -> ChirpCube:
+        return synthesize_scenario_frame(sc, trajectory, i, scene, draw)
+
     if (
-        n_frames < 2
-        or not draws_noise(sc.noise, scene)
+        (sc.noise.power is None and sc.noise.snr_db is None)
         or _usable_cpus() < 2
         or not _backoff.allows()
     ):
-        yield iter([None] * n_frames)
+        yield map(cube, range(n_frames))
         return
     pool = ThreadPoolExecutor(max_workers=1)
 
@@ -329,7 +326,7 @@ def noise_draws(
                 if i > 1:
                     cpu = time.thread_time() - cpu0
                     _backoff.record(slow=time.perf_counter() - wall0 - cpu > _OFF_CPU_LIMIT * cpu)
-            yield ready.result() if ready else None
+            yield cube(i, ready.result() if ready else None)
 
     try:
         yield ahead()
@@ -356,12 +353,10 @@ def run_scenario(sc: ScenarioConfig) -> ScenarioResult:
     in-memory pipeline is bit-identical to a save/load round trip.
     """
     trajectory = scenario_trajectory(sc)
-    scene = scene_arrays(scenario_scatterers(sc))
     target_lists: list[TargetList] = []
     estimates: list[Optional[DimensionEstimate]] = []
-    with noise_draws(sc, len(trajectory.frames), scene) as draws:
-        for i, (frame, draw) in enumerate(zip(trajectory.frames, draws)):
-            cube = synthesize_scenario_frame(sc, trajectory, i, scene, draw)
+    with walk_cubes(sc, trajectory) as cubes:
+        for frame, cube in zip(trajectory.frames, cubes):
             tl = process_frame(quantize_to_wire(cube), sc.dsp)
             h_r = radar_height(sc.walk.mount_height_m, frame.gamma_rad)
             estimates.append(

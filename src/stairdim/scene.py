@@ -15,7 +15,8 @@ The sensor is shin-mounted at height ``mount_height`` (h_i) and tilted
 boresight tilt sways sinusoidally around the mount tilt; the IMU reports that
 tilt with additive Gaussian noise. The radar origin height follows
 ``h_i * cos(tilt - mount_tilt_default)`` so that at the default -20 deg mount
-it equals h_i * cos(gamma + 20 deg).
+it equals h_i * cos(gamma + 20 deg). :func:`radar_height` applies the same
+rotation to the IMU's gamma, which is what the processing side knows.
 """
 
 from __future__ import annotations
@@ -37,12 +38,24 @@ __all__ = [
     "corner_scatterers",
     "clutter_scatterers",
     "generate_walk",
+    "radar_height",
 ]
 
 _MOUNT_TILT_DEFAULT_RAD = math.radians(-20.0)
 
 #: Most frames one walk may span (duration_s * rate_hz).
 MAX_WALK_FRAMES = 100_000
+
+
+def radar_height(h_i_m: float, gamma_rad: float) -> float:
+    """Radar height above floor from the mount height and inclination.
+
+    h_r = h_i * cos(gamma + 20 deg): at the -20 deg mount tilt the neutral
+    stance gives h_r = h_i exactly.
+    """
+    if not (math.isfinite(h_i_m) and h_i_m > 0.0):
+        raise ValueError(f"mount height must be positive, got {h_i_m!r}")
+    return h_i_m * math.cos(gamma_rad - _MOUNT_TILT_DEFAULT_RAD)
 
 
 @dataclass(frozen=True)

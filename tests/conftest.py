@@ -12,7 +12,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture()
 def helper_pools(monkeypatch, tmp_path):
-    """The noise helpers ``scenario.noise_draws`` starts, with two usable CPUs.
+    """The noise helpers that ``scenario.walk_cubes`` starts, with two usable CPUs.
+
+    ``walk_cubes`` is the one place that knows the helper: ``run_scenario``
+    and ``stairdim simulate`` both take a walk's cubes from it.
 
     Each counts the draws submitted to it in ``submitted`` and lists the
     ``wait`` of each shutdown in ``waits``. No cgroup quota

@@ -1,3 +1,5 @@
+import importlib.util
+import inspect
 import json
 import math
 import os
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stairdim import cli, enhancer, scenario
+from stairdim import cli, dimension, dsp_chain, enhancer, scenario
 from stairdim.chirp_sim import NOISELESS
 from stairdim.codec import to_dict
 from stairdim.enhancer import (
@@ -327,6 +329,23 @@ def test_sweep_rejects_walks_per_combo_below_one(tmp_path, capsys, walks):
     assert not (out / "dataset.csv").exists()
 
 
+def test_a_rejected_sweep_creates_no_run_directory(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.main(["sweep", "--out", str(out), "--walks-per-combo", "0"]) == 1
+    assert "--walks-per-combo" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_process_refuses_a_config_beside_cubes(tmp_path, short_config, capsys):
+    sim, out = tmp_path / "sim", tmp_path / "p"
+    assert cli.main(["simulate", "--config", str(short_config), "--out", str(sim)]) == 0
+    capsys.readouterr()
+    argv = ["process", "--config", str(short_config), "--cubes", str(sim), "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert "--config and --cubes" in _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_train_rejects_underpopulated_dataset(tmp_path):
     # three combos cannot cover the seven held-out ones the split needs
     rng = np.random.default_rng(55)
@@ -604,6 +623,31 @@ def test_evaluate_rejects_model_of_another_width(trained_run, tmp_path, capsys, 
     assert "the dataset has 6 features and 2 labels" in err
 
 
+def test_every_name_the_benchmark_tracer_swaps_resolves_and_is_put_back():
+    """``bench/tracing.py::patched`` finds each ``stairdim`` name it wraps, and restores it.
+
+    A ``src/`` change that drops or renames one of those names breaks every
+    traced benchmark run; this finds it without running one.
+    """
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = (cli, dimension, dsp_chain, enhancer, scenario)
+    before = [dict(vars(module)) for module in modules]
+    with tracing.patched(tracing.Tracer()):
+        inside = [dict(vars(module)) for module in modules]
+    swapped = 0
+    for module, names, patched in zip(modules, before, inside):
+        assert patched.keys() == names.keys() == vars(module).keys(), module.__name__
+        for name, fn in names.items():
+            if patched[name] is not fn:
+                assert inspect.unwrap(patched[name]) is fn, f"{module.__name__}.{name}"
+                swapped += 1
+            assert getattr(module, name) is fn, f"{module.__name__}.{name}"
+    assert swapped > 0
+
+
 def test_train_makes_the_calls_the_benchmark_tracer_wraps(tmp_path, monkeypatch):
     """``train`` takes one ``enhancer.loss_and_gradients`` call a step and
     ``enhancer.forward`` calls between epochs.
@@ -822,4 +866,17 @@ def test_no_thread_outlives_a_command(tmp_path, noisy_config, helper_pools, monk
     assert cli.main(["process", "--config", str(noisy_config), "--out", str(tmp_path / "p")]) == 1
     assert capsys.readouterr().err.splitlines() == ["stairdim: frame 3 fails"]
     assert threading.enumerate() == before
-    assert len(helper_pools) == 3
+
+    saved = []
+
+    def save_fails_at_frame_3(cube, path):
+        saved.append(path)
+        if len(saved) == 4:
+            raise OSError("frame 3 fails")
+
+    monkeypatch.setattr(cli, "save_cube", save_fails_at_frame_3)
+    assert cli.main(["simulate", "--config", str(noisy_config), "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["stairdim: frame 3 fails"]
+    assert not (tmp_path / "f" / "sidecar.json").exists()
+    assert threading.enumerate() == before
+    assert len(helper_pools) == 4

@@ -27,7 +27,6 @@ from stairdim.enhancer import (
     init_model,
     load_model,
     loss_and_gradients,
-    radar_height,
     read_dataset,
     sample_from_estimate,
     save_model,
@@ -36,6 +35,7 @@ from stairdim.enhancer import (
     write_dataset,
 )
 from stairdim.numerics import rng_for
+from stairdim.scene import radar_height
 
 from oracles import dataset_of, naive_read_dataset, naive_split, naive_train, rows_of
 

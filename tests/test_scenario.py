@@ -15,10 +15,7 @@ from stairdim.chirp_sim import (
     NOISELESS,
     ChirpCube,
     NoiseConfig,
-    noise_draw,
-    noise_rng,
     quantize_to_wire,
-    scene_arrays,
 )
 from stairdim.dimension import SWEEP_STANDARDS, StairStandards, estimate_initial
 from stairdim.dsp_chain import (
@@ -34,9 +31,9 @@ from stairdim.dsp_chain import (
     range_doppler_transform,
     stationary_slice,
 )
-from stairdim.enhancer import Dataset, assemble_dataset, radar_height
+from stairdim.enhancer import Dataset, assemble_dataset
 from stairdim.rf_params import RadarConfig, derive_attributes
-from stairdim.scene import StaircaseSpec, WalkConfig, corner_scatterers
+from stairdim.scene import StaircaseSpec, WalkConfig, corner_scatterers, radar_height
 from stairdim.scenario import (
     SWEEP_DEPTHS_M,
     SWEEP_HEIGHTS_M,
@@ -461,14 +458,14 @@ def test_a_walk_whose_noise_helper_kept_the_caller_off_cpu_holds_the_next_one_ba
 
 
 def test_the_noise_helper_backs_off_while_its_walks_stay_slow(helper_pools, monkeypatch):
-    sc = ScenarioConfig(name="backoff", seed=2)
-    scene = scene_arrays(scenario_scatterers(sc))
+    sc = ScenarioConfig(name="backoff", seed=2, walk=WalkConfig(rate_hz=1.0))
+    trajectory = scenario_trajectory(sc)
     started = []
 
     def walk():
         before = len(helper_pools)
-        with scenario.noise_draws(sc, 5, scene) as draws:
-            list(draws)
+        with scenario.walk_cubes(sc, trajectory) as cubes:
+            list(cubes)
         started.append(len(helper_pools) - before)
 
     monkeypatch.setattr(time, "thread_time", lambda: 0.0)  # every walk with a helper is slow
@@ -491,35 +488,31 @@ def test_the_noise_helper_backs_off_while_its_walks_stay_slow(helper_pools, monk
 
 
 @pytest.mark.parametrize(
-    "cpus, noise, corners, n_frames, starts",
+    "cpus, noise, starts",
     [
-        ({0, 1}, NoiseConfig(), True, 5, True),
-        ({0}, NoiseConfig(), True, 5, False),
-        ({0, 1}, NOISELESS, True, 5, False),
-        ({0, 1}, NoiseConfig(), False, 5, False),
-        ({0, 1}, NoiseConfig(snr_db=None, power=1e-6), False, 5, True),
-        ({0, 1}, NoiseConfig(), True, 1, False),
+        ({0, 1}, NoiseConfig(), True),
+        ({0}, NoiseConfig(), False),
+        ({0, 1}, NOISELESS, False),
+        ({0, 1}, NoiseConfig(snr_db=None, power=1e-6), True),
     ],
-    ids=["noisy", "one-cpu", "noiseless", "snr-no-scatterers", "power-no-scatterers", "one-frame"],
+    ids=["noisy", "one-cpu", "noiseless", "power"],
 )
 def test_the_noise_helper_starts_only_when_it_can_help(
-    helper_pools, monkeypatch, cpus, noise, corners, n_frames, starts
+    helper_pools, monkeypatch, cpus, noise, starts
 ):
-    sc = ScenarioConfig(name="helper", seed=2, noise=noise)
-    scene = scene_arrays(scenario_scatterers(sc) if corners else ())
+    sc = ScenarioConfig(name="helper", seed=2, noise=noise, walk=WalkConfig(rate_hz=1.0))
+    trajectory = scenario_trajectory(sc)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-    with scenario.noise_draws(sc, n_frames, scene) as draws:
-        got = list(draws)
-    assert len(helper_pools) == int(starts)
-    assert len(got) == n_frames
-    if not starts:
-        assert got == [None] * n_frames
-    assert got[0] is None  # nothing runs ahead of the first frame
-    for i, draw in enumerate(got):
-        # the frame's own stream, whichever thread drew it; None draws inline
-        if draw is not None:
-            expected = noise_draw(sc.radar, noise_rng(scenario._frame_seed(sc.seed, i)))
-            np.testing.assert_array_equal(draw, expected)
+    with scenario.walk_cubes(sc, trajectory) as cubes:
+        got = list(cubes)
+    assert len(got) == len(trajectory.frames) == 5
+    # nothing runs ahead of the first frame
+    assert [pool.submitted for pool in helper_pools] == [len(got) - 1] * int(starts)
+    for i, cube in enumerate(got):
+        # the frame's own stream, whichever thread drew it
+        expected = synthesize_scenario_frame(sc, trajectory, i)
+        np.testing.assert_array_equal(cube.samples, expected.samples)
+        assert cube.meta == expected.meta
 
 
 def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch, tmp_path):
