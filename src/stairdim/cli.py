@@ -322,7 +322,7 @@ def _per_acquisition(data: Dataset, estimates: dict[str, np.ndarray], truths: np
     Returns the per-scenario estimates, keyed as ``estimates`` is, and truths;
     a scenario's truth is that of its first row.
     """
-    _, first, group = data.scenario_groups()
+    _, first, group = np.unique(data.scenario_id, return_index=True, return_inverse=True)
     order = np.argsort(group, kind="stable")
     walks = np.split(order, np.cumsum(np.bincount(group))[:-1])
     medians = {

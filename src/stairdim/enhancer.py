@@ -126,22 +126,6 @@ class Dataset(NamedTuple):
     def n_rows(self) -> int:
         return len(self.frame_id)
 
-    def scenario_groups(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """The distinct scenario ids sorted, the row each first appears on, and each row's index into them.
-
-        What ``np.unique(scenario_id, return_index=True, return_inverse=True)``
-        gives; a dict finds each id's first row, so only distinct ids are sorted.
-        """
-        first_row: dict[str, int] = {}
-        first_of_row = np.fromiter(
-            map(first_row.setdefault, self.scenario_id, count()), np.intp, count=self.n_rows
-        )
-        ids = sorted(first_row)
-        first = np.fromiter(map(first_row.__getitem__, ids), np.intp, count=len(ids))
-        index_of_first = np.empty(self.n_rows, dtype=np.intp)
-        index_of_first[first] = np.arange(len(ids))
-        return ids, first, index_of_first[first_of_row]
-
     def take(self, index: np.ndarray) -> Dataset:
         """The rows a boolean mask or an index array selects, in that order."""
         return self._make(c[index] for c in self)
@@ -229,26 +213,35 @@ def read_dataset(path: str | Path) -> Dataset:
     ``\\x1c``-``\\x1f`` around a float, or a cell over
     ``csv.field_size_limit()``, which numpy takes), goes through the csv pass
     instead. Either way a malformed file raises ValueError naming the file
-    and the line of the first bad row or cell.
+    and the line of the first bad row or cell. The text file is opened once:
+    the header, the loadtxt rows and the csv pass all read the one handle.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(_csv_rows(path, fh), None)
+        rows = _csv_rows(path, fh)
+        header = next(rows, None)
         if header is None:
             raise ValueError(f"{path}: empty file, expected the dataset header")
-        if tuple(header) != DATASET_COLUMNS:
-            raise ValueError(f"{path}: unexpected dataset columns {tuple(header)!r}")
-        data = _parse_rows(fh) if _loadtxt_reads_as_csv(path) else None
-    return _read_cells(path) if data is None else data
+        if tuple(header[0]) != DATASET_COLUMNS:
+            raise ValueError(f"{path}: unexpected dataset columns {tuple(header[0])!r}")
+        if _loadtxt_reads_as_csv(path):
+            data = _parse_rows(fh)
+            if data is not None:
+                return data
+            fh.seek(0)  # loadtxt has read on: the csv pass starts over, past the header
+            rows = islice(_csv_rows(path, fh), 1, None)
+        return _read_cells(path, rows)
 
 
-def _csv_rows(path: str | Path, fh: IO[str]) -> Iterator[list[str]]:
-    """The csv module's rows of ``fh``; a ValueError naming the line for a cell it refuses.
+def _csv_rows(path: str | Path, fh: IO[str]) -> Iterator[tuple[list[str], int]]:
+    """The csv module's rows of ``fh``, each with the line it ends on.
 
-    The csv module refuses a cell longer than ``csv.field_size_limit()``.
+    A cell the csv module refuses, one longer than ``csv.field_size_limit()``,
+    raises a ValueError naming its line.
     """
     reader = csv.reader(fh)
     try:
-        yield from reader
+        for row in reader:
+            yield row, reader.line_num
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
@@ -302,51 +295,31 @@ def _parse_rows(fh: Iterable[str]) -> Dataset | None:
     return Dataset._make(columns)
 
 
-def _read_cells(path: str | Path) -> Dataset:
-    """The csv pass: the rows as lists of cells, converted by ``float()`` and ``int()``."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(islice(_csv_rows(path, fh), 1, None))  # the header is read_dataset's to check
-    if not rows:
-        return Dataset.from_rows(())
-    width = len(DATASET_COLUMNS)
-    if set(map(len, rows)) != {width}:
-        i = next(i for i, row in enumerate(rows) if len(row) != width)
-        raise ValueError(f"{path}: line {_line_of_row(path, i)} has {len(rows[i])} cells")
+def _read_cells(path: str | Path, rows: Iterable[tuple[list[str], int]]) -> Dataset:
+    """The csv pass over the data rows with their lines: every width, then each column cell by cell.
+
+    A cell is converted by ``float()``, which must give a finite number, or
+    by ``int()``, which must give an int64.
+    """
+    rows = list(rows)
+    for cells, line in rows:
+        if len(cells) != len(DATASET_COLUMNS):
+            raise ValueError(f"{path}: line {line} has {len(cells)} cells")
     columns = []
-    for name, kind, dtype, raw in zip(DATASET_COLUMNS, _CELL_KINDS, _COLUMN_DTYPES, zip(*rows)):
-        try:
-            if kind is float:
-                values = np.fromiter(map(float, raw), float, count=len(raw))
-                ok = np.isfinite(values).all()
-            else:
-                values = np.array(raw if kind is str else list(map(kind, raw)), dtype=dtype)
-                ok = True
-        except (ValueError, OverflowError):
-            ok = False
-        if not ok:
-            i = next(i for i, cell in enumerate(raw) if not _is_finite_cell(kind, cell))
-            what = "a finite number" if kind is float else "an integer"
-            line = _line_of_row(path, i)
-            raise ValueError(f"{path}: line {line}: {name} {raw[i]!r} is not {what}")
-        columns.append(values)
+    for j, (name, kind, dtype) in enumerate(zip(DATASET_COLUMNS, _CELL_KINDS, _COLUMN_DTYPES)):
+        values = []
+        for cells, line in rows:
+            try:
+                value = kind(cells[j])
+            except ValueError:
+                value = None
+            if kind is float and (value is None or not math.isfinite(value)):
+                raise ValueError(f"{path}: line {line}: {name} {cells[j]!r} is not a finite number")
+            if kind is int and (value is None or not -(2**63) <= value < 2**63):
+                raise ValueError(f"{path}: line {line}: {name} {cells[j]!r} is not an integer")
+            values.append(value)
+        columns.append(np.array(values, dtype=dtype))
     return Dataset._make(columns)
-
-
-def _is_finite_cell(kind: type, cell: str) -> bool:
-    try:
-        value = kind(cell)
-    except ValueError:
-        return False
-    return math.isfinite(value) if kind is float else -(2**63) <= value < 2**63
-
-
-def _line_of_row(path: str | Path, index: int) -> int:
-    """The line on which data row ``index`` of a dataset file ends; row 0 follows the header."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for _ in islice(reader, index + 2):
-            pass
-        return reader.line_num
 
 
 def dataset_fingerprint(path: str | Path) -> str:
@@ -412,8 +385,8 @@ def split_dataset(
     every remaining combination is held out: sweep walks stratify the mount
     height h_i in ascending order, so the last walk carries h_i values never
     seen in training. Both parts keep the rows in file order. Combinations
-    and scenario ids are numbered as ``np.unique`` would, without
-    sorting every row: by one ``np.lexsort`` and by ``Dataset.scenario_groups``.
+    are numbered as ``np.unique(keys, axis=0)`` would, by one faster
+    ``np.lexsort``; scenario ids by ``np.unique`` itself.
     """
     n_combos, combo = _sorted_groups(_combo_keys(data))
     if held_out_combos >= n_combos:
@@ -426,7 +399,7 @@ def split_dataset(
 
     # a walk's frames share its scenario id, so each id is parsed once; walks
     # are compared by rank, which keeps walk numbers of any size exact
-    ids, _, id_of_row = data.scenario_groups()
+    ids, id_of_row = np.unique(data.scenario_id, return_inverse=True)
     walk_of_id = [_walk_index(sid) for sid in ids]
     rank = {w: r for r, w in enumerate(sorted({w for w in walk_of_id if w is not None}))}
     walk = np.array([rank.get(w, -1) for w in walk_of_id], dtype=np.int64)[id_of_row]
