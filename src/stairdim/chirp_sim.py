@@ -351,7 +351,8 @@ def load_cube(path: str | Path, config: RadarConfig) -> ChirpCube:
     """Read a cube file; the chirp configuration comes from the sidecar.
 
     The header carries only the axis sizes, which are validated against the
-    supplied configuration. A file holding a non-finite sample is refused.
+    supplied configuration. A file holding a non-finite sample or header
+    float is refused.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -367,6 +368,9 @@ def load_cube(path: str | Path, config: RadarConfig) -> ChirpCube:
         raise ValueError(
             f"{path}: cube axes {(n_s, n_p, n_a)} do not match the configuration"
         )
+    for field, value in (("timestamp_s", t), ("gamma_rad", gamma), ("v_host_mps", v_host)):
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: header {field} {value!r} is not finite")
     expected = _HEADER.size + 8 * n_s * n_p * n_a
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")

@@ -19,9 +19,10 @@ and work on whole columns. ``evaluate`` names its estimators once, in
 that dict, one block, two ``hist_<estimator>_<dimension>.csv`` files and one
 MAE column per estimator.
 
-Every command honors --seed and writes a manifest.json entry (config hash,
-seed, versions; no timestamps, so fixed-seed reruns are byte-identical). All
-JSON goes through ``codec.read_json`` and ``codec.write_json``.
+Every command but ``evaluate``, which draws nothing at random, takes --seed.
+Every command writes a manifest.json entry (config hash, seed, versions; no
+timestamps, so fixed-seed reruns are byte-identical). All JSON goes through
+``codec.read_json`` and ``codec.write_json``.
 Exit codes: 0 success, 1 validation error or diverged training, 2 I/O error.
 
 A run directory may be written again: a later command adds its entry to the
@@ -403,9 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"stairdim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, seed: bool = True) -> None:
         p.add_argument("--out", required=True, help="run directory for outputs")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
 
     p = sub.add_parser("simulate", help="synthesize cube files for a scenario")
     p.add_argument("--config", help="scenario JSON (default: built-in scenario)")
@@ -433,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-seed", type=int, default=0)
 
     p = sub.add_parser("evaluate", help="score initial vs enhanced on the test split")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--dataset", help="dataset CSV (default: <out>/dataset.csv)")
     p.add_argument("--model", help="model JSON (default: <out>/model.json)")
     p.add_argument("--split-seed", type=int, default=0)

@@ -805,9 +805,23 @@ def save_model(
     write_json(doc, path)
 
 
+def _check_numbers(path: str | Path, field: str, value) -> None:
+    """Raise ValueError unless every leaf of the nested lists ``value`` is a finite JSON number.
+
+    A bool or ``null`` leaf is refused: numpy would read it as 1.0 or NaN.
+    """
+    if isinstance(value, list):
+        for item in value:
+            _check_numbers(path, field, item)
+    elif type(value) is not int and not (type(value) is float and math.isfinite(value)):
+        raise ValueError(f"{path}: {field} holds {value!r}, not a finite number")
+
+
 def load_model(path: str | Path) -> EnhancerModel:
     """Read a ``save_model`` file; every array must have the shape ``layer_sizes`` implies.
 
+    Every weight, bias and normalization value must be a finite number, and
+    every ``normalization.scale`` > 0 (``train`` floors a zero spread at 1).
     A file that is not such a model raises ValueError naming the file.
     """
     doc = read_json_object(path)
@@ -823,12 +837,19 @@ def load_model(path: str | Path) -> EnhancerModel:
         raise ValueError(f"{path}: layer_sizes must be a list of at least two positive integers")
     if doc["activation"] != "relu":
         raise ValueError(f"{path}: unsupported activation {doc['activation']!r}")
+    for field, value in (
+        ("weights", doc["weights"]),
+        ("biases", doc["biases"]),
+        ("normalization.mean", norm["mean"]),
+        ("normalization.scale", norm["scale"]),
+    ):
+        _check_numbers(path, field, value)
     try:
         weights = [np.array(w, dtype=float) for w in doc["weights"]]
         biases = [np.array(b, dtype=float) for b in doc["biases"]]
         mean = np.array(norm["mean"], dtype=float)
         scale = np.array(norm["scale"], dtype=float)
-    except (TypeError, ValueError) as exc:  # not a list, ragged, or not numbers
+    except (TypeError, ValueError, OverflowError) as exc:  # not a list, ragged, or an int beyond float
         raise ValueError(f"{path}: {exc}") from None
     # numpy would broadcast a wrong-sized array, so every shape is compared
     layers = list(zip(sizes[:-1], sizes[1:]))
@@ -839,6 +860,8 @@ def load_model(path: str | Path) -> EnhancerModel:
         or scale.shape != (sizes[0],)
     ):
         raise ValueError(f"{path}: array shapes do not match layer sizes {sizes}")
+    if not (scale > 0).all():
+        raise ValueError(f"{path}: normalization.scale holds {float(scale.min())!r}, not a number > 0")
     params = np.concatenate([a.reshape(-1) for layer in zip(weights, biases) for a in layer])
     return EnhancerModel(layer_sizes=sizes, params=params, norm_mean=mean, norm_scale=scale)
 

@@ -118,12 +118,3 @@ def derive_attributes(cfg: RadarConfig) -> DerivedAttributes:
         virtual_antennas=n_virtual,
     )
 
-
-if __name__ == "__main__":
-    attrs = derive_attributes(RadarConfig())
-    print(f"range resolution   {attrs.range_resolution_m * 100:.4f} cm")
-    print(f"max range          {attrs.max_range_m:.4f} m")
-    print(f"velocity res.      {attrs.velocity_resolution_mps:.4f} m/s")
-    print(f"angular res.       {math.degrees(attrs.angular_resolution_rad):.3f} deg")
-    assert abs(attrs.range_resolution_m - 0.041638) < 1e-4
-    assert abs(attrs.max_range_m - 5.996) < 1e-2

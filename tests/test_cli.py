@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stairdim import cli, dimension, dsp_chain, enhancer, scenario
+from stairdim import chirp_sim, cli, dimension, dsp_chain, enhancer, scenario
 from stairdim.chirp_sim import NOISELESS
 from stairdim.codec import to_dict
 from stairdim.enhancer import (
@@ -267,6 +267,25 @@ def test_sidecar_without_a_frame_list_exits_with_one_line(tmp_path, short_config
     capsys.readouterr()
     assert cli.main(["process", "--cubes", str(sim), "--out", str(tmp_path / "p")]) == 1
     assert "sidecar.json" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("timestamp_s", math.inf), ("gamma_rad", math.inf), ("gamma_rad", math.nan), ("v_host_mps", math.nan)],
+)
+def test_cube_header_float_that_is_not_finite_exits_with_one_line(tmp_path, short_config, capsys, field, value):
+    sim, out = tmp_path / "sim", tmp_path / "p"
+    assert cli.main(["simulate", "--config", str(short_config), "--out", str(sim)]) == 0
+    cube = sim / "cubes" / "frame_00002.bin"
+    raw = bytearray(cube.read_bytes())
+    header = list(chirp_sim._HEADER.unpack_from(raw))
+    header[4 + ("timestamp_s", "gamma_rad", "v_host_mps").index(field)] = value
+    chirp_sim._HEADER.pack_into(raw, 0, *header)
+    cube.write_bytes(raw)
+    capsys.readouterr()
+    assert cli.main(["process", "--cubes", str(sim), "--out", str(out)]) == 1
+    assert f"{cube}: header {field} {value!r} is not finite" in _one_line_error(capsys)
+    assert not (out / "targets.jsonl").exists() and not (out / "report.json").exists()
 
 
 def test_the_parser_is_built_once_and_the_command_resolved_at_call_time(tmp_path, monkeypatch):
@@ -594,6 +613,12 @@ def trained_run(tmp_path_factory):
 )
 def test_evaluate_rejects_malformed_model(trained_run, tmp_path, capsys, where, value):
     # numpy would broadcast a one-element bias or normalization into a network
+    assert _evaluate_edited_model(trained_run, tmp_path, capsys, where, value) == 1
+    assert "bad_model.json" in _one_line_error(capsys)
+
+
+def _evaluate_edited_model(trained_run, tmp_path, capsys, where, value) -> int:
+    """``evaluate`` with the trained model's value at the key path ``where`` replaced."""
     doc = json.loads((trained_run / "model.json").read_text())
     node = doc
     for key in where[:-1]:
@@ -603,9 +628,41 @@ def test_evaluate_rejects_malformed_model(trained_run, tmp_path, capsys, where, 
     bad.write_text(json.dumps(doc))
     capsys.readouterr()
     dataset = str(trained_run / "dataset.csv")
-    argv = ["evaluate", "--out", str(tmp_path / "o"), "--dataset", dataset, "--model", str(bad)]
-    assert cli.main(argv) == 1
-    assert "bad_model.json" in _one_line_error(capsys)
+    return cli.main(["evaluate", "--out", str(tmp_path / "o"), "--dataset", dataset, "--model", str(bad)])
+
+
+@pytest.mark.parametrize(
+    "where, value, fragment",
+    [
+        # numpy reads true as 1.0 and null as NaN
+        (("weights", 1, 3, 2), True, "weights holds True, not a finite number"),
+        (("weights", 1, 3, 2), None, "weights holds None, not a finite number"),
+        (("biases", 0, 4), math.nan, "biases holds nan, not a finite number"),
+        (("normalization", "mean", 2), math.inf, "normalization.mean holds inf, not a finite number"),
+        # train floors a zero feature spread at 1, so it never writes these
+        (("normalization", "scale", 0), 0.0, "normalization.scale holds 0.0, not a number > 0"),
+        (("normalization", "scale", 0), -1.0, "normalization.scale holds -1.0, not a number > 0"),
+    ],
+    ids=["true", "null", "nan", "inf", "zero_scale", "negative_scale"],
+)
+def test_evaluate_names_the_field_of_a_model_value_train_never_writes(
+    trained_run, tmp_path, capsys, recwarn, where, value, fragment
+):
+    assert _evaluate_edited_model(trained_run, tmp_path, capsys, where, value) == 1
+    assert f"bad_model.json: {fragment}" in _one_line_error(capsys)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_evaluate_takes_no_seed(trained_run, tmp_path, capsys):
+    # evaluate draws nothing at random, so a seed would be ignored
+    dataset, model = str(trained_run / "dataset.csv"), str(trained_run / "model.json")
+    argv = ["evaluate", "--out", str(tmp_path / "o"), "--dataset", dataset, "--model", model, "--seed", "1"]
+    with pytest.raises(SystemExit) as ei:
+        cli.main(argv)
+    assert ei.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: stairdim ") and err.endswith("error: unrecognized arguments: --seed 1\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("sizes", [[5, 16, 8, 2], [6, 16, 8, 3]])

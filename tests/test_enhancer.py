@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stairdim import enhancer
 from stairdim.dimension import CorrectedTarget, DimensionEstimate
 from stairdim.enhancer import (
     ADAM_BETA1,
@@ -21,6 +22,7 @@ from stairdim.enhancer import (
     TrainConfig,
     TrainingError,
     VAL_FRACTION,
+    assemble_dataset,
     dataset_fingerprint,
     forward,
     gradient_check,
@@ -35,6 +37,7 @@ from stairdim.enhancer import (
     write_dataset,
 )
 from stairdim.numerics import rng_for
+from stairdim.scenario import build_sweep
 from stairdim.scene import radar_height
 
 from oracles import dataset_of, naive_read_dataset, naive_split, naive_train, rows_of
@@ -793,6 +796,23 @@ def test_read_dataset_equals_naive_reader_on_hand_edited_files(
     path = _dataset_file(tmp_path_factory.getbasetemp(), lines, line_end, trailing)
     got, expected = _read_both(path)
     assert got == expected
+
+
+def test_a_sweep_written_dataset_never_takes_the_csv_pass(tmp_path, monkeypatch):
+    # the csv pass may stay plain because what sweep writes goes through loadtxt
+    data = assemble_dataset(build_sweep(base_seed=0, walks_per_combo=1)[:2])
+    path = tmp_path / "dataset.csv"
+    write_dataset(data, path)
+
+    def refuse(*args):
+        raise AssertionError("the csv pass read a sweep-written dataset")
+
+    monkeypatch.setattr(enhancer, "_read_cells", refuse)
+    back = read_dataset(path)
+    assert back.n_rows == data.n_rows > 0
+    assert [c.tolist() if c.dtype == object else c.tobytes() for c in back] == [
+        c.tolist() if c.dtype == object else c.tobytes() for c in data
+    ]
 
 
 # --- splitting ---
