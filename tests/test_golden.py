@@ -9,7 +9,8 @@ from golden import GOLDEN, pipeline_digests, platform_key
 
 def test_pinned_pipeline_writes_the_recorded_bytes(tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    recorded, here = {k: golden[k] for k in platform_key()}, platform_key()
+    here = platform_key()
+    recorded = {k: golden[k] for k in here}
     if recorded != here:
         # another numpy may round floats otherwise; a mismatch there means nothing
         pytest.skip(
