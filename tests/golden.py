@@ -10,7 +10,7 @@
 
 ``dataset.csv`` gets one digest per column, so a change that moves only
 some columns shows which. A manifest is digested without its ``versions``
-fields, and each command's printed output with the scratch directory written
+fields, and each command's printed output with the temporary directory written
 ``<root>``. The numpy version and the machine the digests were taken on are
 recorded with them, since float results are byte-stable only on those.
 
