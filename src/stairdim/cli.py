@@ -9,8 +9,8 @@ Subcommands map to the pipeline stages:
     evaluate   dataset.csv + model.json -> eval/report.json + histograms
 
 ``simulate``, and ``process --config`` and ``sweep`` through ``run_scenario``,
-take a walk's cubes from ``scenario.walk_cubes``, the one place that knows
-the noise helper thread.
+take a walk's cubes from the generator ``scenario.walk_cubes``, one frame at
+a time.
 
 ``sweep`` builds its dataset as one ``enhancer.Dataset`` of column arrays;
 ``train`` and ``evaluate`` read ``dataset.csv`` back into that form, split it,
@@ -32,7 +32,10 @@ fresh directory would get. ``simulate`` removes ``sidecar.json`` before it
 writes the first cube and writes it again after the last, and removes the
 ``frame_*.bin`` files beyond the frames it wrote. ``process --cubes`` needs
 the sidecar and exactly the frame files its trajectory names, so a walk that
-an interrupted ``simulate`` left half rewritten is refused, not read.
+an interrupted ``simulate`` left half rewritten is refused, not read. It takes
+the scenario from the sidecar, but each frame's timestamp, tilt and host
+speed from that frame's cube header: of the sidecar's ``trajectory.frames``
+it only counts the entries, so their contents are never checked.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ def _write_manifest(out_dir: Path, command: str, entry: dict) -> None:
 
 
 def _dsp_overrides(dsp: DspConfig, args: argparse.Namespace) -> DspConfig:
-    """``dsp`` with the --exhaustive-aoa, --peak-interp and --cfar-pfa options applied."""
+    """``dsp`` with those of --exhaustive-aoa, --peak-interp and --cfar-pfa the command has."""
     if getattr(args, "exhaustive_aoa", False):
         dsp = replace(dsp, exhaustive_aoa=True)
     if getattr(args, "peak_interp", False):
@@ -158,9 +161,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     paths = _frame_paths(cube_dir, len(trajectory.frames))
     # until the new sidecar is written, process --cubes refuses the walk
     (out_dir / "sidecar.json").unlink(missing_ok=True)
-    with walk_cubes(sc, trajectory) as cubes:
-        for path, cube in zip(paths, cubes):
-            save_cube(cube, path)
+    for path, cube in zip(paths, walk_cubes(sc, trajectory)):
+        save_cube(cube, path)
     for stale in set(cube_dir.glob("frame_*.bin")).difference(paths):  # an earlier, longer walk's frames
         stale.unlink()
     _write_sidecar(sc, trajectory, out_dir)
@@ -348,8 +350,6 @@ def evaluate_split(data: Dataset, model) -> dict:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    eval_dir = out_dir / "eval"
-    eval_dir.mkdir(parents=True, exist_ok=True)
     dataset_path = Path(args.dataset) if args.dataset else out_dir / "dataset.csv"
     model_path = Path(args.model) if args.model else out_dir / "model.json"
     _, test_split = _read_split(dataset_path, args.split_seed)
@@ -360,8 +360,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"{model_path}: the model maps {widths[0]} inputs to {widths[1]} outputs, "
             f"the dataset has {len(FEATURE_COLUMNS)} features and {len(LABEL_COLUMNS)} labels"
         )
-    results = evaluate_split(test_split, model)
+    # a finite model can still overflow; numpy's warnings would print before the
+    # error that reports it
+    with np.errstate(all="ignore"):
+        try:
+            results = evaluate_split(test_split, model)
+        except ValueError as exc:  # an estimate or its errors beyond the float range
+            raise ValueError(f"{model_path} on {dataset_path}: {exc}") from None
 
+    eval_dir = out_dir / "eval"  # made only now, so a refused input leaves no directory
+    eval_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "n_frames": results["n_frames"],
         "n_acquisitions": results["n_acquisitions"],
@@ -424,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the dimension grid and write dataset.csv")
     common(p)
     p.add_argument("--walks-per-combo", type=int, default=10)
-    p.add_argument("--exhaustive-aoa", action="store_true")
     p.add_argument("--peak-interp", action="store_true")
     p.add_argument("--cfar-pfa", type=float, default=None)
 

@@ -813,7 +813,12 @@ def _check_numbers(path: str | Path, field: str, value) -> None:
     if isinstance(value, list):
         for item in value:
             _check_numbers(path, field, item)
-    elif type(value) is not int and not (type(value) is float and math.isfinite(value)):
+    elif type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{path}: {field} holds an integer beyond the float range") from None
+    elif not (type(value) is float and math.isfinite(value)):
         raise ValueError(f"{path}: {field} holds {value!r}, not a finite number")
 
 
@@ -849,7 +854,7 @@ def load_model(path: str | Path) -> EnhancerModel:
         biases = [np.array(b, dtype=float) for b in doc["biases"]]
         mean = np.array(norm["mean"], dtype=float)
         scale = np.array(norm["scale"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # not a list, ragged, or an int beyond float
+    except (TypeError, ValueError) as exc:  # not a list, or ragged
         raise ValueError(f"{path}: {exc}") from None
     # numpy would broadcast a wrong-sized array, so every shape is compared
     layers = list(zip(sizes[:-1], sizes[1:]))

@@ -68,6 +68,8 @@ def compute_metrics(estimates_m: Sequence[float], truths_m: Sequence[float]) -> 
     rmse = float(np.sqrt(np.mean(err_cm**2)))
     bias = float(np.mean(err_cm))
     sigma = float(np.std(err_cm))  # population
+    if not (math.isfinite(rmse) and math.isfinite(sigma)):
+        raise ValueError("errors beyond the float range")
     edges = np.arange(-HIST_SPAN_CM, HIST_SPAN_CM + HIST_BIN_CM / 2, HIST_BIN_CM)
     clipped = np.clip(err_cm, -HIST_SPAN_CM + 1e-12, HIST_SPAN_CM - 1e-12)
     density, _ = np.histogram(clipped, bins=edges, density=True)

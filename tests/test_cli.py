@@ -642,8 +642,10 @@ def _evaluate_edited_model(trained_run, tmp_path, capsys, where, value) -> int:
         # train floors a zero feature spread at 1, so it never writes these
         (("normalization", "scale", 0), 0.0, "normalization.scale holds 0.0, not a number > 0"),
         (("normalization", "scale", 0), -1.0, "normalization.scale holds -1.0, not a number > 0"),
+        # json reads it as an int, which numpy cannot convert
+        (("weights", 0, 0, 0), 10**400, "weights holds an integer beyond the float range"),
     ],
-    ids=["true", "null", "nan", "inf", "zero_scale", "negative_scale"],
+    ids=["true", "null", "nan", "inf", "zero_scale", "negative_scale", "int_beyond_float"],
 )
 def test_evaluate_names_the_field_of_a_model_value_train_never_writes(
     trained_run, tmp_path, capsys, recwarn, where, value, fragment
@@ -651,6 +653,21 @@ def test_evaluate_names_the_field_of_a_model_value_train_never_writes(
     assert _evaluate_edited_model(trained_run, tmp_path, capsys, where, value) == 1
     assert f"bad_model.json: {fragment}" in _one_line_error(capsys)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [(("biases", 2, 0), 1e300), (("normalization", "scale", 0), 1e-300)],
+    ids=["huge_output_bias", "tiny_scale"],
+)
+def test_evaluate_refuses_a_finite_model_that_overflows(
+    trained_run, tmp_path, capsys, recwarn, where, value
+):
+    # every value is finite, but the errors of the predictions are not
+    assert _evaluate_edited_model(trained_run, tmp_path, capsys, where, value) == 1
+    assert "bad_model.json on " in _one_line_error(capsys)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "o").exists()
 
 
 def test_evaluate_takes_no_seed(trained_run, tmp_path, capsys):
@@ -884,32 +901,33 @@ def test_per_acquisition_equals_naive_grouping(ids, data):
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
 
-def _tree(root: Path) -> dict[str, bytes]:
-    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
-def test_simulate_writes_the_same_files_with_and_without_the_noise_helper(
-    tmp_path, noisy_config, helper_pools, monkeypatch
-):
-    with_helper, inline = tmp_path / "helper", tmp_path / "inline"
-    assert cli.main(["simulate", "--config", str(noisy_config), "--out", str(with_helper)]) == 0
-    assert len(helper_pools) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert cli.main(["simulate", "--config", str(noisy_config), "--out", str(inline)]) == 0
-    assert len(helper_pools) == 1
-    files = _tree(with_helper)
-    assert sum(name.startswith("cubes/frame_") for name in files) == 12
-    assert files == _tree(inline)
-
-
-def test_no_thread_outlives_a_command(tmp_path, noisy_config, helper_pools, monkeypatch, capsys):
+def test_no_thread_outlives_a_command(tmp_path, noisy_config, monkeypatch, capsys):
+    # with two CPUs to use, each command still runs every frame on the calling thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     before = threading.enumerate()
-    scenario.run_scenario(load_scenario(noisy_config))
-    assert threading.enumerate() == before
-    assert cli.main(["simulate", "--config", str(noisy_config), "--out", str(tmp_path / "s")]) == 0
-    assert threading.enumerate() == before
+    threads = []
+
+    def counting(fn):
+        def call(*args):
+            threads.append(threading.active_count())
+            return fn(*args)
+
+        return call
 
     real = scenario.process_frame
+    monkeypatch.setattr(scenario, "process_frame", counting(real))
+    monkeypatch.setattr(cli, "save_cube", counting(cli.save_cube))  # simulate processes no frame
+    config = str(noisy_config)
+    for argv in (
+        ["sweep", "--walks-per-combo", "1"],
+        ["simulate", "--config", config],
+        ["process", "--config", config],
+    ):
+        threads.clear()
+        assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+        assert threads and set(threads) == {1}, argv
+        assert threading.enumerate() == before
+
     frames = []
 
     def fails_at_frame_3(cube, cfg=None):
@@ -920,7 +938,7 @@ def test_no_thread_outlives_a_command(tmp_path, noisy_config, helper_pools, monk
 
     monkeypatch.setattr(scenario, "process_frame", fails_at_frame_3)
     capsys.readouterr()
-    assert cli.main(["process", "--config", str(noisy_config), "--out", str(tmp_path / "p")]) == 1
+    assert cli.main(["process", "--config", config, "--out", str(tmp_path / "p")]) == 1
     assert capsys.readouterr().err.splitlines() == ["stairdim: frame 3 fails"]
     assert threading.enumerate() == before
 
@@ -932,8 +950,7 @@ def test_no_thread_outlives_a_command(tmp_path, noisy_config, helper_pools, monk
             raise OSError("frame 3 fails")
 
     monkeypatch.setattr(cli, "save_cube", save_fails_at_frame_3)
-    assert cli.main(["simulate", "--config", str(noisy_config), "--out", str(tmp_path / "f")]) == 2
+    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "f")]) == 2
     assert capsys.readouterr().err.splitlines() == ["stairdim: frame 3 fails"]
     assert not (tmp_path / "f" / "sidecar.json").exists()
     assert threading.enumerate() == before
-    assert len(helper_pools) == 4

@@ -87,6 +87,9 @@ def test_metrics_validation():
         compute_metrics([0.3, math.nan], [0.3, 0.3])
     with pytest.raises(ValueError):
         compute_metrics(np.ones((2, 2)), np.ones((2, 2)))
+    # finite estimates whose squared errors are not
+    with pytest.raises(ValueError, match="float range"), np.errstate(over="ignore"):
+        compute_metrics([1e300, 0.3], [0.3, 0.3])
 
 
 def test_improvement_worked_example():
