@@ -15,9 +15,14 @@ power set by the configured SNR at the nearest scatterer.
 Per radar configuration the fast-time, chirp and antenna axes are built
 once; per scene the scatterers' positions, reflectivities and radial
 velocities become columns once (:func:`scene_arrays`), which a walk passes
-to every frame's :func:`synthesize_frame`. Each frame draws its noise from a
-generator seeded by the frame's seed alone, so a frame's cube does not
-depend on the frames synthesized before it.
+to every frame's :func:`synthesize_frame`. Each frame still draws its own
+seeded noise: :func:`noise_draw` is the one draw, from the frame's own
+generator (:func:`noise_rng`), so the stream is the same whichever thread
+runs it and in which order. A walk may pass a frame's draw in, made ahead
+of time: ``scenario.walk_cubes`` is the one place that decides when a helper
+thread draws frame i+1 while frame i is processed (see its docstring). Any
+frame given no draw makes its own here. The scaling and the add stay in
+:func:`synthesize_frame`.
 
 Cube files: little-endian, 64-byte header (magic ``DIMRADC1``, u32 counts
 N_S/N_P/N_A, f64 timestamp/gamma/v_host, zero padding), then interleaved
@@ -58,6 +63,8 @@ __all__ = [
     "ChirpCube",
     "SceneArrays",
     "scene_arrays",
+    "noise_draw",
+    "noise_rng",
     "synthesize_frame",
     "quantize_to_wire",
     "save_cube",
@@ -183,12 +190,28 @@ def _sum_over_scatterers(fast: np.ndarray, slow: np.ndarray, aper: np.ndarray) -
     return np.ascontiguousarray((kap @ fast.T).reshape(n_a, n_p, n_s).transpose(2, 1, 0))
 
 
+def noise_rng(seed: int) -> np.random.Generator:
+    """The noise generator of the frame seeded ``seed``, whichever thread draws from it."""
+    return rng_for(seed, 0x01)
+
+
+def noise_draw(cfg: RadarConfig, rng: np.random.Generator) -> np.ndarray:
+    """A frame's standard normals from ``noise_rng(seed)``, shape (2, N_S, N_P, N_A).
+
+    The real, then the imaginary parts: one draw holds both, the stream two
+    draws of the cube's shape would give.
+    """
+    shape = (2, cfg.samples_per_chirp, cfg.chirps_per_frame, cfg.virtual_antennas)
+    return rng.standard_normal(shape)
+
+
 def synthesize_frame(
     cfg: RadarConfig,
     frame: GaitFrame,
     scatterers: Sequence[Scatterer] | SceneArrays,
     noise: NoiseConfig = NOISELESS,
     seed: int = 0,
+    draw: np.ndarray | None = None,
 ) -> ChirpCube:
     """Synthesize the raw frame for a scene of point scatterers.
 
@@ -198,8 +221,9 @@ def synthesize_frame(
     the scatterer's own radial velocity, so stationary world points appear at
     the (small) host closing speed, below one velocity bin for a walking
     sensor. A walk passes its scene once as :func:`scene_arrays`; the time
-    and antenna axes are built once per configuration. A noisy frame draws
-    its noise from ``seed`` alone.
+    and antenna axes are built once per configuration. ``draw``, if given,
+    must be ``noise_draw(cfg, noise_rng(seed))``; it is scaled in place and
+    added, and a noiseless frame ignores it.
 
     Raises ValueError for scatterers at or beyond the unambiguous range, at
     zero range, when the host speed reaches the velocity resolution (the
@@ -266,9 +290,8 @@ def synthesize_frame(
                 f"amplitude {nearest_amp:.4g} leaves the float range"
             )
     if sigma2 > 0.0:
-        # the real, then the imaginary parts: one draw holds both, the stream
-        # two draws of the cube's shape would give
-        draw = rng_for(seed, 0x01).standard_normal((2, *cube.shape))
+        if draw is None:
+            draw = noise_draw(cfg, noise_rng(seed))
         draw *= math.sqrt(sigma2 / 2.0)
         cube.real += draw[0]
         cube.imag += draw[1]

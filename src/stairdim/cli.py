@@ -9,8 +9,8 @@ Subcommands map to the pipeline stages:
     evaluate   dataset.csv + model.json -> eval/report.json + histograms
 
 ``simulate``, and ``process --config`` and ``sweep`` through ``run_scenario``,
-take a walk's cubes from the generator ``scenario.walk_cubes``, one frame at
-a time.
+take a walk's cubes from ``scenario.walk_cubes``, the one place that knows
+the noise helper thread.
 
 ``sweep`` builds its dataset as one ``enhancer.Dataset`` of column arrays;
 ``train`` and ``evaluate`` read ``dataset.csv`` back into that form, split it,
@@ -161,8 +161,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     paths = _frame_paths(cube_dir, len(trajectory.frames))
     # until the new sidecar is written, process --cubes refuses the walk
     (out_dir / "sidecar.json").unlink(missing_ok=True)
-    for path, cube in zip(paths, walk_cubes(sc, trajectory)):
-        save_cube(cube, path)
+    with walk_cubes(sc, trajectory) as cubes:
+        for path, cube in zip(paths, cubes):
+            save_cube(cube, path)
     for stale in set(cube_dir.glob("frame_*.bin")).difference(paths):  # an earlier, longer walk's frames
         stale.unlink()
     _write_sidecar(sc, trajectory, out_dir)

@@ -682,6 +682,16 @@ def test_evaluate_takes_no_seed(trained_run, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_sweep_takes_no_exhaustive_aoa(tmp_path, capsys):
+    # exhaustive AoA masked to the range detections gives the selective targets, so the option changed no row
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["sweep", "--walks-per-combo", "1", "--exhaustive-aoa", "--out", str(tmp_path / "o")])
+    assert ei.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: stairdim ") and err.endswith("error: unrecognized arguments: --exhaustive-aoa\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("sizes", [[5, 16, 8, 2], [6, 16, 8, 3]])
 def test_evaluate_rejects_model_of_another_width(trained_run, tmp_path, capsys, sizes):
     # a well-formed model whose input or output width is not the dataset's
@@ -901,33 +911,32 @@ def test_per_acquisition_equals_naive_grouping(ids, data):
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
 
-def test_no_thread_outlives_a_command(tmp_path, noisy_config, monkeypatch, capsys):
-    # with two CPUs to use, each command still runs every frame on the calling thread
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_simulate_writes_the_same_files_with_and_without_the_noise_helper(
+    tmp_path, noisy_config, helper_pools, monkeypatch
+):
+    with_helper, inline = tmp_path / "helper", tmp_path / "inline"
+    assert cli.main(["simulate", "--config", str(noisy_config), "--out", str(with_helper)]) == 0
+    assert len(helper_pools) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert cli.main(["simulate", "--config", str(noisy_config), "--out", str(inline)]) == 0
+    assert len(helper_pools) == 1
+    files = _tree(with_helper)
+    assert sum(name.startswith("cubes/frame_") for name in files) == 12
+    assert files == _tree(inline)
+
+
+def test_no_thread_outlives_a_command(tmp_path, noisy_config, helper_pools, monkeypatch, capsys):
     before = threading.enumerate()
-    threads = []
-
-    def counting(fn):
-        def call(*args):
-            threads.append(threading.active_count())
-            return fn(*args)
-
-        return call
+    scenario.run_scenario(load_scenario(noisy_config))
+    assert threading.enumerate() == before
+    assert cli.main(["simulate", "--config", str(noisy_config), "--out", str(tmp_path / "s")]) == 0
+    assert threading.enumerate() == before
 
     real = scenario.process_frame
-    monkeypatch.setattr(scenario, "process_frame", counting(real))
-    monkeypatch.setattr(cli, "save_cube", counting(cli.save_cube))  # simulate processes no frame
-    config = str(noisy_config)
-    for argv in (
-        ["sweep", "--walks-per-combo", "1"],
-        ["simulate", "--config", config],
-        ["process", "--config", config],
-    ):
-        threads.clear()
-        assert cli.main([*argv, "--out", str(tmp_path / argv[0])]) == 0
-        assert threads and set(threads) == {1}, argv
-        assert threading.enumerate() == before
-
     frames = []
 
     def fails_at_frame_3(cube, cfg=None):
@@ -938,7 +947,7 @@ def test_no_thread_outlives_a_command(tmp_path, noisy_config, monkeypatch, capsy
 
     monkeypatch.setattr(scenario, "process_frame", fails_at_frame_3)
     capsys.readouterr()
-    assert cli.main(["process", "--config", config, "--out", str(tmp_path / "p")]) == 1
+    assert cli.main(["process", "--config", str(noisy_config), "--out", str(tmp_path / "p")]) == 1
     assert capsys.readouterr().err.splitlines() == ["stairdim: frame 3 fails"]
     assert threading.enumerate() == before
 
@@ -950,7 +959,8 @@ def test_no_thread_outlives_a_command(tmp_path, noisy_config, monkeypatch, capsy
             raise OSError("frame 3 fails")
 
     monkeypatch.setattr(cli, "save_cube", save_fails_at_frame_3)
-    assert cli.main(["simulate", "--config", config, "--out", str(tmp_path / "f")]) == 2
+    assert cli.main(["simulate", "--config", str(noisy_config), "--out", str(tmp_path / "f")]) == 2
     assert capsys.readouterr().err.splitlines() == ["stairdim: frame 3 fails"]
     assert not (tmp_path / "f" / "sidecar.json").exists()
     assert threading.enumerate() == before
+    assert len(helper_pools) == 4

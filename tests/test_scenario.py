@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import sys
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -418,9 +421,137 @@ def test_run_scenario_equals_the_public_stages_composed(dsp, clutter):
     assert sum(e is not None for e in result.estimates) > 10
 
 
-def test_a_walks_dataset_rows_do_not_depend_on_the_walks_around_it():
-    # state carried over from the walk before would change the rows of every
-    # walk but the first
+def _outcome(result) -> tuple[str, str]:
+    return repr(result.target_lists), repr(result.estimates)
+
+
+@pytest.mark.parametrize("clutter", [0, 5], ids=["corners", "clutter"])
+def test_the_noise_helper_changes_no_result(helper_pools, monkeypatch, clutter):
+    sc = replace(build_sweep(3, 1)[1], clutter=ClutterConfig(count=clutter))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the GIL over as often as the interpreter allows
+    try:
+        with_helper = run_scenario(sc)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(helper_pools) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    inline = run_scenario(sc)
+    assert len(helper_pools) == 1
+    assert _outcome(with_helper) == _outcome(inline)
+
+
+def test_a_walk_whose_noise_helper_kept_the_caller_off_cpu_holds_the_next_one_back(
+    helper_pools, monkeypatch
+):
+    sc = build_sweep(3, 1)[1]
+    kept = run_scenario(sc)  # never off CPU
+    monkeypatch.setattr(time, "thread_time", lambda: 0.0)  # every second spent off CPU
+    slow = run_scenario(sc)
+    skipped = run_scenario(sc)  # the walk after a slow one draws inline
+    assert len(helper_pools) == 2
+    n = len(kept.target_lists)
+    assert [pool.submitted for pool in helper_pools] == [n - 1, n - 1]
+    # at the last frame the thread is let go, and it is joined at the end
+    assert helper_pools[0].waits == helper_pools[1].waits == [False, True]
+    assert _outcome(slow) == _outcome(kept) == _outcome(skipped)
+
+
+def test_the_noise_helper_backs_off_while_its_walks_stay_slow(helper_pools, monkeypatch):
+    sc = ScenarioConfig(name="backoff", seed=2, walk=WalkConfig(rate_hz=1.0))
+    trajectory = scenario_trajectory(sc)
+    started = []
+
+    def walk():
+        before = len(helper_pools)
+        with scenario.walk_cubes(sc, trajectory) as cubes:
+            list(cubes)
+        started.append(len(helper_pools) - before)
+
+    monkeypatch.setattr(time, "thread_time", lambda: 0.0)  # every walk with a helper is slow
+    for _ in range(1 + 1 + 1 + 2 + 1 + 4 + 1):
+        walk()
+    # slow walks hold back 1, 2, then 4 walks
+    assert started == [1, 0, 1, 0, 0, 1, 0, 0, 0, 0, 1]
+    for _ in range(8 + 16 + 16):
+        walk()
+    assert started[11:] == [0] * 8 + [1] + [0] * 16 + [1] + [0] * 14  # capped at 16
+    monkeypatch.setattr(time, "thread_time", time.perf_counter)  # helpers pay off again
+    for _ in range(2 + 2):
+        walk()
+    # the skip already set runs out, then a walk that paid off resets the wait to 1
+    assert started[-4:] == [0, 0, 1, 1]
+    monkeypatch.setattr(time, "thread_time", lambda: 0.0)
+    for _ in range(3):
+        walk()
+    assert started[-3:] == [1, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "cpus, noise, starts",
+    [
+        ({0, 1}, NoiseConfig(), True),
+        ({0}, NoiseConfig(), False),
+        ({0, 1}, NOISELESS, False),
+        ({0, 1}, NoiseConfig(snr_db=None, power=1e-6), True),
+    ],
+    ids=["noisy", "one-cpu", "noiseless", "power"],
+)
+def test_the_noise_helper_starts_only_when_it_can_help(
+    helper_pools, monkeypatch, cpus, noise, starts
+):
+    sc = ScenarioConfig(name="helper", seed=2, noise=noise, walk=WalkConfig(rate_hz=1.0))
+    trajectory = scenario_trajectory(sc)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    with scenario.walk_cubes(sc, trajectory) as cubes:
+        got = list(cubes)
+    assert len(got) == len(trajectory.frames) == 5
+    # nothing runs ahead of the first frame
+    assert [pool.submitted for pool in helper_pools] == [len(got) - 1] * int(starts)
+    for i, cube in enumerate(got):
+        # the frame's own stream, whichever thread drew it
+        expected = synthesize_scenario_frame(sc, trajectory, i)
+        np.testing.assert_array_equal(cube.samples, expected.samples)
+        assert cube.meta == expected.meta
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch, tmp_path):
+    monkeypatch.setattr(scenario, "_CGROUP", tmp_path)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, usable in ((4, 4), (1, 1), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert scenario._usable_cpus() == usable
+
+
+@pytest.mark.parametrize(
+    "files, usable",
+    [
+        ({"cpu.max": "max 100000\n"}, 4),
+        ({"cpu.max": "100000 100000\n"}, 1),
+        ({"cpu.max": "150000 100000\n"}, 1),
+        ({"cpu.max": "250000 100000\n"}, 2),
+        ({"cpu.max": "800000 100000\n"}, 4),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 4),
+        ({"cpu/cpu.cfs_quota_us": "50000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+        ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+        ({"cpu.max": "garbled\n"}, 4),
+        ({}, 4),
+    ],
+    ids=["v2-max", "v2-one", "v2-one-and-a-half", "v2-two", "v2-eight",
+         "v1-unlimited", "v1-half", "v1-two", "unreadable", "no-cgroup"],
+)
+def test_usable_cpus_are_capped_by_a_cgroup_quota(monkeypatch, tmp_path, files, usable):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(scenario, "_CGROUP", tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert scenario._usable_cpus() == usable
+
+
+def test_a_walks_dataset_rows_do_not_depend_on_the_walks_around_it(helper_pools):
+    # each walk gets its own helper: one that carried a draw over from the
+    # walk before would change the rows of every walk but the first
     sweep = build_sweep(3, 1)[:6]
     together = assemble_dataset(sweep)
     for sc in reversed(sweep):
@@ -429,3 +560,4 @@ def test_a_walks_dataset_rows_do_not_depend_on_the_walks_around_it():
         assert alone.n_rows == rows.sum() > 0, sc.name
         for name, column in zip(Dataset._fields, alone):
             np.testing.assert_array_equal(getattr(together, name)[rows], column, err_msg=name)
+    assert len(helper_pools) == 2 * len(sweep)
