@@ -15,14 +15,9 @@ power set by the configured SNR at the nearest scatterer.
 Per radar configuration the fast-time, chirp and antenna axes are built
 once; per scene the scatterers' positions, reflectivities and radial
 velocities become columns once (:func:`scene_arrays`), which a walk passes
-to every frame's :func:`synthesize_frame`. Each frame still draws its own
-seeded noise: :func:`noise_draw` is the one draw, from the frame's own
-generator (:func:`noise_rng`), so the stream is the same whichever thread
-runs it and in which order. A walk may pass a frame's draw in, made ahead
-of time: ``scenario.walk_cubes`` is the one place that decides when a helper
-thread draws frame i+1 while frame i is processed (see its docstring). Any
-frame given no draw makes its own here. The scaling and the add stay in
-:func:`synthesize_frame`.
+to every frame's :func:`synthesize_frame`. Each frame draws its own seeded
+noise (:func:`noise_draw` from :func:`noise_rng`), unless
+``scenario.walk_cubes`` passes in that draw, made ahead on its noise helper.
 
 Cube files: little-endian, 64-byte header (magic ``DIMRADC1``, u32 counts
 N_S/N_P/N_A, f64 timestamp/gamma/v_host, zero padding), then interleaved
@@ -296,11 +291,7 @@ def synthesize_frame(
         cube.real += draw[0]
         cube.imag += draw[1]
 
-    meta = FrameMeta(
-        timestamp_s=frame.timestamp_s,
-        gamma_rad=frame.gamma_rad,
-        v_host_mps=frame.v_host_mps,
-    )
+    meta = FrameMeta(frame.timestamp_s, frame.gamma_rad, frame.v_host_mps)
     return ChirpCube(samples=cube, config=cfg, meta=meta)
 
 

@@ -9,8 +9,10 @@ Subcommands map to the pipeline stages:
     evaluate   dataset.csv + model.json -> eval/report.json + histograms
 
 ``simulate``, and ``process --config`` and ``sweep`` through ``run_scenario``,
-take a walk's cubes from ``scenario.walk_cubes``, the one place that knows
-the noise helper thread.
+take a walk's cubes from ``scenario.walk_cubes``. Both ``process`` routes
+turn cubes into targets and estimates through ``scenario.process_walk``:
+``--config`` the cubes it synthesizes, ``--cubes`` the files it loads. An
+error in a scenario file or a sidecar names that file.
 
 ``sweep`` builds its dataset as one ``enhancer.Dataset`` of column arrays;
 ``train`` and ``evaluate`` read ``dataset.csv`` back into that form, split it,
@@ -54,7 +56,8 @@ import numpy as np
 
 from . import __version__
 from .chirp_sim import load_cube, save_cube
-from .codec import read_json_object, to_dict, write_json
+from .codec import naming, read_json_object, to_dict, write_json
+# estimate_initial and process_frame unused: bench/tracing.py patches them until ROADMAP item 4
 from .dimension import aggregate_estimates, estimate_initial
 from .dsp_chain import DspConfig, process_frame, write_target_lists
 from .enhancer import (
@@ -74,11 +77,12 @@ from .enhancer import (
     write_dataset,
 )
 from .evaluation import DIMENSIONS, build_error_report, report_to_dict, write_histogram_csv
-from .scene import Trajectory, corners_of, radar_height
+from .scene import Trajectory, corners_of
 from .scenario import (
     ScenarioConfig,
     build_sweep,
     load_scenario,
+    process_walk,
     run_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -101,9 +105,10 @@ def _config_hash(sc: ScenarioConfig) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, entry: dict) -> None:
+    """Set the manifest's ``command`` entry to ``entry`` and the versions."""
     path = out_dir / "manifest.json"
     doc = read_json_object(path) if path.exists() else {}
-    doc[command] = entry
+    doc[command] = {**entry, "versions": _versions()}
     write_json(doc, path)
 
 
@@ -140,14 +145,6 @@ def _write_sidecar(sc: ScenarioConfig, trajectory: Trajectory, out_dir: Path) ->
     write_json(sidecar, out_dir / "sidecar.json")
 
 
-def _sidecar_frame_count(sidecar: dict, path: Path) -> int:
-    trajectory = sidecar["trajectory"]
-    frames = trajectory.get("frames") if isinstance(trajectory, dict) else None
-    if not isinstance(frames, list):
-        raise ValueError(f"{path}: 'trajectory' must be an object with a 'frames' list")
-    return len(frames)
-
-
 def _frame_paths(cube_dir: Path, n_frames: int) -> list[Path]:
     return [cube_dir / f"frame_{i:05d}.bin" for i in range(n_frames)]
 
@@ -167,27 +164,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for stale in set(cube_dir.glob("frame_*.bin")).difference(paths):  # an earlier, longer walk's frames
         stale.unlink()
     _write_sidecar(sc, trajectory, out_dir)
-    _write_manifest(
-        out_dir,
-        "simulate",
-        {"config": _config_hash(sc), "seed": sc.seed, "versions": _versions()},
-    )
+    _write_manifest(out_dir, "simulate", {"config": _config_hash(sc), "seed": sc.seed})
     print(f"wrote {len(trajectory.frames)} cubes to {cube_dir}")
     return 0
 
 
 def _report_from_estimates(estimates, target_lists) -> dict:
-    frames = []
-    for tl, est in zip(target_lists, estimates):
-        frames.append(
-            {
-                "t": tl.timestamp_s,
-                "gamma_deg": math.degrees(tl.gamma_rad),
-                "n_targets": len(tl.entries),
-                "d_m": est.depth_m if est else None,
-                "h_m": est.height_m if est else None,
-            }
-        )
+    frames = [
+        {
+            "t": tl.timestamp_s,
+            "gamma_deg": math.degrees(tl.gamma_rad),
+            "n_targets": len(tl.entries),
+            "d_m": est.depth_m if est else None,
+            "h_m": est.height_m if est else None,
+        }
+        for tl, est in zip(target_lists, estimates)
+    ]
     agg = aggregate_estimates(estimates)
     return {
         "frames": frames,
@@ -210,12 +202,19 @@ def cmd_process(args: argparse.Namespace) -> int:
         given = Path(args.cubes)
         cube_dir = given / "cubes" if (given / "cubes").is_dir() else given
         run_dir = given if (given / "sidecar.json").exists() or cube_dir != given else given.parent
-        sidecar = read_json_object(run_dir / "sidecar.json")
-        sc = _apply_overrides(scenario_from_dict(sidecar["scenario"]), args)
+        sidecar_path = run_dir / "sidecar.json"
+        sidecar = read_json_object(sidecar_path)
+        with naming(sidecar_path):
+            sc = scenario_from_dict(sidecar["scenario"])
+            trajectory = sidecar.get("trajectory")
+            frames = trajectory.get("frames") if isinstance(trajectory, dict) else None
+            if not isinstance(frames, list):
+                raise ValueError("'trajectory' must be an object with a 'frames' list")
+        sc = _apply_overrides(sc, args)
         found = set(cube_dir.glob("frame_*.bin"))
         if not found:
             raise ValueError(f"no cube files under {cube_dir}")
-        paths = _frame_paths(cube_dir, _sidecar_frame_count(sidecar, run_dir / "sidecar.json"))
+        paths = _frame_paths(cube_dir, len(frames))
         expected = set(paths)
         if found != expected:
             missing = sorted(p.name for p in expected - found)
@@ -225,15 +224,7 @@ def cmd_process(args: argparse.Namespace) -> int:
                 f" {len(paths)} frames (missing {missing}, not in the walk {extra})"
             )
 
-        target_lists, estimates = [], []
-        for path in paths:
-            cube = load_cube(path, sc.radar)
-            tl = process_frame(cube, sc.dsp)
-            h_r = radar_height(sc.walk.mount_height_m, cube.meta.gamma_rad)
-            target_lists.append(tl)
-            estimates.append(
-                estimate_initial(tl, cube.meta.gamma_rad, sc.standards, radar_height_m=h_r)
-            )
+        target_lists, estimates = process_walk(sc, (load_cube(p, sc.radar) for p in paths))
     else:
         sc = _load_scenario_arg(args)
         result = run_scenario(sc)
@@ -241,11 +232,7 @@ def cmd_process(args: argparse.Namespace) -> int:
 
     write_target_lists(target_lists, out_dir / "targets.jsonl")
     write_json(_report_from_estimates(estimates, target_lists), out_dir / "report.json")
-    _write_manifest(
-        out_dir,
-        "process",
-        {"config": _config_hash(sc), "seed": sc.seed, "versions": _versions()},
-    )
+    _write_manifest(out_dir, "process", {"config": _config_hash(sc), "seed": sc.seed})
     n_est = sum(1 for e in estimates if e is not None)
     print(f"processed {len(target_lists)} frames, {n_est} with dimension estimates")
     return 0
@@ -272,7 +259,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "walks_per_combo": args.walks_per_combo,
             "scenarios": len(scenarios),
             "rows": data.n_rows,
-            "versions": _versions(),
         },
     )
     print(f"sweep: {len(scenarios)} scenarios -> {data.n_rows} dataset rows")
@@ -282,10 +268,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _read_split(dataset_path: Path, split_seed: int):
     """The train and test splits of a dataset file; a split error names the file."""
     data = read_dataset(dataset_path)
-    try:
+    with naming(dataset_path):
         return split_dataset(data, split_seed=split_seed)
-    except ValueError as exc:
-        raise ValueError(f"{dataset_path}: {exc}") from None
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -311,7 +295,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             "split_seed": args.split_seed,
             "epochs": cfg.epochs,
             "train_rows": train_split.n_rows,
-            "versions": _versions(),
         },
     )
     print(
@@ -364,10 +347,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # a finite model can still overflow; numpy's warnings would print before the
     # error that reports it
     with np.errstate(all="ignore"):
-        try:
+        with naming(f"{model_path} on {dataset_path}"):  # an estimate or its errors beyond floats
             results = evaluate_split(test_split, model)
-        except ValueError as exc:  # an estimate or its errors beyond the float range
-            raise ValueError(f"{model_path} on {dataset_path}: {exc}") from None
 
     eval_dir = out_dir / "eval"  # made only now, so a refused input leaves no directory
     eval_dir.mkdir(parents=True, exist_ok=True)
@@ -389,7 +370,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "dataset": dataset_fingerprint(dataset_path),
             "split_seed": args.split_seed,
             "test_rows": results["n_frames"],
-            "versions": _versions(),
         },
     )
     columns = (

@@ -8,7 +8,8 @@ failure is a ValueError, or a KeyError naming a missing key that a field's
 ``metadata={"required": True}`` demands.
 
 ``read_json`` reads every JSON input file and names the file in its
-ValueError; ``write_json`` writes every JSON artifact in the indented,
+ValueError, and ``naming`` names a file in the errors of checking what was
+read from it; ``write_json`` writes every JSON artifact in the indented,
 key-sorted form that keeps fixed-seed reruns byte-identical.
 
 ``rewrite`` is the one way the package writes a file. It rewrites an
@@ -34,7 +35,9 @@ import types
 import typing
 from pathlib import Path
 
-__all__ = ["to_dict", "from_dict", "read_json", "read_json_object", "rewrite", "write_json"]
+__all__ = [
+    "to_dict", "from_dict", "naming", "read_json", "read_json_object", "rewrite", "write_json"
+]
 
 _BAD = object()  # _check's verdict on a value that does not fit
 
@@ -134,6 +137,17 @@ def read_json_object(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: must hold a JSON object, got {type(doc).__name__}")
     return doc
+
+
+@contextlib.contextmanager
+def naming(path: str | Path):
+    """A ValueError or KeyError raised in the block, as a ValueError that starts with ``path``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing required key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @contextlib.contextmanager

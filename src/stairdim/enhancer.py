@@ -349,21 +349,6 @@ def _combo_keys(data: Dataset) -> np.ndarray:
     return keys
 
 
-def _sorted_groups(keys: np.ndarray) -> tuple[int, np.ndarray]:
-    """The number of distinct rows of ``keys`` (n, 2) and each row's index into their sorted list.
-
-    What ``np.unique(keys, axis=0, return_inverse=True)`` gives: -0.0 and 0.0
-    are one key.
-    """
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    ordered = keys[order]
-    starts = np.ones(len(keys), dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
-    group = np.empty(len(keys), dtype=np.intp)
-    group[order] = np.cumsum(starts) - 1
-    return int(np.count_nonzero(starts)), group
-
-
 def _walk_index(scenario_id: str) -> int | None:
     if "_w" in scenario_id:
         tail = scenario_id.rsplit("_w", 1)[1]
@@ -385,10 +370,13 @@ def split_dataset(
     every remaining combination is held out: sweep walks stratify the mount
     height h_i in ascending order, so the last walk carries h_i values never
     seen in training. Both parts keep the rows in file order. Combinations
-    are numbered as ``np.unique(keys, axis=0)`` would, by one faster
-    ``np.lexsort``; scenario ids by ``np.unique`` itself.
+    are numbered in (depth, height) order, as ``np.unique(keys, axis=0)``
+    would: each millimetre key pair is read as one complex number, which
+    numpy orders by real part, then imaginary part, and -0.0 equals 0.0.
+    Scenario ids are numbered by ``np.unique`` too.
     """
-    n_combos, combo = _sorted_groups(_combo_keys(data))
+    combos, combo = np.unique(_combo_keys(data).view(complex)[:, 0], return_inverse=True)
+    n_combos = len(combos)
     if held_out_combos >= n_combos:
         raise ValueError(
             f"cannot hold out {held_out_combos} of {n_combos} combinations"

@@ -18,22 +18,26 @@ world origin, the chain weights range with Hann and Doppler and angle not at
 all, and each CFAR stage sets its threshold from its ``pfa``. Sizes and levels
 have fixed limits, far above the defaults, so that a file cannot exhaust
 memory or leave the float range: frames a walk, samples a cube, the AoA FFT
-length and its range-by-angle cells, and the SNR.
+length and its range-by-angle cells, and the SNR; every walk value, the sway
+phase and the host speed must be finite. Each error names the file.
 
 A walk's cubes come from :func:`walk_cubes`, the one iterator that
-``run_scenario`` and ``stairdim simulate`` share and the one place that knows
-the noise helper. It draws frame i+1's normals on one helper thread, one
-frame ahead, while the caller works on frame i: ``Generator.standard_normal``
-releases the GIL. Each draw comes from the frame's own seeded generator,
-built on the calling thread, so every output is byte-identical to drawing
-inline. A draw the helper has not begun when its frame needs it is cancelled
-and drawn inline, so a helper thread scheduled late never holds a frame up
-for a whole draw. The helper starts only when it can help, with at least two
-usable CPUs (the affinity mask, capped by a cgroup CPU quota) and a walk that
-draws noise (``noise.power`` or ``noise.snr_db`` set: every staircase has a
-corner); otherwise each frame draws inline. One ``ThreadPoolExecutor`` serves
-one walk and is shut down, its pending draw cancelled and its thread joined,
-however the caller leaves the walk.
+``run_scenario`` and ``stairdim simulate`` share, and become targets and
+estimates in :func:`process_walk`, the one per-frame loop that
+``run_scenario`` and ``stairdim process --cubes`` share. :func:`walk_cubes`
+is the one place that knows the noise helper. It draws frame i+1's normals on
+one helper thread, one frame ahead, while the caller works on frame i:
+``Generator.standard_normal`` releases the GIL. Each draw comes from the
+frame's own seeded generator, built on the calling thread, so every output is
+byte-identical to drawing inline. A draw the helper has not begun when its
+frame needs it is cancelled and drawn inline, so a helper thread scheduled
+late never holds a frame up for a whole draw. The helper starts only when it
+can help, with at least two usable CPUs (the affinity mask, capped by a
+cgroup CPU quota) and a walk that draws noise (``noise.power`` or
+``noise.snr_db`` set: every staircase has a corner); otherwise each frame
+draws inline. One ``ThreadPoolExecutor`` serves one walk and is shut down,
+its pending draw cancelled and its thread joined, however the caller leaves
+the walk.
 
 Each draw hands the GIL between the two threads about twice, and each
 hand-off puts a thread to sleep until the OS wakes it. The helper pays off
@@ -58,7 +62,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -72,11 +76,12 @@ from .chirp_sim import (
     scene_arrays,
     synthesize_frame,
 )
-from .codec import from_dict, read_json, to_dict
+from .codec import from_dict, naming, read_json, to_dict
 from .dimension import (
     SWEEP_STANDARDS,
     DimensionEstimate,
     StairStandards,
+    aggregate_estimates,
     estimate_initial,
 )
 from .dsp_chain import MAX_AOA_CELLS, DspConfig, TargetList, process_frame
@@ -100,6 +105,7 @@ __all__ = [
     "scenario_to_dict",
     "scenario_from_dict",
     "load_scenario",
+    "process_walk",
     "run_scenario",
     "build_sweep",
     "SWEEP_DEPTHS_M",
@@ -162,8 +168,6 @@ class ScenarioResult:
     estimates: list[Optional[DimensionEstimate]]
 
     def aggregate(self) -> Optional[tuple[float, float]]:
-        from .dimension import aggregate_estimates
-
         return aggregate_estimates(self.estimates)
 
 
@@ -176,7 +180,10 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    return scenario_from_dict(read_json(path))
+    """The scenario in file ``path``; each error names the file."""
+    doc = read_json(path)
+    with naming(path):
+        return scenario_from_dict(doc)
 
 
 @functools.lru_cache(maxsize=8)
@@ -346,6 +353,24 @@ def scenario_trajectory(sc: ScenarioConfig) -> Trajectory:
     return generate_walk(sc.staircase, walk, max_range_m=attrs.max_range_m)
 
 
+def process_walk(
+    sc: ScenarioConfig, cubes: Iterable[ChirpCube]
+) -> tuple[list[TargetList], list[Optional[DimensionEstimate]]]:
+    """Targets and initial estimates of a walk's wire-exact cubes, taken one at a time.
+
+    Each frame's tilt is its cube's ``meta.gamma_rad``, the IMU reading it was
+    synthesized with.
+    """
+    target_lists, estimates = [], []
+    for cube in cubes:
+        tl = process_frame(cube, sc.dsp)
+        gamma = cube.meta.gamma_rad
+        h_r = radar_height(sc.walk.mount_height_m, gamma)
+        estimates.append(estimate_initial(tl, gamma, sc.standards, radar_height_m=h_r))
+        target_lists.append(tl)
+    return target_lists, estimates
+
+
 def run_scenario(sc: ScenarioConfig) -> ScenarioResult:
     """Synthesize, extract and dimension every frame of the scenario.
 
@@ -353,16 +378,8 @@ def run_scenario(sc: ScenarioConfig) -> ScenarioResult:
     in-memory pipeline is bit-identical to a save/load round trip.
     """
     trajectory = scenario_trajectory(sc)
-    target_lists: list[TargetList] = []
-    estimates: list[Optional[DimensionEstimate]] = []
     with walk_cubes(sc, trajectory) as cubes:
-        for frame, cube in zip(trajectory.frames, cubes):
-            tl = process_frame(quantize_to_wire(cube), sc.dsp)
-            h_r = radar_height(sc.walk.mount_height_m, frame.gamma_rad)
-            estimates.append(
-                estimate_initial(tl, frame.gamma_rad, sc.standards, radar_height_m=h_r)
-            )
-            target_lists.append(tl)
+        target_lists, estimates = process_walk(sc, map(quantize_to_wire, cubes))
     return ScenarioResult(
         scenario=sc, trajectory=trajectory, target_lists=target_lists, estimates=estimates
     )

@@ -22,7 +22,7 @@ rotation to the IMU's gamma, which is what the processing side knows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -106,9 +106,14 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rate_hz <= 0 or not math.isfinite(self.rate_hz):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                key = f.name[: -len("_rad")] + "_deg" if f.name.endswith("_rad") else f.name
+                raise ValueError(f"walk.{key} must be finite, got {value!r}")
+        if self.rate_hz <= 0:
             raise ValueError(f"rate_hz must be positive, got {self.rate_hz!r}")
-        if self.duration_s <= 0 or not math.isfinite(self.duration_s):
+        if self.duration_s <= 0:
             raise ValueError(f"duration_s must be positive, got {self.duration_s!r}")
         if self.duration_s * self.rate_hz > MAX_WALK_FRAMES:
             raise ValueError(
@@ -125,6 +130,13 @@ class WalkConfig:
         for name in ("sway_noise_sigma_rad", "imu_noise_sigma_rad"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        # generate_walk's sway phase and host speed, at the last frame's time
+        n = round(self.duration_s * self.rate_hz)
+        t_end = (n - 1) / self.rate_hz
+        if n >= 2 and not math.isfinite(2.0 * math.pi * self.sway_frequency_hz * t_end):
+            raise ValueError(f"walk.sway_frequency_hz {self.sway_frequency_hz!r} puts the sway phase beyond floats")
+        if n >= 2 and not math.isfinite((self.start_standoff_m - self.end_standoff_m) / t_end):
+            raise ValueError(f"walk standoffs over {t_end!r} s put the host speed beyond floats")
 
 
 @dataclass(frozen=True)
@@ -242,13 +254,10 @@ def generate_walk(
     gait_noise = rng.normal(0.0, cfg.sway_noise_sigma_rad, size=n)
     imu_noise = rng.normal(0.0, cfg.imu_noise_sigma_rad, size=n)
 
+    omega = 2.0 * math.pi * cfg.sway_frequency_hz
     t = np.arange(n) / cfg.rate_hz
     x = x0 + (x1 - x0) * (np.arange(n) / (n - 1))
-    tilt = (
-        cfg.mount_tilt_rad
-        + cfg.sway_amplitude_rad * np.sin(2.0 * math.pi * cfg.sway_frequency_hz * t + phi0)
-        + gait_noise
-    )
+    tilt = cfg.mount_tilt_rad + cfg.sway_amplitude_rad * np.sin(omega * t + phi0) + gait_noise
     gamma = tilt + imu_noise
     # height of the sensor above floor follows the shin rotation around the
     # mount: h_i at the neutral tilt, shrinking as the shin leaves neutral

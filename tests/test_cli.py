@@ -1,9 +1,15 @@
+import contextlib
+import functools
 import importlib.util
 import inspect
+import io
+import itertools
 import json
 import math
+import operator
 import os
 import threading
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -156,13 +162,14 @@ def test_per_frame_calls_the_benchmark_tracer_replaces(tmp_path, short_config, m
     assert [counts[f"scenario.{name}"] for name in per_frame] == [12] * 4
 
     counts.clear()
-    for name in ("scenario_trajectory", "load_cube", "process_frame"):
+    for name in ("scenario_trajectory", "load_cube"):
         count(cli, name)
     sim = tmp_path / "sim"
     assert cli.main(["simulate", "--config", str(short_config), "--out", str(sim)]) == 0
     assert counts["cli.scenario_trajectory"] == 1
+    # process --cubes runs the same per-frame loop, scenario.process_walk
     assert cli.main(["process", "--cubes", str(sim), "--out", str(tmp_path / "p")]) == 0
-    assert counts["cli.load_cube"] == counts["cli.process_frame"] == 12
+    assert counts["cli.load_cube"] == counts["scenario.process_frame"] == counts["scenario.estimate_initial"] == 12
     # the walk is built once, and the sidecar holds that walk
     sidecar = json.loads((sim / "sidecar.json").read_text())
     assert sidecar["trajectory"] == json.loads(json.dumps(to_dict(result.trajectory)))
@@ -520,19 +527,142 @@ _STAIRS = {"depth_m": 0.3, "height_m": 0.15}
         ({"clutter": {"count": 4, "reflectivity": -1.0}}, "clutter.reflectivity must be finite and >= 0, got -1.0"),
         ({"clutter": {"count": 4, "reflectivity": math.nan}}, "clutter.reflectivity must be finite and >= 0, got nan"),
         ({"clutter": {"count": 4, "reflectivity": math.inf}}, "clutter.reflectivity must be finite and >= 0, got inf"),
+        # walk values that are not finite (JSON's 1e400 reads as inf, as
+        # Infinity does), and finite ones whose products in the walk are not
+        ({"walk": {"imu_noise_sigma_deg": math.inf}}, "walk.imu_noise_sigma_deg must be finite, got inf"),
+        ({"walk": {"sway_amplitude_deg": math.inf}}, "walk.sway_amplitude_deg must be finite, got inf"),
+        ({"walk": {"sway_noise_sigma_deg": math.inf}}, "walk.sway_noise_sigma_deg must be finite, got inf"),
+        ({"walk": {"sway_frequency_hz": math.inf}}, "walk.sway_frequency_hz must be finite, got inf"),
+        ({"walk": {"start_standoff_m": math.nan}}, "walk.start_standoff_m must be finite, got nan"),
+        ({"walk": {"end_standoff_m": math.nan}}, "walk.end_standoff_m must be finite, got nan"),
+        ({"walk": {"mount_tilt_deg": math.nan}}, "walk.mount_tilt_deg must be finite, got nan"),
+        (
+            {"walk": {"sway_frequency_hz": 1e308}},
+            "walk.sway_frequency_hz 1e+308 puts the sway phase beyond floats",
+        ),
+        (
+            {"walk": {"start_standoff_m": 1e308, "duration_s": 1e-300, "rate_hz": 2e300}},
+            "walk standoffs over 5e-301 s put the host speed beyond floats",
+        ),
     ],
 )
-def test_malformed_scenario_exits_with_one_line(tmp_path, capsys, doc, fragment):
+def test_malformed_scenario_exits_with_one_line(tmp_path, capsys, recwarn, doc, fragment):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli.main(["process", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
-    assert fragment in _one_line_error(capsys)
+    err = _one_line_error(capsys)
+    assert err.startswith(f"stairdim: {bad}: ") and fragment in err
     # the same scenario in the sidecar of a simulate run
     run = tmp_path / "run"
     (run / "cubes").mkdir(parents=True)
     (run / "sidecar.json").write_text(json.dumps({"scenario": doc}))
     assert cli.main(["process", "--cubes", str(run), "--out", str(tmp_path / "o")]) == 1
-    assert fragment in _one_line_error(capsys)
+    err = _one_line_error(capsys)
+    assert err.startswith(f"stairdim: {run / 'sidecar.json'}: ") and fragment in err
+    assert not recwarn.list
+
+
+def test_simulate_refuses_a_walk_beyond_the_float_range_before_writing_a_cube(tmp_path, capsys, recwarn):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"walk": {"imu_noise_sigma_deg": 1e400}}')
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
+    assert f"{bad}: walk.imu_noise_sigma_deg must be finite, got inf" in _one_line_error(capsys)
+    assert not list(tmp_path.rglob("*.bin"))
+    assert not recwarn.list
+
+
+def _json_paths(doc, path=()):
+    """(path, value) of every value in a JSON document, the document itself first."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, (*path, key))
+
+
+_SHORT_WALK = scenario_to_dict(ScenarioConfig(name="short", seed=4, walk=WalkConfig(duration_s=1.2)))
+_LEAVES = [path for path, value in _json_paths(_SHORT_WALK) if not isinstance(value, dict)]
+_KEYS = [path for path, _ in _json_paths(_SHORT_WALK) if path and isinstance(path[-1], str)]
+_OBJECTS = [path for path, value in _json_paths(_SHORT_WALK) if isinstance(value, dict)]
+_BIG = "1e400"  # a JSON number beyond the float range, written into the text as is
+_DROP = "@DROP@"
+_MUTATIONS = st.one_of(
+    st.tuples(
+        st.sampled_from(_LEAVES),
+        st.sampled_from([math.nan, math.inf, -math.inf, None, True, False, "text", _BIG, [], {}]),
+    ),
+    st.tuples(st.sampled_from(_KEYS), st.just(_DROP)),
+    st.tuples(st.sampled_from(_OBJECTS).map(lambda path: (*path, "bogus")), st.just(1)),
+)
+
+
+def _mutated_text(doc, mutation) -> str:
+    """``doc`` as JSON text with the value at ``path`` set to ``value``, or dropped."""
+    path, value = mutation
+    doc = json.loads(json.dumps(doc))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if value == _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = "@BIG@" if value == _BIG else value
+    return json.dumps(doc).replace('"@BIG@"', _BIG)
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    """``cli.main(argv)`` with warnings as errors: its exit code and its stderr."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def short_walk_run(tmp_path_factory):
+    """A scratch root, and in it a simulate run of ``_SHORT_WALK`` and that run's sidecar."""
+    root = tmp_path_factory.mktemp("mutated")
+    (root / "short.json").write_text(json.dumps(_SHORT_WALK))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--config", str(root / "short.json"), "--out", str(root / "sim")]) == 0
+    return root, json.loads((root / "sim" / "sidecar.json").read_text())
+
+
+_EXAMPLE = itertools.count()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(mutation=_MUTATIONS)
+def test_a_mutated_scenario_exits_the_same_way_from_a_file_and_from_a_sidecar(short_walk_run, mutation):
+    """One bad leaf, or one key dropped or added, in a scenario the program wrote.
+
+    ``process --config`` and ``process --cubes`` on a sidecar that holds the
+    same scenario (beside the unmutated walk's cubes) either both succeed
+    quietly or both refuse it in one line that names their file, for the
+    same reason; no numpy warning escapes either.
+    """
+    root, sidecar = short_walk_run
+    text = _mutated_text(_SHORT_WALK, mutation)
+    example = root / f"example{next(_EXAMPLE)}"
+    (example / "run").mkdir(parents=True)
+    config = example / "scenario.json"
+    config.write_text(text)
+    (example / "run" / "cubes").symlink_to(root / "sim" / "cubes")
+    sidecar_path = example / "run" / "sidecar.json"
+    sidecar_path.write_text(json.dumps({**sidecar, "scenario": "@SCENARIO@"}).replace('"@SCENARIO@"', text))
+
+    outcomes = []
+    for argv, path in (
+        (["process", "--config", str(config)], config),
+        (["process", "--cubes", str(example / "run")], sidecar_path),
+    ):
+        code, err = _run_quietly([*argv, "--out", str(example / "out")])
+        assert code in (0, 1, 2), err
+        if code == 0:
+            assert err == ""
+        else:
+            assert len(err.splitlines()) == 1 and err.startswith(f"stairdim: {path}: "), err
+        outcomes.append((code, err.removeprefix(f"stairdim: {path}: ")))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize(
