@@ -11,8 +11,7 @@ Subcommands map to the pipeline stages:
 ``simulate``, and ``process --config`` and ``sweep`` through ``run_scenario``,
 take a walk's cubes from ``scenario.walk_cubes``. Both ``process`` routes
 turn cubes into targets and estimates through ``scenario.process_walk``:
-``--config`` the cubes it synthesizes, ``--cubes`` the files it loads. An
-error in a scenario file or a sidecar names that file.
+``--config`` the cubes it synthesizes, ``--cubes`` the files it loads.
 
 ``sweep`` builds its dataset as one ``enhancer.Dataset`` of column arrays;
 ``train`` and ``evaluate`` read ``dataset.csv`` back into that form, split it,
@@ -105,7 +104,6 @@ def _config_hash(sc: ScenarioConfig) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, entry: dict) -> None:
-    """Set the manifest's ``command`` entry to ``entry`` and the versions."""
     path = out_dir / "manifest.json"
     doc = read_json_object(path) if path.exists() else {}
     doc[command] = {**entry, "versions": _versions()}

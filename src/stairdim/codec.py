@@ -35,9 +35,7 @@ import types
 import typing
 from pathlib import Path
 
-__all__ = [
-    "to_dict", "from_dict", "naming", "read_json", "read_json_object", "rewrite", "write_json"
-]
+__all__ = ["to_dict", "from_dict", "naming", "read_json", "read_json_object", "rewrite", "write_json"]
 
 _BAD = object()  # _check's verdict on a value that does not fit
 

