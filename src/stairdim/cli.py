@@ -13,9 +13,10 @@ take a walk's cubes from ``scenario.walk_cubes``. Both ``process`` routes
 turn cubes into targets and estimates through ``scenario.process_walk``:
 ``--config`` the cubes it synthesizes, ``--cubes`` the files it loads.
 
-``sweep`` builds its dataset as one ``enhancer.Dataset`` of column arrays;
-``train`` and ``evaluate`` read ``dataset.csv`` back into that form, split it,
-and work on whole columns. ``evaluate`` names its estimators once, in
+``sweep`` runs its walks on every usable CPU, in this process and in forked
+worker processes (see ``scenario``), and builds its dataset as one
+``enhancer.Dataset`` of column arrays; ``train`` and ``evaluate`` read
+``dataset.csv`` back into that form, split it, and work on whole columns. ``evaluate`` names its estimators once, in
 ``evaluate_split``; the report, its histograms and the printed line follow
 that dict, one block, two ``hist_<estimator>_<dimension>.csv`` files and one
 MAE column per estimator.
@@ -24,7 +25,9 @@ Every command but ``evaluate``, which draws nothing at random, takes --seed.
 Every command writes a manifest.json entry (config hash, seed, versions; no
 timestamps, so fixed-seed reruns are byte-identical). All JSON goes through
 ``codec.read_json`` and ``codec.write_json``.
-Exit codes: 0 success, 1 validation error or diverged training, 2 I/O error.
+Exit codes: 0 success, 1 validation error, a sweep worker process that died,
+or diverged training, 2 I/O error. A sweep whose walks fail reports the
+first failed walk in scenario order, whichever process ran it.
 
 A run directory may be written again: a later command adds its entry to the
 manifest, and a re-``simulate`` replaces the walk. Every artifact is rewritten
@@ -156,9 +159,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     paths = _frame_paths(cube_dir, len(trajectory.frames))
     # until the new sidecar is written, process --cubes refuses the walk
     (out_dir / "sidecar.json").unlink(missing_ok=True)
-    with walk_cubes(sc, trajectory) as cubes:
-        for path, cube in zip(paths, cubes):
-            save_cube(cube, path)
+    for path, cube in zip(paths, walk_cubes(sc, trajectory)):
+        save_cube(cube, path)
     for stale in set(cube_dir.glob("frame_*.bin")).difference(paths):  # an earlier, longer walk's frames
         stale.unlink()
     _write_sidecar(sc, trajectory, out_dir)

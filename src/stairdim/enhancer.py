@@ -50,6 +50,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -61,7 +62,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import scenario
-from .codec import read_json_object, rewrite, to_dict, write_json
+from .codec import naming, read_json_object, rewrite, to_dict, write_json
 from .dimension import DimensionEstimate
 from .numerics import rng_for
 
@@ -793,21 +794,21 @@ def save_model(
     write_json(doc, path)
 
 
-def _check_numbers(path: str | Path, field: str, value) -> None:
+def _check_numbers(field: str, value) -> None:
     """Raise ValueError unless every leaf of the nested lists ``value`` is a finite JSON number.
 
     A bool or ``null`` leaf is refused: numpy would read it as 1.0 or NaN.
     """
     if isinstance(value, list):
         for item in value:
-            _check_numbers(path, field, item)
+            _check_numbers(field, item)
     elif type(value) is int:
         try:
             float(value)
         except OverflowError:
-            raise ValueError(f"{path}: {field} holds an integer beyond the float range") from None
+            raise ValueError(f"{field} holds an integer beyond the float range") from None
     elif not (type(value) is float and math.isfinite(value)):
-        raise ValueError(f"{path}: {field} holds {value!r}, not a finite number")
+        raise ValueError(f"{field} holds {value!r}, not a finite number")
 
 
 def load_model(path: str | Path) -> EnhancerModel:
@@ -815,63 +816,112 @@ def load_model(path: str | Path) -> EnhancerModel:
 
     Every weight, bias and normalization value must be a finite number, and
     every ``normalization.scale`` > 0 (``train`` floors a zero spread at 1).
-    A file that is not such a model raises ValueError naming the file.
+    A file that is not such a model, or lacks one of its keys, raises
+    ValueError naming the file.
     """
     doc = read_json_object(path)
-    norm = doc["normalization"]
-    if not isinstance(norm, dict):
-        raise ValueError(f"{path}: normalization must be an object")
-    sizes = doc["layer_sizes"]
-    if not (
-        isinstance(sizes, list)
-        and len(sizes) >= 2
-        and all(type(n) is int and n > 0 for n in sizes)
-    ):
-        raise ValueError(f"{path}: layer_sizes must be a list of at least two positive integers")
-    if doc["activation"] != "relu":
-        raise ValueError(f"{path}: unsupported activation {doc['activation']!r}")
-    for field, value in (
-        ("weights", doc["weights"]),
-        ("biases", doc["biases"]),
-        ("normalization.mean", norm["mean"]),
-        ("normalization.scale", norm["scale"]),
-    ):
-        _check_numbers(path, field, value)
-    try:
-        weights = [np.array(w, dtype=float) for w in doc["weights"]]
-        biases = [np.array(b, dtype=float) for b in doc["biases"]]
-        mean = np.array(norm["mean"], dtype=float)
-        scale = np.array(norm["scale"], dtype=float)
-    except (TypeError, ValueError) as exc:  # not a list, or ragged
-        raise ValueError(f"{path}: {exc}") from None
-    # numpy would broadcast a wrong-sized array, so every shape is compared
-    layers = list(zip(sizes[:-1], sizes[1:]))
-    if (
-        [w.shape for w in weights] != [(fan_out, fan_in) for fan_in, fan_out in layers]
-        or [b.shape for b in biases] != [(fan_out,) for _, fan_out in layers]
-        or mean.shape != (sizes[0],)
-        or scale.shape != (sizes[0],)
-    ):
-        raise ValueError(f"{path}: array shapes do not match layer sizes {sizes}")
-    if not (scale > 0).all():
-        raise ValueError(f"{path}: normalization.scale holds {float(scale.min())!r}, not a number > 0")
-    params = np.concatenate([a.reshape(-1) for layer in zip(weights, biases) for a in layer])
-    return EnhancerModel(layer_sizes=sizes, params=params, norm_mean=mean, norm_scale=scale)
+    with naming(path):
+        norm = doc["normalization"]
+        if not isinstance(norm, dict):
+            raise ValueError("normalization must be an object")
+        sizes = doc["layer_sizes"]
+        if not (
+            isinstance(sizes, list)
+            and len(sizes) >= 2
+            and all(type(n) is int and n > 0 for n in sizes)
+        ):
+            raise ValueError("layer_sizes must be a list of at least two positive integers")
+        if doc["activation"] != "relu":
+            raise ValueError(f"unsupported activation {doc['activation']!r}")
+        for field, value in (
+            ("weights", doc["weights"]),
+            ("biases", doc["biases"]),
+            ("normalization.mean", norm["mean"]),
+            ("normalization.scale", norm["scale"]),
+        ):
+            _check_numbers(field, value)
+        try:
+            weights = [np.array(w, dtype=float) for w in doc["weights"]]
+            biases = [np.array(b, dtype=float) for b in doc["biases"]]
+            mean = np.array(norm["mean"], dtype=float)
+            scale = np.array(norm["scale"], dtype=float)
+        except TypeError as exc:  # not a list; a ragged one is a ValueError
+            raise ValueError(str(exc)) from None
+        # numpy would broadcast a wrong-sized array, so every shape is compared
+        layers = list(zip(sizes[:-1], sizes[1:]))
+        if (
+            [w.shape for w in weights] != [(fan_out, fan_in) for fan_in, fan_out in layers]
+            or [b.shape for b in biases] != [(fan_out,) for _, fan_out in layers]
+            or mean.shape != (sizes[0],)
+            or scale.shape != (sizes[0],)
+        ):
+            raise ValueError(f"array shapes do not match layer sizes {sizes}")
+        if not (scale > 0).all():
+            raise ValueError(f"normalization.scale holds {float(scale.min())!r}, not a number > 0")
+        params = np.concatenate([a.reshape(-1) for layer in zip(weights, biases) for a in layer])
+        return EnhancerModel(layer_sizes=sizes, params=params, norm_mean=mean, norm_scale=scale)
+
+
+def _walk_rows(sc) -> list[tuple]:
+    """The dataset rows of one walk, one per frame that yields a corner pair."""
+    d, h = sc.staircase.depth_m, sc.staircase.height_m
+    # looked up in the module at each call, where the benchmark's tracer and the tests patch it
+    estimates = scenario.run_scenario(sc).estimates
+    return [
+        sample_from_estimate(est, d, h, sc.name, frame_id)
+        for frame_id, est in enumerate(estimates)
+        if est is not None
+    ]
+
+
+def _share_rows(scenarios) -> tuple[list[list[tuple]], Exception | None]:
+    """Each walk's rows in order up to the first walk that raises, and that walk's error."""
+    rows = []
+    for sc in scenarios:
+        try:
+            rows.append(_walk_rows(sc))
+        except Exception as exc:
+            return rows, exc
+    return rows, None
+
+
+def _run_shares(shares: list[list]) -> list[tuple[list[list[tuple]], Exception | None]]:
+    """``_share_rows`` of every share: the first in this process, each other in a forked worker."""
+    if len(shares) == 1:
+        return [_share_rows(shares[0])]
+    # imported only here: a one-CPU run, and every other command, never loads them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(len(shares) - 1, mp_context=context) as pool:
+        pending = [pool.submit(_share_rows, share) for share in shares[1:]]
+        own = _share_rows(shares[0])
+        try:
+            return [own, *(future.result() for future in pending)]
+        except BrokenProcessPool:
+            raise ValueError("a sweep worker process died before it returned its walks") from None
 
 
 def assemble_dataset(scenarios) -> Dataset:
     """Run the full pipeline over scenario configs and collect the dataset.
 
-    One row per frame that yields a corner pair. ``scenarios`` is an iterable
-    of ScenarioConfig.
+    One row per frame that yields a corner pair, in scenario order.
+    ``scenarios`` is an iterable of ScenarioConfig. Walk i runs in share
+    ``i % cpus`` of the usable CPUs, share 0 in this process and each other
+    share in a worker process (see ``scenario``). A walk that raises fails
+    the sweep with the error of the first such walk in scenario order, as if
+    the walks had run one after another.
     """
-    rows = []
-    for sc in scenarios:
-        d, h = sc.staircase.depth_m, sc.staircase.height_m
-        # looked up in the module at each call, where the benchmark's tracer patches it
-        rows.extend(
-            sample_from_estimate(est, d, h, sc.name, frame_id)
-            for frame_id, est in enumerate(scenario.run_scenario(sc).estimates)
-            if est is not None
-        )
-    return Dataset.from_rows(rows)
+    scenarios = list(scenarios)
+    # a fork copies only the calling thread: with another thread alive, no worker starts
+    cpus = max(1, min(scenario._usable_cpus(), len(scenarios))) if threading.active_count() == 1 else 1
+    done = _run_shares([scenarios[k::cpus] for k in range(cpus)])
+    # each share stops at its first failed walk, the walk after the rows it returned
+    failed = [k + cpus * len(rows) for k, (rows, exc) in enumerate(done) if exc is not None]
+    if failed:
+        raise done[min(failed) % cpus][1]
+    return Dataset.from_rows(
+        row for i in range(len(scenarios)) for row in done[i % cpus][0][i // cpus]
+    )

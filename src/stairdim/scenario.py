@@ -24,54 +24,31 @@ phase and the host speed must be finite. Each error names the file.
 A walk's cubes come from :func:`walk_cubes`, the one iterator that
 ``run_scenario`` and ``stairdim simulate`` share, and become targets and
 estimates in :func:`process_walk`, the one per-frame loop that
-``run_scenario`` and ``stairdim process --cubes`` share. :func:`walk_cubes`
-is the one place that knows the noise helper. It draws frame i+1's normals on
-one helper thread, one frame ahead, while the caller works on frame i:
-``Generator.standard_normal`` releases the GIL. Each draw comes from the
-frame's own seeded generator, built on the calling thread, so every output is
-byte-identical to drawing inline. A draw the helper has not begun when its
-frame needs it is cancelled and drawn inline, so a helper thread scheduled
-late never holds a frame up for a whole draw. The helper starts only when it
-can help, with at least two usable CPUs (the affinity mask, capped by a
-cgroup CPU quota) and a walk that draws noise (``noise.power`` or
-``noise.snr_db`` set: every staircase has a corner); otherwise each frame
-draws inline. One ``ThreadPoolExecutor`` serves one walk and is shut down,
-its pending draw cancelled and its thread joined, however the caller leaves
-the walk.
+``run_scenario`` and ``stairdim process --cubes`` share.
 
-Each draw hands the GIL between the two threads about twice, and each
-hand-off puts a thread to sleep until the OS wakes it. The helper pays off
-where those wake-ups take tens of microseconds, as on an otherwise idle
-2-CPU host: a walk then takes about 11% less time. Where a thread waits
-long to be woken or scheduled (another process busy on the second CPU, or
-a virtual machine whose CPUs are being stolen), the hand-offs cost more
-than the draw saves. So the helper times itself: when the calling thread
-spent more than a fifth of its CPU time off CPU over a walk, the walks after
-it draw inline, one walk after the first such walk and twice as many after
-each further one, up to 16; a walk whose helper paid off resets that count.
-The outputs never depend on any of this.
+A sweep's walks run on every usable CPU (:func:`_usable_cpus`: the affinity
+mask, capped by a cgroup CPU quota). ``enhancer.assemble_dataset`` gives
+walk i to share ``i % cpus``: the calling process runs share 0 itself while
+one forked worker process runs each other share, and the rows are merged
+back in scenario order, so the dataset is byte-identical to a serial run.
+Workers are forked, so they start at once and see the caller's module state;
+the program runs no thread of its own that a fork could catch mid-work. With
+one usable CPU the caller's share is every walk and no worker starts.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
-
-import numpy as np
 
 from .chirp_sim import (
     ChirpCube,
     NoiseConfig,
     SceneArrays,
-    noise_draw,
-    noise_rng,
     quantize_to_wire,
     scene_arrays,
     synthesize_frame,
@@ -200,12 +177,11 @@ def synthesize_scenario_frame(
     trajectory: Trajectory,
     frame_idx: int,
     scene: SceneArrays | None = None,
-    draw: np.ndarray | None = None,
 ) -> ChirpCube:
     """One frame's cube, seeded by (scenario seed, frame index).
 
     :func:`walk_cubes` yields the same cubes: it passes the ``scene``
-    columns it built once for the walk, and the ``draw`` its helper made.
+    columns it built once for the walk.
     """
     return synthesize_frame(
         sc.radar,
@@ -213,16 +189,10 @@ def synthesize_scenario_frame(
         scenario_scatterers(sc) if scene is None else scene,
         sc.noise,
         seed=_frame_seed(sc.seed, frame_idx),
-        draw=draw,
     )
 
 
 _CGROUP = Path("/sys/fs/cgroup")
-# the calling thread's time off CPU during a walk with the noise helper, as a
-# share of its CPU time, above which the helper cost more than it saved
-_OFF_CPU_LIMIT = 0.2
-# the most walks that draw inline after such a walk
-_MAX_SKIP = 16
 
 
 def _usable_cpus() -> int:
@@ -255,89 +225,14 @@ def _cpu_quota() -> float | None:
         return None
 
 
-class _Backoff:
-    """How many walks draw inline after a walk whose helper was too slow.
-
-    One after the first slow walk, then twice as many after each further
-    one, up to ``_MAX_SKIP``. A walk whose helper paid off resets the count.
-    The walks skipped start no thread and hand nothing off while the host
-    stays slow to wake threads, and the walks tried now and then notice
-    when it is quick again. Walks on several threads share one count
-    without a lock: a lost update changes only when a helper runs, never an
-    output.
-    """
-
-    def __init__(self) -> None:
-        self.skip, self.wait = 0, 1
-
-    def allows(self) -> bool:
-        if self.skip:
-            self.skip -= 1
-            return False
-        return True
-
-    def record(self, slow: bool) -> None:
-        if slow:
-            self.skip, self.wait = self.wait, min(2 * self.wait, _MAX_SKIP)
-        else:
-            self.wait = 1
-
-
-_backoff = _Backoff()
-
-
-@contextlib.contextmanager
-def walk_cubes(sc: ScenarioConfig, trajectory: Trajectory) -> Iterator[Iterator[ChirpCube]]:
+def walk_cubes(sc: ScenarioConfig, trajectory: Trajectory) -> Iterator[ChirpCube]:
     """A walk's cubes in frame order, as :func:`synthesize_scenario_frame` makes them.
 
-    Used as ``with walk_cubes(sc, trajectory) as cubes:``. With the noise
-    helper, each frame's draw was made while the caller worked on the frame
-    before; the first frame, a frame whose draw the helper had not begun,
-    and every frame of a walk without the helper draw inline. The helper's
-    cost is timed from the second frame to the last: above
-    ``_OFF_CPU_LIMIT`` of the calling thread's CPU time spent off CPU, the
-    next walks draw inline (see :class:`_Backoff`). At the last frame the
-    pool is shut down without waiting, so its thread exits while the caller
-    works and the final join waits for no wake-up.
+    The scene's columns are built once for the walk.
     """
     scene = scene_arrays(scenario_scatterers(sc))
-    n_frames = len(trajectory.frames)
-
-    def cube(i: int, draw: np.ndarray | None = None) -> ChirpCube:
-        return synthesize_scenario_frame(sc, trajectory, i, scene, draw)
-
-    if (
-        (sc.noise.power is None and sc.noise.snr_db is None)
-        or _usable_cpus() < 2
-        or not _backoff.allows()
-    ):
-        yield map(cube, range(n_frames))
-        return
-    pool = ThreadPoolExecutor(max_workers=1)
-
-    def ahead():
-        pending = None
-        for i in range(n_frames):
-            # a draw the helper has not begun is drawn inline instead of waited for
-            ready = pending if pending is not None and not pending.cancel() else None
-            pending = None
-            if i == 1:  # the helper thread has started: the hand-offs are timed from here
-                wall0, cpu0 = time.perf_counter(), time.thread_time()
-            if i + 1 < n_frames:
-                # the generator is built here: the helper then holds the GIL only briefly
-                pending = pool.submit(noise_draw, sc.radar, noise_rng(_frame_seed(sc.seed, i + 1)))
-            else:
-                # no draw follows: the thread exits while the caller works, not at the join
-                pool.shutdown(wait=False)
-                if i > 1:
-                    cpu = time.thread_time() - cpu0
-                    _backoff.record(slow=time.perf_counter() - wall0 - cpu > _OFF_CPU_LIMIT * cpu)
-            yield cube(i, ready.result() if ready else None)
-
-    try:
-        yield ahead()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    for i in range(len(trajectory.frames)):
+        yield synthesize_scenario_frame(sc, trajectory, i, scene)
 
 
 def _frame_seed(scenario_seed: int, frame_idx: int) -> int:
@@ -377,8 +272,7 @@ def run_scenario(sc: ScenarioConfig) -> ScenarioResult:
     in-memory pipeline is bit-identical to a save/load round trip.
     """
     trajectory = scenario_trajectory(sc)
-    with walk_cubes(sc, trajectory) as cubes:
-        target_lists, estimates = process_walk(sc, map(quantize_to_wire, cubes))
+    target_lists, estimates = process_walk(sc, map(quantize_to_wire, walk_cubes(sc, trajectory)))
     return ScenarioResult(
         scenario=sc, trajectory=trajectory, target_lists=target_lists, estimates=estimates
     )

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import multiprocessing
 import operator
 import os
 import threading
@@ -541,9 +542,14 @@ _STAIRS = {"depth_m": 0.3, "height_m": 0.15}
             {"walk": {"start_standoff_m": 1e308, "duration_s": 1e-300, "rate_hz": 2e300}},
             "walk standoffs over 5e-301 s: host speed overflows",
         ),
+        # finite dimensions whose farthest corner is not
+        (
+            {"staircase": {**_STAIRS, "depth_m": 1e308, "step_count": 4}},
+            "staircase of 4 steps of 1e+308 x 0.15 m: its farthest corner leaves the float range",
+        ),
     ],
 )
-def test_malformed_scenario_exits_with_one_line(tmp_path, capsys, doc, fragment):
+def test_malformed_scenario_exits_with_one_line(tmp_path, capsys, recwarn, doc, fragment):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert cli.main(["process", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
@@ -556,6 +562,7 @@ def test_malformed_scenario_exits_with_one_line(tmp_path, capsys, doc, fragment)
     assert cli.main(["process", "--cubes", str(run), "--out", str(tmp_path / "o")]) == 1
     err = _one_line_error(capsys)
     assert err.startswith(f"stairdim: {run / 'sidecar.json'}: ") and fragment in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_simulate_refuses_a_walk_beyond_the_float_range_before_writing_a_cube(tmp_path, capsys):
@@ -778,6 +785,19 @@ def test_evaluate_names_the_field_of_a_model_value_train_never_writes(
     assert _evaluate_edited_model(trained_run, tmp_path, capsys, where, value) == 1
     assert f"bad_model.json: {fragment}" in _one_line_error(capsys)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("key", ["normalization", "layer_sizes", "weights", "biases", "activation"])
+def test_evaluate_names_the_model_file_that_lacks_a_key(trained_run, tmp_path, capsys, key):
+    doc = json.loads((trained_run / "model.json").read_text())
+    del doc[key]
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    dataset = str(trained_run / "dataset.csv")
+    argv = ["evaluate", "--out", str(tmp_path / "o"), "--dataset", dataset, "--model", str(bad)]
+    assert cli.main(argv) == 1
+    assert _one_line_error(capsys) == f"stairdim: {bad}: missing required key '{key}'\n"
 
 
 @pytest.mark.parametrize(
@@ -1040,26 +1060,39 @@ def _tree(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def test_simulate_writes_the_same_files_with_and_without_the_noise_helper(
-    tmp_path, noisy_config, helper_pools, monkeypatch
-):
-    with_helper, inline = tmp_path / "helper", tmp_path / "inline"
-    assert cli.main(["simulate", "--config", str(noisy_config), "--out", str(with_helper)]) == 0
-    assert len(helper_pools) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert cli.main(["simulate", "--config", str(noisy_config), "--out", str(inline)]) == 0
-    assert len(helper_pools) == 1
-    files = _tree(with_helper)
-    assert sum(name.startswith("cubes/frame_") for name in files) == 12
-    assert files == _tree(inline)
+def _no_thread_or_child_outlives(before: list) -> None:
+    assert threading.enumerate() == before
+    assert multiprocessing.active_children() == []
 
 
-def test_no_thread_outlives_a_command(tmp_path, noisy_config, helper_pools, monkeypatch, capsys):
+def _fake_walk(tmp_path: Path, failing=(), exiting=()):
+    """A ``run_scenario`` that finds no corner pair, and raises for the walks named ``failing``.
+
+    A failing walk adds its name and process id to ``tmp_path / "failed"``. A
+    walk named in ``exiting`` ends the worker process it runs in.
+    """
+
+    def run(sc):
+        if sc.name in exiting and multiprocessing.parent_process() is not None:
+            os._exit(1)
+        if sc.name in failing:
+            with (tmp_path / "failed").open("a") as fh:
+                fh.write(f"{sc.name} {os.getpid()}\n")
+            raise ValueError(f"{sc.name} fails")
+        return scenario.ScenarioResult(sc, None, [], [])
+
+    return run
+
+
+def test_no_thread_outlives_a_command(tmp_path, noisy_config, monkeypatch, capsys):
     before = threading.enumerate()
     scenario.run_scenario(load_scenario(noisy_config))
-    assert threading.enumerate() == before
+    _no_thread_or_child_outlives(before)
     assert cli.main(["simulate", "--config", str(noisy_config), "--out", str(tmp_path / "s")]) == 0
-    assert threading.enumerate() == before
+    _no_thread_or_child_outlives(before)
+    monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
+    assert cli.main(["sweep", "--walks-per-combo", "1", "--out", str(tmp_path / "w")]) == 0
+    _no_thread_or_child_outlives(before)
 
     real = scenario.process_frame
     frames = []
@@ -1074,7 +1107,7 @@ def test_no_thread_outlives_a_command(tmp_path, noisy_config, helper_pools, monk
     capsys.readouterr()
     assert cli.main(["process", "--config", str(noisy_config), "--out", str(tmp_path / "p")]) == 1
     assert capsys.readouterr().err.splitlines() == ["stairdim: frame 3 fails"]
-    assert threading.enumerate() == before
+    _no_thread_or_child_outlives(before)
 
     saved = []
 
@@ -1087,5 +1120,66 @@ def test_no_thread_outlives_a_command(tmp_path, noisy_config, helper_pools, monk
     assert cli.main(["simulate", "--config", str(noisy_config), "--out", str(tmp_path / "f")]) == 2
     assert capsys.readouterr().err.splitlines() == ["stairdim: frame 3 fails"]
     assert not (tmp_path / "f" / "sidecar.json").exists()
-    assert threading.enumerate() == before
-    assert len(helper_pools) == 4
+    _no_thread_or_child_outlives(before)
+
+    # with two CPUs the odd walks run in a worker
+    monkeypatch.setattr(scenario, "run_scenario", _fake_walk(tmp_path, failing=["d26h16_w0"]))
+    assert cli.main(["sweep", "--walks-per-combo", "1", "--out", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["stairdim: d26h16_w0 fails"]
+    _no_thread_or_child_outlives(before)
+    monkeypatch.setattr(scenario, "run_scenario", _fake_walk(tmp_path, exiting=["d26h16_w0"]))
+    assert cli.main(["sweep", "--walks-per-combo", "1", "--out", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "stairdim: a sweep worker process died before it returned its walks"
+    ]
+    _no_thread_or_child_outlives(before)
+
+
+@pytest.mark.parametrize(
+    "failing, in_worker",
+    [
+        # walks 3 and 6: with two CPUs, walk 3 fails in the worker first
+        (["d26h16_w0", "d28h12_w0"], True),
+        # walks 2 and 3: walk 2 fails here first, walk 3 in the worker
+        (["d26h14_w0", "d26h16_w0"], False),
+        (["d38h18_w0"], False),  # the last walk
+    ],
+    ids=["worker-first", "parent-first", "last"],
+)
+def test_a_failed_sweep_exits_as_a_serial_one_does(tmp_path, monkeypatch, capsys, failing, in_worker):
+    monkeypatch.setattr(scenario, "run_scenario", _fake_walk(tmp_path, failing))
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(scenario, "_usable_cpus", lambda: cpus)
+        assert cli.main(["sweep", "--walks-per-combo", "1", "--out", str(tmp_path / "w")]) == 1
+        # the first failed walk in scenario order, whichever process ran it
+        assert capsys.readouterr().err.splitlines() == [f"stairdim: {failing[0]} fails"]
+        failed = dict(line.split() for line in (tmp_path / "failed").read_text().splitlines())
+        (tmp_path / "failed").unlink()
+        if cpus == 1:
+            assert list(failed) == failing[:1]
+        if cpus == 2:  # each process ran its walks up to its first failure
+            assert sorted(failed) == sorted(failing)
+            assert (failed[failing[0]] != str(os.getpid())) == in_worker
+
+
+def test_a_sweep_writes_the_same_files_on_any_number_of_cpus(tmp_path, monkeypatch):
+    real, pids = scenario.run_scenario, tmp_path / "pids"
+
+    def run(sc):
+        with pids.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(sc)
+
+    monkeypatch.setattr(scenario, "run_scenario", run)
+    outputs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(scenario, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert cli.main(["sweep", "--walks-per-combo", "2", "--seed", "0", "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("dataset.csv", "manifest.json")])
+        # the walks ran in this process and one worker per further CPU
+        processes = Counter(pids.read_text().split())
+        assert len(processes) == cpus and sum(processes.values()) == 70
+        assert processes[str(os.getpid())] == len(range(0, 70, cpus))
+        pids.unlink()
+    assert outputs[0] == outputs[1] == outputs[2]
