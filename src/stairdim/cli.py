@@ -16,10 +16,10 @@ turn cubes into targets and estimates through ``scenario.process_walk``:
 ``sweep`` runs its walks on every usable CPU, in this process and in forked
 worker processes (see ``scenario``), and builds its dataset as one
 ``enhancer.Dataset`` of column arrays; ``train`` and ``evaluate`` read
-``dataset.csv`` back into that form, split it, and work on whole columns. ``evaluate`` names its estimators once, in
-``evaluate_split``; the report, its histograms and the printed line follow
-that dict, one block, two ``hist_<estimator>_<dimension>.csv`` files and one
-MAE column per estimator.
+``dataset.csv`` back into that form, split it, and work on whole columns.
+``evaluate`` names its estimators once, in ``evaluate_split``; the report,
+its histograms and the printed line follow that dict, one block, two
+``hist_<estimator>_<dimension>.csv`` files and one MAE column per estimator.
 
 Every command but ``evaluate``, which draws nothing at random, takes --seed.
 Every command writes a manifest.json entry (config hash, seed, versions; no

@@ -875,7 +875,11 @@ def _walk_rows(sc) -> list[tuple]:
 
 
 def _share_rows(scenarios) -> tuple[list[list[tuple]], Exception | None]:
-    """Each walk's rows in order up to the first walk that raises, and that walk's error."""
+    """Each walk's rows in order up to the first walk that raises, and that walk's error.
+
+    The error is returned, not raised, so that the caller can raise the one
+    of the first failed walk in scenario order, whichever share holds it.
+    """
     rows = []
     for sc in scenarios:
         try:
@@ -885,11 +889,11 @@ def _share_rows(scenarios) -> tuple[list[list[tuple]], Exception | None]:
     return rows, None
 
 
-def _run_shares(shares: list[list]) -> list[tuple[list[list[tuple]], Exception | None]]:
+def _run_shares(shares: list[list]) -> list[tuple]:
     """``_share_rows`` of every share: the first in this process, each other in a forked worker."""
     if len(shares) == 1:
         return [_share_rows(shares[0])]
-    # imported only here: a one-CPU run, and every other command, never loads them
+    # imported only here, so a one-CPU sweep and the other commands never load them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -915,13 +919,13 @@ def assemble_dataset(scenarios) -> Dataset:
     the walks had run one after another.
     """
     scenarios = list(scenarios)
-    # a fork copies only the calling thread: with another thread alive, no worker starts
-    cpus = max(1, min(scenario._usable_cpus(), len(scenarios))) if threading.active_count() == 1 else 1
+    cpus = max(1, min(scenario._usable_cpus(), len(scenarios)))
+    if threading.active_count() > 1:  # a fork would copy only this thread
+        cpus = 1
     done = _run_shares([scenarios[k::cpus] for k in range(cpus)])
-    # each share stops at its first failed walk, the walk after the rows it returned
+    # a share stops at its first failed walk: the one after the walks it has rows for
     failed = [k + cpus * len(rows) for k, (rows, exc) in enumerate(done) if exc is not None]
     if failed:
         raise done[min(failed) % cpus][1]
-    return Dataset.from_rows(
-        row for i in range(len(scenarios)) for row in done[i % cpus][0][i // cpus]
-    )
+    rows = (row for i in range(len(scenarios)) for row in done[i % cpus][0][i // cpus])
+    return Dataset.from_rows(rows)

@@ -31,9 +31,11 @@ mask, capped by a cgroup CPU quota). ``enhancer.assemble_dataset`` gives
 walk i to share ``i % cpus``: the calling process runs share 0 itself while
 one forked worker process runs each other share, and the rows are merged
 back in scenario order, so the dataset is byte-identical to a serial run.
-Workers are forked, so they start at once and see the caller's module state;
-the program runs no thread of its own that a fork could catch mid-work. With
-one usable CPU the caller's share is every walk and no worker starts.
+Workers are forked: they start at once, without importing the package again,
+and see the caller's module state, replaced names included. A fork copies
+only the calling thread, and the package starts no thread of its own. With
+one usable CPU, or another thread alive, the caller's share is every walk
+and no worker starts.
 """
 
 from __future__ import annotations

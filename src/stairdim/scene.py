@@ -74,14 +74,14 @@ class StaircaseSpec:
         if self.step_count < 1 or int(self.step_count) != self.step_count:
             raise ValueError(f"step_count must be a positive integer, got {self.step_count!r}")
         # here, not in corners_of, so that a cube run's sidecar refuses it too
-        if not all(map(math.isfinite, farthest_corner(self))):
+        if not all(map(math.isfinite, _farthest_corner(self))):
             raise ValueError(
                 f"staircase of {self.step_count} steps of {self.depth_m!r} x {self.height_m!r} m: "
                 "its farthest corner leaves the float range"
             )
 
 
-def farthest_corner(spec: StaircaseSpec) -> tuple[float, float]:
+def _farthest_corner(spec: StaircaseSpec) -> tuple[float, float]:
     """``corners_of(spec)[-1]``, without building the others; inf beyond the float range."""
     try:
         return (spec.step_count - 1) * spec.depth_m, spec.step_count * spec.height_m
@@ -256,7 +256,7 @@ def generate_walk(
     x0 = -cfg.start_standoff_m
     x1 = -cfg.end_standoff_m
     if max_range_m is not None:
-        far = farthest_corner(spec)
+        far = _farthest_corner(spec)
         reach = math.hypot(far[0] - x0, far[1])
         if reach > max_range_m:
             raise ValueError(

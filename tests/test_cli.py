@@ -1162,6 +1162,25 @@ def test_a_failed_sweep_exits_as_a_serial_one_does(tmp_path, monkeypatch, capsys
             assert (failed[failing[0]] != str(os.getpid())) == in_worker
 
 
+def test_a_sweep_starts_no_worker_while_another_thread_is_alive(tmp_path, monkeypatch, capsys):
+    # every walk fails: with a worker, walk 0 fails here and walk 1 in the worker
+    every_walk = [sc.name for sc in scenario.build_sweep(0, 1)]
+    monkeypatch.setattr(scenario, "run_scenario", _fake_walk(tmp_path, failing=every_walk))
+    monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        assert cli.main(["sweep", "--walks-per-combo", "1", "--out", str(tmp_path / "w")]) == 1
+    finally:
+        stop.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert capsys.readouterr().err.splitlines() == [f"stairdim: {every_walk[0]} fails"]
+    assert (tmp_path / "failed").read_text().split() == [every_walk[0], str(os.getpid())]
+    assert multiprocessing.active_children() == []
+
+
 def test_a_sweep_writes_the_same_files_on_any_number_of_cpus(tmp_path, monkeypatch):
     real, pids = scenario.run_scenario, tmp_path / "pids"
 
