@@ -1056,10 +1056,6 @@ def test_per_acquisition_equals_naive_grouping(ids, data):
     assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
 
-def _tree(root: Path) -> dict[str, bytes]:
-    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
 def _no_thread_or_child_outlives(before: list) -> None:
     assert threading.enumerate() == before
     assert multiprocessing.active_children() == []
