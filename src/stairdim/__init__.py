@@ -11,6 +11,7 @@ corrected stair dimensions:
 - `enhancer`: the small neural network that shrinks systematic errors
 - `evaluation`: error statistics and histograms
 - `scenario`: end-to-end runs and the dimension sweep grid
+- `parallel`: a sweep's walks claimed one at a time by forked processes
 - `codec`: the JSON form of every config dataclass
 
 The names imported here are the package's public API.

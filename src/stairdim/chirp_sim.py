@@ -344,6 +344,8 @@ def load_cube(path: str | Path, config: RadarConfig) -> ChirpCube:
     for field, value in (("timestamp_s", t), ("gamma_rad", gamma), ("v_host_mps", v_host)):
         if not math.isfinite(value):
             raise ValueError(f"{path}: header {field} {value!r} is not finite")
+    if not math.isfinite(math.degrees(gamma)):  # the reports give the tilt in degrees
+        raise ValueError(f"{path}: header gamma_rad {gamma!r} is not finite in degrees")
     expected = _HEADER.size + 8 * n_s * n_p * n_a
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")

@@ -14,7 +14,8 @@ turn cubes into targets and estimates through ``scenario.process_walk``:
 ``--config`` the cubes it synthesizes, ``--cubes`` the files it loads.
 
 ``sweep`` runs its walks on every usable CPU, in this process and in forked
-worker processes (see ``scenario``), and builds its dataset as one
+worker processes, each taking the next unclaimed walk when it is free (see
+``parallel``), and builds its dataset as one
 ``enhancer.Dataset`` of column arrays; ``train`` and ``evaluate`` read
 ``dataset.csv`` back into that form, split it, and work on whole columns.
 ``evaluate`` names its estimators once, in ``evaluate_split``; the report,
@@ -27,7 +28,8 @@ timestamps, so fixed-seed reruns are byte-identical). All JSON goes through
 ``codec.read_json`` and ``codec.write_json``.
 Exit codes: 0 success, 1 validation error, a sweep worker process that died,
 or diverged training, 2 I/O error. A sweep whose walks fail reports the
-first failed walk in scenario order, whichever process ran it.
+first failed walk in scenario order, whichever process ran it, and claims
+no walk after a failed one.
 
 A run directory may be written again: a later command adds its entry to the
 manifest, and a re-``simulate`` replaces the walk. Every artifact is rewritten

@@ -50,7 +50,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -874,58 +873,24 @@ def _walk_rows(sc) -> list[tuple]:
     ]
 
 
-def _share_rows(scenarios) -> tuple[list[list[tuple]], Exception | None]:
-    """Each walk's rows in order up to the first walk that raises, and that walk's error.
-
-    The error is returned, not raised, so that the caller can raise the one
-    of the first failed walk in scenario order, whichever share holds it.
-    """
-    rows = []
-    for sc in scenarios:
-        try:
-            rows.append(_walk_rows(sc))
-        except Exception as exc:
-            return rows, exc
-    return rows, None
-
-
-def _run_shares(shares: list[list]) -> list[tuple]:
-    """``_share_rows`` of every share: the first in this process, each other in a forked worker."""
-    if len(shares) == 1:
-        return [_share_rows(shares[0])]
-    # imported only here, so a one-CPU sweep and the other commands never load them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(len(shares) - 1, mp_context=context) as pool:
-        pending = [pool.submit(_share_rows, share) for share in shares[1:]]
-        own = _share_rows(shares[0])
-        try:
-            return [own, *(future.result() for future in pending)]
-        except BrokenProcessPool:
-            raise ValueError("a sweep worker process died before it returned its walks") from None
-
-
 def assemble_dataset(scenarios) -> Dataset:
     """Run the full pipeline over scenario configs and collect the dataset.
 
     One row per frame that yields a corner pair, in scenario order.
-    ``scenarios`` is an iterable of ScenarioConfig. Walk i runs in share
-    ``i % cpus`` of the usable CPUs, share 0 in this process and each other
-    share in a worker process (see ``scenario``). A walk that raises fails
-    the sweep with the error of the first such walk in scenario order, as if
-    the walks had run one after another.
+    ``scenarios`` is an iterable of ScenarioConfig. The walks run on every
+    usable CPU, in this process and in forked children, each process taking
+    the next unclaimed walk when it is free (see ``parallel``). A walk that
+    raises fails the sweep with the error of the first such walk in scenario
+    order, as if the walks had run one after another, and no walk is
+    claimed once one has failed.
     """
+    # imported here, so that the commands that never sweep never load it
+    from .parallel import run_claimed
+
     scenarios = list(scenarios)
-    cpus = max(1, min(scenario._usable_cpus(), len(scenarios)))
-    if threading.active_count() > 1:  # a fork would copy only this thread
-        cpus = 1
-    done = _run_shares([scenarios[k::cpus] for k in range(cpus)])
-    # a share stops at its first failed walk: the one after the walks it has rows for
-    failed = [k + cpus * len(rows) for k, (rows, exc) in enumerate(done) if exc is not None]
-    if failed:
-        raise done[min(failed) % cpus][1]
-    rows = (row for i in range(len(scenarios)) for row in done[i % cpus][0][i // cpus])
-    return Dataset.from_rows(rows)
+    done = run_claimed(_walk_rows, scenarios, scenario._usable_cpus())
+    # walks are claimed in order, so every walk before the first failed one has its rows
+    for i in range(len(scenarios)):
+        if isinstance(done[i], Exception):
+            raise done[i]
+    return Dataset.from_rows(row for i in range(len(scenarios)) for row in done[i])

@@ -27,15 +27,10 @@ estimates in :func:`process_walk`, the one per-frame loop that
 ``run_scenario`` and ``stairdim process --cubes`` share.
 
 A sweep's walks run on every usable CPU (:func:`_usable_cpus`: the affinity
-mask, capped by a cgroup CPU quota). ``enhancer.assemble_dataset`` gives
-walk i to share ``i % cpus``: the calling process runs share 0 itself while
-one forked worker process runs each other share, and the rows are merged
-back in scenario order, so the dataset is byte-identical to a serial run.
-Workers are forked: they start at once, without importing the package again,
-and see the caller's module state, replaced names included. A fork copies
-only the calling thread, and the package starts no thread of its own. With
-one usable CPU, or another thread alive, the caller's share is every walk
-and no worker starts.
+mask, capped by a cgroup CPU quota), each claimed by the first free process
+(``parallel``), and the rows are merged back in scenario order, so the
+dataset is byte-identical to a serial run. The package starts no thread of
+its own, so a sweep can fork.
 """
 
 from __future__ import annotations

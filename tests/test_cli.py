@@ -1,4 +1,5 @@
 import contextlib
+import fcntl
 import functools
 import importlib.util
 import inspect
@@ -9,7 +10,9 @@ import math
 import multiprocessing
 import operator
 import os
+import signal
 import threading
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stairdim import chirp_sim, cli, dimension, dsp_chain, enhancer, scenario
+from stairdim import chirp_sim, cli, dimension, dsp_chain, enhancer, parallel, scenario
 from stairdim.chirp_sim import NOISELESS
 from stairdim.codec import to_dict
 from stairdim.enhancer import (
@@ -279,7 +282,13 @@ def test_sidecar_without_a_frame_list_exits_with_one_line(tmp_path, short_config
 
 @pytest.mark.parametrize(
     "field, value",
-    [("timestamp_s", math.inf), ("gamma_rad", math.inf), ("gamma_rad", math.nan), ("v_host_mps", math.nan)],
+    [
+        ("timestamp_s", math.inf),
+        ("gamma_rad", math.inf),
+        ("gamma_rad", math.nan),
+        ("v_host_mps", math.nan),
+        ("gamma_rad", 1e308),  # finite, but not in degrees: the report would hold Infinity
+    ],
 )
 def test_cube_header_float_that_is_not_finite_exits_with_one_line(tmp_path, short_config, capsys, field, value):
     sim, out = tmp_path / "sim", tmp_path / "p"
@@ -630,6 +639,18 @@ def short_walk_run(tmp_path_factory):
 
 
 _EXAMPLE = itertools.count()
+_RADAR = RadarConfig()
+_CUBE_BYTES = chirp_sim._HEADER.size + 8 * _RADAR.samples_per_chirp * _RADAR.chirps_per_frame * _RADAR.virtual_antennas
+_HEADER_FIELDS = ["magic", "n_s", "n_p", "n_a", "timestamp_s", "gamma_rad", "v_host_mps"]
+_CUBE_MUTATIONS = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, _CUBE_BYTES - 1)),
+    st.tuples(st.just("magic"), st.binary(min_size=8, max_size=8).filter(lambda b: b != chirp_sim.CUBE_MAGIC)),
+    st.tuples(st.sampled_from(["n_s", "n_p", "n_a"]), st.integers(0, 2**32 - 1)),
+    st.tuples(
+        st.sampled_from(["timestamp_s", "gamma_rad", "v_host_mps"]),
+        st.sampled_from([math.nan, math.inf, -math.inf, 1e308]),
+    ),
+)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -665,6 +686,51 @@ def test_a_mutated_scenario_exits_the_same_way_from_a_file_and_from_a_sidecar(sh
             assert len(err.splitlines()) == 1 and err.startswith(f"stairdim: {path}: "), err
         outcomes.append((code, err.removeprefix(f"stairdim: {path}: ")))
     assert outcomes[0] == outcomes[1]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(frame=st.integers(0, 11), mutation=_CUBE_MUTATIONS)
+def test_a_mutated_cube_file_exits_quietly_or_with_one_line_naming_it(short_walk_run, frame, mutation):
+    """One cube of a simulate run cut at a byte, or one header field overwritten.
+
+    ``process --cubes`` either succeeds quietly, writing strict JSON, or
+    refuses the walk in one line that names the mutated cube; no traceback
+    or numpy warning escapes.
+    """
+    root = short_walk_run[0]
+    cubes = sorted((root / "sim" / "cubes").glob("frame_*.bin"))
+    assert len(cubes) == 12
+    example = root / f"example{next(_EXAMPLE)}"
+    (example / "cubes").mkdir(parents=True)
+    (example / "sidecar.json").symlink_to(root / "sim" / "sidecar.json")
+    for path in cubes:
+        if path != cubes[frame]:
+            (example / "cubes" / path.name).symlink_to(path)
+    raw = bytearray(cubes[frame].read_bytes())
+    field, value = mutation
+    if field == "cut":
+        del raw[value:]
+    else:
+        header = list(chirp_sim._HEADER.unpack_from(raw))
+        if header[_HEADER_FIELDS.index(field)] == value:  # an axis drawn at its own size
+            return
+        header[_HEADER_FIELDS.index(field)] = value
+        chirp_sim._HEADER.pack_into(raw, 0, *header)
+    bad = example / "cubes" / cubes[frame].name
+    bad.write_bytes(raw)
+    code, err = _run_quietly(["process", "--cubes", str(example), "--out", str(example / "out")])
+    assert code in (0, 1, 2), err
+    if code == 0:
+        assert err == ""
+        out = example / "out"
+        for doc in [(out / "report.json").read_text(), *(out / "targets.jsonl").read_text().splitlines()]:
+            json.loads(doc, parse_constant=_no_constant)
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith(f"stairdim: {bad}: "), err
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
 
 
 @pytest.mark.parametrize(
@@ -1059,25 +1125,67 @@ def test_per_acquisition_equals_naive_grouping(ids, data):
 def _no_thread_or_child_outlives(before: list) -> None:
     assert threading.enumerate() == before
     assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no forked child is left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
-def _fake_walk(tmp_path: Path, failing=(), exiting=()):
+@contextlib.contextmanager
+def _locked(path: Path):
+    """``path`` opened for appending under an fcntl lock, so that processes' lines never interleave."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        fcntl.lockf(fd, fcntl.LOCK_EX)
+        yield fd
+    finally:
+        os.close(fd)  # drops the lock
+
+
+def _append(path: Path, line: str) -> None:
+    with _locked(path) as fd:
+        os.write(fd, f"{line}\n".encode())
+
+
+def _fake_walk(tmp_path: Path, failing=(), worker=None):
     """A ``run_scenario`` that finds no corner pair, and raises for the walks named ``failing``.
 
-    A failing walk adds its name and process id to ``tmp_path / "failed"``. A
-    walk named in ``exiting`` ends the worker process it runs in.
+    Each walk adds ``start <name> <pid>`` to ``tmp_path / "log"`` as it
+    starts, and a failing walk adds ``fail <name> <pid>`` before it raises.
+    With ``worker`` set, the calling process's first walk waits until a
+    worker process has started a walk, and a walk in a worker ``"fails"``,
+    ``"exits"`` (``os._exit``) or is ``"killed"`` (SIGKILL). A worker is any
+    process other than the one that made this fake: a plain fork has no
+    ``multiprocessing.parent_process()``.
     """
+    caller, log = str(os.getpid()), tmp_path / "log"
+    waiting = worker is not None
 
     def run(sc):
-        if sc.name in exiting and multiprocessing.parent_process() is not None:
+        nonlocal waiting
+        pid = str(os.getpid())
+        _append(log, f"start {sc.name} {pid}")
+        if waiting and pid == caller:
+            waiting = False
+            for _ in range(10_000):  # at most 10 s
+                if any(started != caller for started in log.read_text().split()[2::3]):
+                    break
+                time.sleep(0.001)
+        if worker == "exits" and pid != caller:
             os._exit(1)
-        if sc.name in failing:
-            with (tmp_path / "failed").open("a") as fh:
-                fh.write(f"{sc.name} {os.getpid()}\n")
+        if worker == "killed" and pid != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if sc.name in failing or (worker == "fails" and pid != caller):
+            _append(log, f"fail {sc.name} {pid}")
             raise ValueError(f"{sc.name} fails")
         return scenario.ScenarioResult(sc, None, [], [])
 
     return run
+
+
+def _log(tmp_path: Path) -> list[list[str]]:
+    """The lines the fakes wrote, each split into words; the log is removed."""
+    lines = [line.split() for line in (tmp_path / "log").read_text().splitlines()]
+    (tmp_path / "log").unlink()
+    return lines
 
 
 def test_no_thread_outlives_a_command(tmp_path, noisy_config, monkeypatch, capsys):
@@ -1118,51 +1226,69 @@ def test_no_thread_outlives_a_command(tmp_path, noisy_config, monkeypatch, capsy
     assert not (tmp_path / "f" / "sidecar.json").exists()
     _no_thread_or_child_outlives(before)
 
-    # with two CPUs the odd walks run in a worker
-    monkeypatch.setattr(scenario, "run_scenario", _fake_walk(tmp_path, failing=["d26h16_w0"]))
+    # with two CPUs, walk 1 runs in the worker while this process holds walk 0
+    monkeypatch.setattr(scenario, "run_scenario", _fake_walk(tmp_path, worker="fails"))
     assert cli.main(["sweep", "--walks-per-combo", "1", "--out", str(tmp_path / "w")]) == 1
-    assert capsys.readouterr().err.splitlines() == ["stairdim: d26h16_w0 fails"]
+    assert capsys.readouterr().err.splitlines() == ["stairdim: d26h12_w0 fails"]
     _no_thread_or_child_outlives(before)
-    monkeypatch.setattr(scenario, "run_scenario", _fake_walk(tmp_path, exiting=["d26h16_w0"]))
-    assert cli.main(["sweep", "--walks-per-combo", "1", "--out", str(tmp_path / "w")]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "stairdim: a sweep worker process died before it returned its walks"
-    ]
-    _no_thread_or_child_outlives(before)
+    assert [line[:2] for line in _log(tmp_path)][-2:] == [["start", "d26h12_w0"], ["fail", "d26h12_w0"]]
+    for death in ("exits", "killed"):
+        monkeypatch.setattr(scenario, "run_scenario", _fake_walk(tmp_path, worker=death))
+        assert cli.main(["sweep", "--walks-per-combo", "1", "--out", str(tmp_path / "w")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "stairdim: a sweep worker process died before it returned its walks"
+        ]
+        _no_thread_or_child_outlives(before)
+        assert ["start", "d26h12_w0"] in [line[:2] for line in _log(tmp_path)]
 
 
 @pytest.mark.parametrize(
-    "failing, in_worker",
+    "failing",
     [
-        # walks 3 and 6: with two CPUs, walk 3 fails in the worker first
-        (["d26h16_w0", "d28h12_w0"], True),
-        # walks 2 and 3: walk 2 fails here first, walk 3 in the worker
-        (["d26h14_w0", "d26h16_w0"], False),
-        (["d38h18_w0"], False),  # the last walk
+        ["d26h16_w0", "d28h12_w0"],  # walks 3 and 6
+        ["d26h14_w0", "d26h16_w0"],  # walks 2 and 3
+        ["d38h18_w0"],  # the last walk
     ],
-    ids=["worker-first", "parent-first", "last"],
+    ids=["3-and-6", "2-and-3", "last"],
 )
-def test_a_failed_sweep_exits_as_a_serial_one_does(tmp_path, monkeypatch, capsys, failing, in_worker):
+def test_a_failed_sweep_exits_as_a_serial_one_does(tmp_path, monkeypatch, capsys, failing):
+    names = [sc.name for sc in scenario.build_sweep(0, 1)]
+    real = parallel._claim
+
+    def claim(counter, items, failed=False):
+        # logged under the log's lock, so the lines stand in the order the claims took effect
+        with _locked(tmp_path / "log") as fd:
+            i = real(counter, items, failed)
+            os.write(fd, f"{'stop' if failed else 'claim'} {i} {os.getpid()}\n".encode())
+        return i
+
+    monkeypatch.setattr(parallel, "_claim", claim)
     monkeypatch.setattr(scenario, "run_scenario", _fake_walk(tmp_path, failing))
     for cpus in (1, 2, 3):
         monkeypatch.setattr(scenario, "_usable_cpus", lambda: cpus)
         assert cli.main(["sweep", "--walks-per-combo", "1", "--out", str(tmp_path / "w")]) == 1
         # the first failed walk in scenario order, whichever process ran it
         assert capsys.readouterr().err.splitlines() == [f"stairdim: {failing[0]} fails"]
-        failed = dict(line.split() for line in (tmp_path / "failed").read_text().splitlines())
-        (tmp_path / "failed").unlink()
+        log = _log(tmp_path)
+        claimed = [int(i) for word, i, _ in log if word == "claim" and i != "None"]
+        started = [names.index(name) for word, name, _ in log if word == "start"]
+        # the walks claimed and started, each once, are the first ones in scenario order
+        assert sorted(claimed) == sorted(started) == list(range(len(claimed)))
+        assert names.index(failing[0]) in claimed
+        assert len({pid for *_, pid in log}) <= cpus
+        # every walk after the first failure was claimed before it was reported
+        stop = [word for word, *_ in log].index("stop")
+        assert all(i == "None" for word, i, _ in log[stop:] if word == "claim")
         if cpus == 1:
-            assert list(failed) == failing[:1]
-        if cpus == 2:  # each process ran its walks up to its first failure
-            assert sorted(failed) == sorted(failing)
-            assert (failed[failing[0]] != str(os.getpid())) == in_worker
+            assert [name for word, name, _ in log if word == "fail"] == failing[:1]
 
 
 def test_a_sweep_starts_no_worker_while_another_thread_is_alive(tmp_path, monkeypatch, capsys):
-    # every walk fails: with a worker, walk 0 fails here and walk 1 in the worker
+    # every walk fails: with a worker, walk 0 would fail here and walk 1 in the worker
     every_walk = [sc.name for sc in scenario.build_sweep(0, 1)]
     monkeypatch.setattr(scenario, "run_scenario", _fake_walk(tmp_path, failing=every_walk))
     monkeypatch.setattr(scenario, "_usable_cpus", lambda: 2)
+    before = threading.enumerate()
     stop = threading.Event()
     waiter = threading.Thread(target=stop.wait)
     waiter.start()
@@ -1173,16 +1299,29 @@ def test_a_sweep_starts_no_worker_while_another_thread_is_alive(tmp_path, monkey
         waiter.join(timeout=10)
     assert not waiter.is_alive()
     assert capsys.readouterr().err.splitlines() == [f"stairdim: {every_walk[0]} fails"]
-    assert (tmp_path / "failed").read_text().split() == [every_walk[0], str(os.getpid())]
-    assert multiprocessing.active_children() == []
+    pid = str(os.getpid())
+    assert _log(tmp_path) == [["start", every_walk[0], pid], ["fail", every_walk[0], pid]]
+    _no_thread_or_child_outlives(before)
+
+
+def test_more_processes_than_cpus_claim_every_walk_once(tmp_path, monkeypatch):
+    # walks that take no time keep four processes contending for the counter
+    sweep = scenario.build_sweep(0, 10)
+    monkeypatch.setattr(scenario, "run_scenario", _fake_walk(tmp_path))
+    monkeypatch.setattr(scenario, "_usable_cpus", lambda: 4)
+    before = threading.enumerate()
+    assert enhancer.assemble_dataset(sweep).n_rows == 0
+    started = [name for word, name, _ in _log(tmp_path)]
+    assert sorted(started) == sorted(sc.name for sc in sweep)
+    _no_thread_or_child_outlives(before)
 
 
 def test_a_sweep_writes_the_same_files_on_any_number_of_cpus(tmp_path, monkeypatch):
-    real, pids = scenario.run_scenario, tmp_path / "pids"
+    real = scenario.run_scenario
+    names = [sc.name for sc in scenario.build_sweep(0, 2)]
 
     def run(sc):
-        with pids.open("a") as fh:
-            fh.write(f"{os.getpid()}\n")
+        _append(tmp_path / "log", f"{sc.name} {os.getpid()}")
         return real(sc)
 
     monkeypatch.setattr(scenario, "run_scenario", run)
@@ -1192,9 +1331,9 @@ def test_a_sweep_writes_the_same_files_on_any_number_of_cpus(tmp_path, monkeypat
         out = tmp_path / f"cpus{cpus}"
         assert cli.main(["sweep", "--walks-per-combo", "2", "--seed", "0", "--out", str(out)]) == 0
         outputs.append([(out / name).read_bytes() for name in ("dataset.csv", "manifest.json")])
-        # the walks ran in this process and one worker per further CPU
-        processes = Counter(pids.read_text().split())
-        assert len(processes) == cpus and sum(processes.values()) == 70
-        assert processes[str(os.getpid())] == len(range(0, 70, cpus))
-        pids.unlink()
+        # every walk ran exactly once, in at most one process per CPU, this one among them
+        log = _log(tmp_path)
+        assert sorted(name for name, _ in log) == sorted(names)
+        pids = {pid for _, pid in log}
+        assert str(os.getpid()) in pids and len(pids) <= cpus
     assert outputs[0] == outputs[1] == outputs[2]
