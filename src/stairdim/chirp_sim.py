@@ -41,13 +41,13 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .codec import rewrite
+from .codec import POSITIVE, Bound, check_fields, naming, rewrite
 from .numerics import rng_for
 from .rf_params import SPEED_OF_LIGHT, RadarConfig, derive_attributes
 from .scene import GaitFrame, Scatterer
@@ -83,14 +83,11 @@ class NoiseConfig:
     noise variance leaves the float range.
     """
 
-    snr_db: float | None = 20.0
-    power: float | None = None
+    snr_db: float | None = field(default=20.0, metadata={"check": Bound(-MAX_SNR_DB, MAX_SNR_DB)})
+    power: float | None = field(default=None, metadata={"check": POSITIVE})
 
     def __post_init__(self) -> None:
-        if self.snr_db is not None and not abs(self.snr_db) <= MAX_SNR_DB:
-            raise ValueError(f"snr_db must be within +-{MAX_SNR_DB:g} dB, got {self.snr_db!r}")
-        if self.power is not None and not (math.isfinite(self.power) and self.power > 0):
-            raise ValueError(f"noise power must be positive and finite, got {self.power!r}")
+        check_fields(self)
 
 
 NOISELESS = NoiseConfig(snr_db=None, power=None)
@@ -184,6 +181,12 @@ def _sum_over_scatterers(fast: np.ndarray, slow: np.ndarray, aper: np.ndarray) -
     return np.ascontiguousarray((kap @ fast.T).reshape(n_a, n_p, n_s).transpose(2, 1, 0))
 
 
+def _check_host_speed(v: float, v_res: float) -> None:
+    """Refuse a host speed ``v`` at or beyond ``v_res``, one velocity bin: the stationary slice fails."""
+    if not abs(v) < v_res:
+        raise ValueError(f"host speed {v:.3g} m/s reaches the velocity resolution {v_res:.3g} m/s")
+
+
 def synthesize_frame(
     cfg: RadarConfig,
     frame: GaitFrame,
@@ -207,11 +210,7 @@ def synthesize_frame(
     ``snr_db`` sets leaves the float range.
     """
     attrs = derive_attributes(cfg)
-    if abs(frame.v_host_mps) >= attrs.velocity_resolution_mps:
-        raise ValueError(
-            f"host speed {frame.v_host_mps:.2f} m/s reaches the velocity "
-            f"resolution {attrs.velocity_resolution_mps:.2f} m/s"
-        )
+    _check_host_speed(frame.v_host_mps, attrs.velocity_resolution_mps)
     if not isinstance(scatterers, SceneArrays):
         scatterers = scene_arrays(scatterers)
 
@@ -325,33 +324,33 @@ def load_cube(path: str | Path, config: RadarConfig) -> ChirpCube:
 
     The header carries only the axis sizes, which are validated against the
     supplied configuration. A file holding a non-finite sample or header
-    float is refused.
+    float, or a host speed that :func:`synthesize_frame` refuses, is refused.
     """
     raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    magic, n_s, n_p, n_a, t, gamma, v_host = _HEADER.unpack_from(raw)
-    if magic != CUBE_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if (n_s, n_p, n_a) != (
-        config.samples_per_chirp,
-        config.chirps_per_frame,
-        config.virtual_antennas,
-    ):
-        raise ValueError(
-            f"{path}: cube axes {(n_s, n_p, n_a)} do not match the configuration"
-        )
-    for field, value in (("timestamp_s", t), ("gamma_rad", gamma), ("v_host_mps", v_host)):
-        if not math.isfinite(value):
-            raise ValueError(f"{path}: header {field} {value!r} is not finite")
-    if not math.isfinite(math.degrees(gamma)):  # the reports give the tilt in degrees
-        raise ValueError(f"{path}: header gamma_rad {gamma!r} is not finite in degrees")
-    expected = _HEADER.size + 8 * n_s * n_p * n_a
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    flat = np.frombuffer(raw, dtype=np.complex64, offset=_HEADER.size)
-    if not _finite(flat):
-        raise ValueError(f"{path}: cube contains non-finite samples")
+    with naming(path):
+        if len(raw) < _HEADER.size:
+            raise ValueError("truncated header")
+        magic, n_s, n_p, n_a, t, gamma, v_host = _HEADER.unpack_from(raw)
+        if magic != CUBE_MAGIC:
+            raise ValueError(f"bad magic {magic!r}")
+        if (n_s, n_p, n_a) != (
+            config.samples_per_chirp,
+            config.chirps_per_frame,
+            config.virtual_antennas,
+        ):
+            raise ValueError(f"cube axes {(n_s, n_p, n_a)} do not match the configuration")
+        for name, value in (("timestamp_s", t), ("gamma_rad", gamma), ("v_host_mps", v_host)):
+            if not math.isfinite(value):
+                raise ValueError(f"header {name} {value!r} is not finite")
+        if not math.isfinite(math.degrees(gamma)):  # the reports give the tilt in degrees
+            raise ValueError(f"header gamma_rad {gamma!r} is not finite in degrees")
+        _check_host_speed(v_host, derive_attributes(config).velocity_resolution_mps)  # as synthesis does
+        expected = _HEADER.size + 8 * n_s * n_p * n_a
+        if len(raw) != expected:
+            raise ValueError(f"expected {expected} bytes, got {len(raw)}")
+        flat = np.frombuffer(raw, dtype=np.complex64, offset=_HEADER.size)
+        if not _finite(flat):
+            raise ValueError("cube contains non-finite samples")
     return _from_wire(
         flat.reshape(n_a, n_p, n_s).transpose(2, 1, 0),
         config,

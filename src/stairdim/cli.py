@@ -157,12 +157,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     cube_dir = out_dir / "cubes"
     cube_dir.mkdir(parents=True, exist_ok=True)
-    trajectory = scenario_trajectory(sc)
-    paths = _frame_paths(cube_dir, len(trajectory.frames))
-    # until the new sidecar is written, process --cubes refuses the walk
-    (out_dir / "sidecar.json").unlink(missing_ok=True)
-    for path, cube in zip(paths, walk_cubes(sc, trajectory)):
-        save_cube(cube, path)
+    with naming(args.config):  # a refusal of the walk names the scenario file
+        trajectory = scenario_trajectory(sc)
+        paths = _frame_paths(cube_dir, len(trajectory.frames))
+        # until the new sidecar is written, process --cubes refuses the walk
+        (out_dir / "sidecar.json").unlink(missing_ok=True)
+        for path, cube in zip(paths, walk_cubes(sc, trajectory)):
+            save_cube(cube, path)
     for stale in set(cube_dir.glob("frame_*.bin")).difference(paths):  # an earlier, longer walk's frames
         stale.unlink()
     _write_sidecar(sc, trajectory, out_dir)
@@ -229,7 +230,8 @@ def cmd_process(args: argparse.Namespace) -> int:
         target_lists, estimates = process_walk(sc, (load_cube(p, sc.radar) for p in paths))
     else:
         sc = _load_scenario_arg(args)
-        result = run_scenario(sc)
+        with naming(args.config):  # a refusal of the walk names the scenario file
+            result = run_scenario(sc)
         target_lists, estimates = result.target_lists, result.estimates
 
     write_target_lists(target_lists, out_dir / "targets.jsonl")

@@ -7,6 +7,12 @@ annotation and rejects unknown keys; ``scenario`` lists the file rules. Every
 failure is a ValueError, or a KeyError naming a missing key that a field's
 ``metadata={"required": True}`` demands.
 
+A field declares its bound once, as ``metadata={"check": Bound(...)}``, and
+``check_fields``, first in its class's ``__post_init__``, refuses a value
+outside it, for ``from_dict`` and the Python API alike: ``<key> must be
+<rule>, got <value>``, the key and value as ``to_dict`` writes them.
+``from_dict`` puts ``<section>.`` in front, ``naming`` the file.
+
 ``read_json`` reads every JSON input file and names the file in its
 ValueError, and ``naming`` names a file in the errors of checking what was
 read from it; ``write_json`` writes every JSON artifact in the indented,
@@ -29,6 +35,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import os
 import sys
 import types
@@ -57,6 +64,41 @@ def _encode(name: str, value):
 def to_dict(obj) -> dict:
     """``obj`` (a dataclass instance) as plain JSON-ready data."""
     return {_key(f.name): _encode(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
+class Bound(typing.NamedTuple):
+    """A field's bound: finite only, from ``lo``, or ``lo`` to ``hi``; ``open`` leaves out the ends."""
+
+    lo: float | None = None
+    hi: float | None = None
+    open: bool = False
+
+    def __str__(self) -> str:
+        if self.lo is None:
+            return "finite"
+        if self.hi is None:
+            return f"{'>' if self.open else '>='} {self.lo:g}"
+        return f"in {'(' if self.open else '['}{self.lo:g}, {self.hi:g}{')' if self.open else ']'}"
+
+    def broken_by(self, value, integer: bool) -> str | None:
+        """The rule ``value`` breaks, or None: an integer or finite, then this bound."""
+        if integer:
+            try:
+                operator.index(value)
+            except TypeError:
+                return "an integer"
+        elif not math.isfinite(value):
+            return "finite"
+        lo_ok = self.lo is None or (self.lo < value if self.open else self.lo <= value)
+        hi_ok = self.hi is None or (value < self.hi if self.open else value <= self.hi)
+        return None if lo_ok and hi_ok else str(self)
+
+
+FINITE, POSITIVE, NON_NEGATIVE = Bound(), Bound(0, open=True), Bound(0)
+
+
+class FieldError(ValueError):
+    """A value outside its field's bound, which ``from_dict`` names by section."""
 
 
 @functools.cache
@@ -92,6 +134,18 @@ def _check(tp, value):
     return _BAD
 
 
+def check_fields(obj) -> None:
+    """Raise FieldError for the first field of dataclass ``obj`` outside its ``Bound``; None passes."""
+    for f, key, tp in _fields(type(obj)):
+        bound, value = f.metadata.get("check"), getattr(obj, f.name)
+        if bound is None or value is None:
+            continue
+        for item in value if isinstance(value, tuple) else (value,):
+            rule = bound.broken_by(item, integer=tp is int)
+            if rule:
+                raise FieldError(f"{key} must be {rule}, got {_encode(f.name, value)!r}")
+
+
 def from_dict(base, d, section: str = ""):
     """The dataclass instance ``base`` with the JSON object ``d`` laid over it.
 
@@ -118,14 +172,17 @@ def from_dict(base, d, section: str = ""):
         if value is _BAD:
             raise ValueError(f"scenario key {path!r} must be {f.type}, got {d[key]!r}")
         changes[f.name] = math.radians(value) if f.name.endswith("_rad") else value
-    return dataclasses.replace(base, **changes)
+    try:
+        return dataclasses.replace(base, **changes)
+    except FieldError as exc:
+        raise ValueError(f"{section}.{exc}" if section else str(exc)) from None
 
 
 def read_json(path: str | Path):
     """The JSON value in file ``path``; text that is not JSON is a ValueError naming the file."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # a JSONDecodeError, a UnicodeDecodeError or an int of too many digits
         raise ValueError(f"{path}: not JSON ({exc})") from None
 
 
@@ -138,14 +195,15 @@ def read_json_object(path: str | Path) -> dict:
 
 
 @contextlib.contextmanager
-def naming(path: str | Path):
-    """A ValueError or KeyError raised in the block, as a ValueError that starts with ``path``."""
+def naming(path: str | Path | None):
+    """A ValueError or KeyError raised in the block, as a ValueError that starts with ``path`` (if not None)."""
     try:
         yield
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing required key {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except (KeyError, ValueError) as exc:
+        if path is None:
+            raise
+        message = f"missing required key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{path}: {message}") from None
 
 
 @contextlib.contextmanager

@@ -18,11 +18,12 @@ elementwise median over frame estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .codec import POSITIVE, check_fields
 from .dsp_chain import TargetList
 
 __all__ = [
@@ -42,16 +43,15 @@ __all__ = [
 class StairStandards:
     """Accepted (inclusive) band for step depth and riser height, meters."""
 
-    depth_range_m: tuple[float, float] = (0.22, 0.35)
-    height_range_m: tuple[float, float] = (0.10, 0.22)
+    depth_range_m: tuple[float, float] = field(default=(0.22, 0.35), metadata={"check": POSITIVE})
+    height_range_m: tuple[float, float] = field(default=(0.10, 0.22), metadata={"check": POSITIVE})
 
     def __post_init__(self) -> None:
-        for name, (lo, hi) in (
-            ("depth_range_m", self.depth_range_m),
-            ("height_range_m", self.height_range_m),
-        ):
-            if not (math.isfinite(lo) and math.isfinite(hi)) or not 0.0 < lo < hi:
-                raise ValueError(f"{name} must satisfy 0 < lo < hi, got ({lo}, {hi})")
+        check_fields(self)
+        for name in ("depth_range_m", "height_range_m"):
+            lo, hi = getattr(self, name)
+            if not lo < hi:
+                raise ValueError(f"{name} must satisfy lo < hi, got ({lo}, {hi})")
 
     def accepts(self, depth_m: float, height_m: float) -> bool:
         dlo, dhi = self.depth_range_m

@@ -59,7 +59,7 @@ import numpy as np
 
 from . import numerics
 from .chirp_sim import ChirpCube, FrameMeta
-from .codec import rewrite
+from .codec import NON_NEGATIVE, Bound, check_fields, rewrite
 from .rf_params import RadarConfig, derive_attributes
 
 __all__ = [
@@ -88,20 +88,23 @@ class CfarConfig:
 
     The false-alarm probability ``pfa`` sets the threshold factor:
     alpha = N_t (pfa^(-1/N_t) - 1) for the N_t training cells available at
-    each cell.
+    each cell, at least ``training_cells``; pfa^(-1/training_cells) must stay
+    in the float range.
     """
 
-    training_cells: int = 8
-    guard_cells: int = 2
-    pfa: float = 1.0e-3
+    training_cells: int = field(default=8, metadata={"check": Bound(1)})
+    guard_cells: int = field(default=2, metadata={"check": NON_NEGATIVE})
+    pfa: float = field(default=1.0e-3, metadata={"check": Bound(0, 1, open=True)})
 
     def __post_init__(self) -> None:
-        if self.training_cells < 1:
-            raise ValueError(f"training_cells must be >= 1, got {self.training_cells}")
-        if self.guard_cells < 0:
-            raise ValueError(f"guard_cells must be >= 0, got {self.guard_cells}")
-        if not 0.0 < self.pfa < 1.0:
-            raise ValueError(f"pfa must be in (0, 1), got {self.pfa}")
+        check_fields(self)
+        try:  # -1 / n, since -1.0 / n overflows for a count beyond the float range
+            self.pfa ** (-1 / self.training_cells)
+        except OverflowError:
+            raise ValueError(
+                f"pfa {self.pfa!r} over {self.training_cells} training cells gives a "
+                "threshold factor beyond the float range"
+            ) from None
 
 
 # Window sizing is driven by the scene geometry, not by noise statistics.
@@ -133,17 +136,14 @@ class DspConfig:
     angle axes.
     """
 
-    aoa_fft_len: int = 64
+    aoa_fft_len: int = field(default=64, metadata={"check": Bound(1, MAX_AOA_FFT_LEN)})
     range_cfar: CfarConfig = field(default_factory=lambda: DEFAULT_RANGE_CFAR)
     aoa_cfar: CfarConfig = field(default_factory=lambda: DEFAULT_AOA_CFAR)
     peak_interp: bool = False
     exhaustive_aoa: bool = False
 
     def __post_init__(self) -> None:
-        if not 1 <= self.aoa_fft_len <= MAX_AOA_FFT_LEN:
-            raise ValueError(
-                f"aoa_fft_len must be in [1, {MAX_AOA_FFT_LEN}], got {self.aoa_fft_len}"
-            )
+        check_fields(self)
 
     def with_pfa(self, pfa: float) -> "DspConfig":
         """Both CFAR stages re-pinned to a common false-alarm probability."""

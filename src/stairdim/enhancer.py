@@ -61,7 +61,7 @@ from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import scenario
-from .codec import naming, read_json_object, rewrite, to_dict, write_json
+from .codec import Bound, check_fields, naming, read_json_object, rewrite, to_dict, write_json
 from .dimension import DimensionEstimate
 from .numerics import rng_for
 
@@ -412,13 +412,12 @@ ADAM_EPS = 1.0e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 50
+    epochs: int = field(default=50, metadata={"check": Bound(1)})
     learning_rate: float = 1.0e-3
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        check_fields(self)
 
 
 @cache

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
+
+from .codec import POSITIVE, Bound, check_fields
 
 #: Speed of light in vacuum, m/s (exact by the SI definition of the metre).
 SPEED_OF_LIGHT = 299_792_458.0
@@ -35,37 +37,31 @@ class RadarConfig:
         rx_count: physical receive antennas.
     """
 
-    carrier_frequency_hz: float = 77.0e9
-    bandwidth_hz: float = 3.6e9
-    chirp_duration_s: float = 64.0e-6
-    samples_per_chirp: int = 144
-    chirps_per_frame: int = 8
-    tx_count: int = 2
-    rx_count: int = 4
+    carrier_frequency_hz: float = field(default=77.0e9, metadata={"check": POSITIVE})
+    bandwidth_hz: float = field(default=3.6e9, metadata={"check": POSITIVE})
+    chirp_duration_s: float = field(default=64.0e-6, metadata={"check": POSITIVE})
+    samples_per_chirp: int = field(default=144, metadata={"check": Bound(1)})
+    chirps_per_frame: int = field(default=8, metadata={"check": Bound(1)})
+    tx_count: int = field(default=2, metadata={"check": Bound(1)})
+    rx_count: int = field(default=4, metadata={"check": Bound(1)})
 
     def __post_init__(self) -> None:
-        for name in (
-            "carrier_frequency_hz",
-            "bandwidth_hz",
-            "chirp_duration_s",
-            "samples_per_chirp",
-            "chirps_per_frame",
-            "tx_count",
-            "rx_count",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        counts = ("samples_per_chirp", "chirps_per_frame", "tx_count", "rx_count")
-        for name in counts:
-            if int(getattr(self, name)) != getattr(self, name):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        size = math.prod(int(getattr(self, name)) for name in counts)
+        check_fields(self)
+        size = self.samples_per_chirp * self.chirps_per_frame * self.virtual_antennas
         if size > MAX_CUBE_SAMPLES:
             raise ValueError(
                 f"a cube of {size} samples (samples_per_chirp x chirps_per_frame x virtual "
                 f"antennas) exceeds the limit of {MAX_CUBE_SAMPLES}"
             )
+        try:
+            derived = asdict(derive_attributes(self))
+        except ZeroDivisionError:  # f_o T_ch N_P below the float range
+            derived = {"velocity_resolution_mps": math.inf}
+        derived["chirp_slope_hz_per_s"] = self.bandwidth_hz / self.chirp_duration_s
+        derived["sample_interval_s"] = self.sample_interval_s
+        for name, value in derived.items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"the derived {name} must be finite and > 0, got {value!r}")
 
     @property
     def virtual_antennas(self) -> int:

@@ -15,11 +15,16 @@ in any section is an error. A ``staircase`` section must state ``depth_m``,
 Integer fields take integral numbers only; ``null`` only where a field may be
 unset. Some of the setup is fixed and has no key: the staircase foot is the
 world origin, the chain weights range with Hann and Doppler and angle not at
-all, and each CFAR stage sets its threshold from its ``pfa``. Sizes and levels
-have fixed limits, far above the defaults, so that a file cannot exhaust
-memory or leave the float range: frames a walk, samples a cube, the AoA FFT
-length and its range-by-angle cells, and the SNR; every walk value, the sway
-phase and the host speed must be finite. Each error names the file.
+all, and each CFAR stage sets its threshold from its ``pfa``. Each field's
+bound is declared once, in its metadata (``codec.Bound``), and a value
+outside it is refused as ``<file>: <section>.<key> must be <rule>, got
+<value>``, in the file's key and units. Sizes and levels have fixed limits,
+far above the defaults, so that a file cannot exhaust memory or leave the
+float range: frames a walk, samples a cube, the AoA FFT length and its
+range-by-angle cells, and the SNR; every walk value, the radar's derived
+quantities, each CFAR threshold factor, the sway phase and the host speed
+must be finite. Each error names the file, those of building and
+synthesizing the walk too.
 
 A walk's cubes come from :func:`walk_cubes`, the one iterator that
 ``run_scenario`` and ``stairdim simulate`` share, and become targets and
@@ -36,7 +41,6 @@ its own, so a sweep can fork.
 from __future__ import annotations
 
 import functools
-import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -50,7 +54,7 @@ from .chirp_sim import (
     scene_arrays,
     synthesize_frame,
 )
-from .codec import from_dict, naming, read_json, to_dict
+from .codec import NON_NEGATIVE, check_fields, from_dict, naming, read_json, to_dict
 from .dimension import (
     SWEEP_STANDARDS,
     DimensionEstimate,
@@ -94,16 +98,11 @@ SWEEP_HEIGHTS_M = tuple(round(0.10 + 0.02 * i, 2) for i in range(5))
 
 @dataclass(frozen=True)
 class ClutterConfig:
-    count: int = 0
-    reflectivity: float = 0.3
+    count: int = field(default=0, metadata={"check": NON_NEGATIVE})
+    reflectivity: float = field(default=0.3, metadata={"check": NON_NEGATIVE})
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError(f"clutter count must be >= 0, got {self.count}")
-        if not (math.isfinite(self.reflectivity) and self.reflectivity >= 0.0):
-            raise ValueError(
-                f"clutter.reflectivity must be finite and >= 0, got {self.reflectivity!r}"
-            )
+        check_fields(self)
 
 
 @dataclass(frozen=True)

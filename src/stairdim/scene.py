@@ -22,10 +22,11 @@ rotation to the IMU's gamma, which is what the processing side knows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import FINITE, NON_NEGATIVE, POSITIVE, Bound, check_fields
 from .numerics import rng_for
 
 __all__ = [
@@ -62,17 +63,12 @@ def radar_height(h_i_m: float, gamma_rad: float) -> float:
 class StaircaseSpec:
     """Geometry of an ascending staircase (meters), its foot at the world origin."""
 
-    depth_m: float = field(default=0.30, metadata={"required": True})
-    height_m: float = field(default=0.15, metadata={"required": True})
-    step_count: int = field(default=4, metadata={"required": True})
+    depth_m: float = field(default=0.30, metadata={"required": True, "check": POSITIVE})
+    height_m: float = field(default=0.15, metadata={"required": True, "check": POSITIVE})
+    step_count: int = field(default=4, metadata={"required": True, "check": Bound(1)})
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.depth_m) and self.depth_m > 0):
-            raise ValueError(f"depth_m must be positive, got {self.depth_m!r}")
-        if not (math.isfinite(self.height_m) and self.height_m > 0):
-            raise ValueError(f"height_m must be positive, got {self.height_m!r}")
-        if self.step_count < 1 or int(self.step_count) != self.step_count:
-            raise ValueError(f"step_count must be a positive integer, got {self.step_count!r}")
+        check_fields(self)
         # here, not in corners_of, so that a cube run's sidecar refuses it too
         if not all(map(math.isfinite, _farthest_corner(self))):
             raise ValueError(
@@ -107,43 +103,30 @@ class WalkConfig:
     keys. ``mount_height_m`` is h_i, the shin attachment height.
     """
 
-    start_standoff_m: float = 4.0
-    end_standoff_m: float = 0.5
-    duration_s: float = 5.0
-    rate_hz: float = 10.0
-    mount_height_m: float = 0.45
-    mount_tilt_rad: float = _MOUNT_TILT_DEFAULT_RAD
-    sway_amplitude_rad: float = math.radians(10.0)
-    sway_frequency_hz: float = 1.0
-    sway_noise_sigma_rad: float = math.radians(1.0)
-    imu_noise_sigma_rad: float = math.radians(0.5)
+    start_standoff_m: float = field(default=4.0, metadata={"check": FINITE})
+    end_standoff_m: float = field(default=0.5, metadata={"check": POSITIVE})
+    duration_s: float = field(default=5.0, metadata={"check": POSITIVE})
+    rate_hz: float = field(default=10.0, metadata={"check": POSITIVE})
+    mount_height_m: float = field(default=0.45, metadata={"check": POSITIVE})
+    mount_tilt_rad: float = field(default=_MOUNT_TILT_DEFAULT_RAD, metadata={"check": FINITE})
+    sway_amplitude_rad: float = field(default=math.radians(10.0), metadata={"check": FINITE})
+    sway_frequency_hz: float = field(default=1.0, metadata={"check": FINITE})
+    sway_noise_sigma_rad: float = field(default=math.radians(1.0), metadata={"check": NON_NEGATIVE})
+    imu_noise_sigma_rad: float = field(default=math.radians(0.5), metadata={"check": NON_NEGATIVE})
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                key = f.name[: -len("_rad")] + "_deg" if f.name.endswith("_rad") else f.name
-                raise ValueError(f"walk.{key} must be finite, got {value!r}")
-        if self.rate_hz <= 0:
-            raise ValueError(f"rate_hz must be positive, got {self.rate_hz!r}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s!r}")
+        check_fields(self)
         if self.duration_s * self.rate_hz > MAX_WALK_FRAMES:
             raise ValueError(
                 f"a walk of duration_s x rate_hz = {self.duration_s * self.rate_hz:g} frames "
                 f"exceeds the limit of {MAX_WALK_FRAMES}"
             )
-        if self.mount_height_m <= 0:
-            raise ValueError(f"mount_height_m must be positive, got {self.mount_height_m!r}")
-        if self.end_standoff_m <= 0 or self.start_standoff_m < self.end_standoff_m:
+        if self.start_standoff_m < self.end_standoff_m:
             raise ValueError(
-                "standoffs must satisfy start >= end > 0, got "
+                "standoffs must satisfy start >= end, got "
                 f"{self.start_standoff_m!r} -> {self.end_standoff_m!r}"
             )
-        for name in ("sway_noise_sigma_rad", "imu_noise_sigma_rad"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         # generate_walk's sway phase and host speed at the last frame, here so
         # that a cube run's sidecar refuses them too
         n = round(self.duration_s * self.rate_hz)

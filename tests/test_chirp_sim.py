@@ -165,12 +165,17 @@ def test_scatterer_reflectivity_must_be_finite_and_non_negative(recwarn, reflect
 def test_noise_config_validation():
     NoiseConfig(snr_db=-300.0)
     NoiseConfig(snr_db=300.0, power=1e-300)
-    for bad in (dict(snr_db=300.5), dict(snr_db=-math.inf), dict(snr_db=math.nan)):
-        with pytest.raises(ValueError, match="snr_db must be within"):
+    for bad, message in (
+        (dict(snr_db=300.5), r"snr_db must be in \[-300, 300\], got 300.5"),
+        (dict(snr_db=-math.inf), "snr_db must be finite, got -inf"),
+        (dict(snr_db=math.nan), "snr_db must be finite, got nan"),
+        (dict(power=0.0), "power must be > 0, got 0.0"),
+        (dict(power=-1.0), "power must be > 0, got -1.0"),
+        (dict(power=math.inf), "power must be finite, got inf"),
+        (dict(power=math.nan), "power must be finite, got nan"),
+    ):
+        with pytest.raises(ValueError, match=message):
             NoiseConfig(**bad)
-    for power in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="noise power must be positive and finite"):
-            NoiseConfig(power=power)
 
 
 def test_cube_shape_validation():

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import fcntl
 import functools
 import importlib.util
@@ -11,6 +12,7 @@ import multiprocessing
 import operator
 import os
 import signal
+import sys
 import threading
 import time
 import warnings
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stairdim import chirp_sim, cli, dimension, dsp_chain, enhancer, parallel, scenario
+from stairdim import chirp_sim, cli, codec, dimension, dsp_chain, enhancer, parallel, scenario
 from stairdim.chirp_sim import NOISELESS
 from stairdim.codec import to_dict
 from stairdim.enhancer import (
@@ -291,6 +293,22 @@ def test_sidecar_without_a_frame_list_exits_with_one_line(tmp_path, short_config
     ],
 )
 def test_cube_header_float_that_is_not_finite_exits_with_one_line(tmp_path, short_config, capsys, field, value):
+    cube, err = _process_with_header_float(tmp_path, short_config, capsys, field, value)
+    assert f"{cube}: header {field} {value!r} is not finite" in err
+
+
+_V_RES = derive_attributes(RadarConfig()).velocity_resolution_mps
+
+
+@pytest.mark.parametrize("value", [1e308, _V_RES, -_V_RES], ids=["1e308", "v_res", "minus_v_res"])
+def test_cube_header_host_speed_that_synthesis_refuses_exits_with_one_line(tmp_path, short_config, capsys, value):
+    cube, err = _process_with_header_float(tmp_path, short_config, capsys, "v_host_mps", value)
+    assert f"stairdim: {cube}: host speed {value:.3g} m/s reaches the velocity resolution {_V_RES:.3g} m/s" in err
+
+
+def _process_with_header_float(tmp_path, short_config, capsys, field, value) -> tuple[Path, str]:
+    """``process --cubes`` of a simulate run whose third cube has header ``field`` set to
+    ``value``: that cube and the one line of the refusal, which writes no output."""
     sim, out = tmp_path / "sim", tmp_path / "p"
     assert cli.main(["simulate", "--config", str(short_config), "--out", str(sim)]) == 0
     cube = sim / "cubes" / "frame_00002.bin"
@@ -301,8 +319,9 @@ def test_cube_header_float_that_is_not_finite_exits_with_one_line(tmp_path, shor
     cube.write_bytes(raw)
     capsys.readouterr()
     assert cli.main(["process", "--cubes", str(sim), "--out", str(out)]) == 1
-    assert f"{cube}: header {field} {value!r} is not finite" in _one_line_error(capsys)
+    err = _one_line_error(capsys)
     assert not (out / "targets.jsonl").exists() and not (out / "report.json").exists()
+    return cube, err
 
 
 def test_the_parser_is_built_once_and_the_command_resolved_at_call_time(tmp_path, monkeypatch):
@@ -504,9 +523,9 @@ _STAIRS = {"depth_m": 0.3, "height_m": 0.15}
         ({"staircase": {**_STAIRS, "step_count": 4.7}}, "'staircase.step_count'"),
         ({"dsp": {"range_cfar": {"training_cells": 2.5}}}, "'dsp.range_cfar.training_cells'"),
         ({"dsp": {"aoa_cfar": {"scale_factor": 3.0}}}, "section 'dsp.aoa_cfar' has unknown key 'scale_factor'"),
-        ({"clutter": {"count": -3}}, "clutter count must be >= 0"),
-        ({"walk": {"sway_noise_sigma_deg": -1}}, "sway_noise_sigma_rad must be >= 0"),
-        ({"walk": {"imu_noise_sigma_deg": -1}}, "imu_noise_sigma_rad must be >= 0"),
+        ({"clutter": {"count": -3}}, "clutter.count must be >= 0, got -3"),
+        ({"walk": {"sway_noise_sigma_deg": -1}}, "walk.sway_noise_sigma_deg must be >= 0, got -1.0"),
+        ({"walk": {"imu_noise_sigma_deg": -1}}, "walk.imu_noise_sigma_deg must be >= 0, got -1.0"),
         ({"dsp": {"aoa_fft_len": 3}}, "aoa_fft_len 3 is shorter than the radar's 8 virtual antennas"),
         # settings that were removed: the weighting, a pinned CFAR alpha and
         # the staircase offset are fixed
@@ -524,9 +543,9 @@ _STAIRS = {"depth_m": 0.3, "height_m": 0.15}
         # sizes and levels that would exhaust memory or leave the float
         # range; each is rejected before anything is allocated
         ({"walk": {"duration_s": 1e9}}, "1e+10 frames exceeds the limit of 100000"),
-        ({"noise": {"snr_db": 1e9}}, "snr_db must be within +-300 dB"),
-        ({"noise": {"snr_db": -1e9}}, "snr_db must be within +-300 dB"),
-        ({"noise": {"power": -1.0}}, "noise power must be positive and finite, got -1.0"),
+        ({"noise": {"snr_db": 1e9}}, "noise.snr_db must be in [-300, 300], got 1000000000.0"),
+        ({"noise": {"snr_db": -1e9}}, "noise.snr_db must be in [-300, 300], got -1000000000.0"),
+        ({"noise": {"power": -1.0}}, "noise.power must be > 0, got -1.0"),
         ({"radar": {"samples_per_chirp": 1e8}}, "a cube of 6400000000 samples"),
         ({"dsp": {"aoa_fft_len": 1e8}}, "aoa_fft_len must be in [1, 4096], got 100000000"),
         (
@@ -534,9 +553,9 @@ _STAIRS = {"depth_m": 0.3, "height_m": 0.15}
             "131072 range bins x dsp.aoa_fft_len 64 exceed the limit of 4194304 AoA cells",
         ),
         # a clutter reflectivity that is negative or not a number
-        ({"clutter": {"count": 4, "reflectivity": -1.0}}, "clutter.reflectivity must be finite and >= 0, got -1.0"),
-        ({"clutter": {"count": 4, "reflectivity": math.nan}}, "clutter.reflectivity must be finite and >= 0, got nan"),
-        ({"clutter": {"count": 4, "reflectivity": math.inf}}, "clutter.reflectivity must be finite and >= 0, got inf"),
+        ({"clutter": {"count": 4, "reflectivity": -1.0}}, "clutter.reflectivity must be >= 0, got -1.0"),
+        ({"clutter": {"count": 4, "reflectivity": math.nan}}, "clutter.reflectivity must be finite, got nan"),
+        ({"clutter": {"count": 4, "reflectivity": math.inf}}, "clutter.reflectivity must be finite, got inf"),
         # walk values that are not finite (JSON's 1e400 reads as inf, as
         # Infinity does), and finite ones whose products in the walk are not
         ({"walk": {"imu_noise_sigma_deg": math.inf}}, "walk.imu_noise_sigma_deg must be finite, got inf"),
@@ -555,6 +574,32 @@ _STAIRS = {"depth_m": 0.3, "height_m": 0.15}
         (
             {"staircase": {**_STAIRS, "depth_m": 1e308, "step_count": 4}},
             "staircase of 4 steps of 1e+308 x 0.15 m: its farthest corner leaves the float range",
+        ),
+        # one rule in two sections, each named
+        ({"dsp": {"range_cfar": {"pfa": 2}}}, "dsp.range_cfar.pfa must be in (0, 1), got 2.0"),
+        ({"dsp": {"aoa_cfar": {"pfa": 2}}}, "dsp.aoa_cfar.pfa must be in (0, 1), got 2.0"),
+        # radar values whose derived quantities leave the float range
+        (
+            {"radar": {"carrier_frequency_hz": 5e-324}},
+            "the derived velocity_resolution_mps must be finite and > 0, got inf",
+        ),
+        (
+            {"radar": {"chirp_duration_s": 5e-324}},
+            "the derived velocity_resolution_mps must be finite and > 0, got inf",
+        ),
+        ({"radar": {"bandwidth_hz": 5e-324}}, "the derived range_resolution_m must be finite and > 0, got inf"),
+        (
+            {"radar": {"bandwidth_hz": 1e300, "chirp_duration_s": 1e-10}},
+            "the derived chirp_slope_hz_per_s must be finite and > 0, got inf",
+        ),
+        (
+            {"radar": {"carrier_frequency_hz": 1e300, "bandwidth_hz": 1e-15, "chirp_duration_s": 1e-322}},
+            "the derived sample_interval_s must be finite and > 0, got 0.0",
+        ),
+        # a CFAR threshold factor beyond the float range
+        (
+            {"dsp": {"range_cfar": {"pfa": 5e-324, "training_cells": 1}}},
+            "pfa 5e-324 over 1 training cells gives a threshold factor beyond the float range",
         ),
     ],
 )
@@ -729,6 +774,88 @@ def test_a_mutated_cube_file_exits_quietly_or_with_one_line_naming_it(short_walk
         assert len(err.splitlines()) == 1 and err.startswith(f"stairdim: {bad}: "), err
 
 
+def _declared_bounds(cls, section=()):
+    """(file path, field, whether an int, bound) of every bound declared in ``cls`` and its sections."""
+    for f, key, tp in codec._fields(cls):
+        if dataclasses.is_dataclass(tp):
+            yield from _declared_bounds(tp, (*section, key))
+        elif "check" in f.metadata:
+            yield (*section, key), f, tp is int, f.metadata["check"]
+
+
+def _nearest(bound, integer):
+    """(refused, accepted) at each end of ``bound``, one ulp apart (1 for an int), in field units."""
+    if bound.lo is None:  # finite only
+        return [(math.inf, sys.float_info.max), (-math.inf, -sys.float_info.max)]
+
+    def step(value, sign):
+        return value + sign if integer else math.nextafter(float(value), sign * math.inf)
+
+    ends = [(bound.lo, -1)] + ([(bound.hi, 1)] if bound.hi is not None else [])
+    return [(end, step(end, -out)) if bound.open else (step(end, out), end) for end, out in ends]
+
+
+def _file_value(f, integer, value):
+    """A field-unit ``value`` as the file holds it: degrees for a ``*_rad`` field, clamped to the floats."""
+    if integer:
+        return value
+    if f.name.endswith("_rad") and math.isfinite(value):
+        return max(-sys.float_info.max, min(sys.float_info.max, math.degrees(value)))
+    return float(value)
+
+
+def _boundary_cases():
+    """One case per declared bound, end, side and tuple item, its value as the file holds it."""
+    for path, f, integer, bound in _declared_bounds(ScenarioConfig):
+        leaf = functools.reduce(operator.getitem, path, _SHORT_WALK)
+        for item in range(len(leaf)) if isinstance(leaf, list) else [None]:
+            where = ".".join(path) + ("" if item is None else f"[{item}]")
+            for pair in _nearest(bound, integer):
+                for raw, refused in zip(pair, (True, False)):
+                    value = _file_value(f, integer, raw)
+                    verdict = "refused" if refused else "accepted"
+                    yield pytest.param(path, f, item, value, bound, refused, id=f"{where}-{verdict}-{value!r}")
+
+
+@pytest.mark.parametrize("path, f, item, value, bound, refused", list(_boundary_cases()))
+def test_the_nearest_values_to_each_declared_bound(short_walk_run, path, f, item, value, bound, refused):
+    """The boundary pass: one value of ``_SHORT_WALK`` set just outside, or just inside, a declared bound.
+
+    Just outside, ``process --config`` and ``process --cubes`` refuse it
+    with the same single ``<section>.<key> must be <rule>, got <value>``
+    line, the value as the file holds it. Just inside, ``process --config``
+    succeeds quietly or refuses the scenario in one line that names the
+    file, not by that bound; no warning or traceback escapes either.
+    """
+    root, sidecar = short_walk_run
+    doc = json.loads(json.dumps(_SHORT_WALK))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if item is None:
+        parent[path[-1]] = value
+    else:
+        parent[path[-1]][item] = value
+    shown = math.degrees(math.radians(value)) if f.name.endswith("_rad") else parent[path[-1]]
+    example = root / f"example{next(_EXAMPLE)}"
+    (example / "run").mkdir(parents=True)
+    config = example / "scenario.json"
+    config.write_text(json.dumps(doc))
+    (example / "run" / "cubes").symlink_to(root / "sim" / "cubes")
+    sidecar_path = example / "run" / "sidecar.json"
+    sidecar_path.write_text(json.dumps({**sidecar, "scenario": doc}))
+    bound_line = f"{'.'.join(path)} must be "
+    if refused:
+        rule = str(bound) if math.isfinite(value) else "finite"
+        routes = ((["--config", str(config)], config), (["--cubes", str(example / "run")], sidecar_path))
+        for argv, named in routes:
+            code, err = _run_quietly(["process", *argv, "--out", str(example / "out")])
+            assert (code, err) == (1, f"stairdim: {named}: {bound_line}{rule}, got {shown!r}\n")
+        return
+    code, err = _run_quietly(["process", "--config", str(config), "--out", str(example / "out")])
+    if code != 0:
+        assert code == 1 and len(err.splitlines()) == 1 and err.startswith(f"stairdim: {config}: "), err
+    assert bound_line not in err
+
+
 def _no_constant(name):
     raise AssertionError(f"{name} is not JSON")
 
@@ -742,8 +869,12 @@ def _no_constant(name):
         ("manifest", b"{not json"),
         ("scenario", b"{not json"),
         ("scenario", b"\xff\xfe{}"),
+        ("scenario", b'{"seed": ' + b"9" * 5000 + b"}"),  # past the int digit limit of str -> int
     ],
-    ids=["sidecar_list", "sidecar_text", "manifest_list", "manifest_text", "scenario_text", "scenario_utf16"],
+    ids=[
+        "sidecar_list", "sidecar_text", "manifest_list", "manifest_text", "scenario_text", "scenario_utf16",
+        "scenario_long_int",
+    ],
 )
 def test_json_input_that_is_not_json_or_not_an_object_exits_with_one_line(
     tmp_path, short_config, capsys, kind, content
@@ -763,6 +894,24 @@ def test_json_input_that_is_not_json_or_not_an_object_exits_with_one_line(
     bad.write_bytes(content)
     assert cli.main(argv) == 1
     assert str(bad) in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "doc, fragment",
+    [
+        ({"walk": {"rate_hz": 5e-324}}, "walk must span at least 2 frames, got 0"),
+        ({"radar": {"samples_per_chirp": 1}}, "farthest corner at 4.94 m exceeds max range 0.04 m"),
+        ({"radar": {"carrier_frequency_hz": 1e15}}, "host speed 3.18 m/s reaches the velocity resolution 0.000293 m/s"),
+        ({"noise": {"power": 1e300}}, "cube samples exceed the float32 wire range"),
+    ],
+)
+def test_a_refusal_while_building_or_synthesizing_the_walk_names_the_scenario_file(tmp_path, capsys, doc, fragment):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**doc, "walk": {"duration_s": 1.2, **doc.get("walk", {})}}))
+    for command in ("simulate", "process"):
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 1
+        err = _one_line_error(capsys)
+        assert err.startswith(f"stairdim: {config}: ") and fragment in err
 
 
 @pytest.mark.parametrize(
@@ -1210,7 +1359,7 @@ def test_no_thread_outlives_a_command(tmp_path, noisy_config, monkeypatch, capsy
     monkeypatch.setattr(scenario, "process_frame", fails_at_frame_3)
     capsys.readouterr()
     assert cli.main(["process", "--config", str(noisy_config), "--out", str(tmp_path / "p")]) == 1
-    assert capsys.readouterr().err.splitlines() == ["stairdim: frame 3 fails"]
+    assert capsys.readouterr().err.splitlines() == [f"stairdim: {noisy_config}: frame 3 fails"]
     _no_thread_or_child_outlives(before)
 
     saved = []

@@ -212,6 +212,10 @@ def test_cfar_validation():
         CfarConfig(training_cells=8, guard_cells=-1, pfa=1e-3)
     with pytest.raises(ValueError):
         CfarConfig(training_cells=8, guard_cells=2, pfa=1.5)
+    # the threshold factor pfa^(-1/training_cells) must stay in the float range
+    with pytest.raises(ValueError, match="pfa 5e-324 over 1 training cells gives a threshold factor beyond"):
+        CfarConfig(training_cells=1, guard_cells=2, pfa=5e-324)
+    CfarConfig(training_cells=2, guard_cells=2, pfa=5e-324)
     with pytest.raises(ValueError):
         cfar_detect(np.ones(9), DEFAULT_RANGE_CFAR)  # needs > 2(t+g)+1 cells
     with pytest.raises(ValueError):

@@ -82,6 +82,11 @@ def test_config_validation():
         RadarConfig(samples_per_chirp=144.5)
     with pytest.raises(ValueError):
         RadarConfig(tx_count=0)
+    # finite, positive values whose derived quantities are not
+    with pytest.raises(ValueError, match="the derived velocity_resolution_mps must be finite and > 0, got inf"):
+        RadarConfig(carrier_frequency_hz=5e-324)
+    with pytest.raises(ValueError, match="the derived wavelength_m must be finite and > 0, got inf"):
+        RadarConfig(carrier_frequency_hz=1e-300, chirp_duration_s=1e10)
     # a frame's cube holds at most 2**20 samples
     RadarConfig(samples_per_chirp=2**17, chirps_per_frame=8, tx_count=1, rx_count=1)
     with pytest.raises(ValueError, match="a cube of 1048584 samples"):
