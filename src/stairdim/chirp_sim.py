@@ -226,8 +226,8 @@ def synthesize_frame(
         if any(v > attrs.max_range_m for v in ranges):
             worst = float(r.max())
             raise ValueError(
-                f"scatterer at {worst:.2f} m beyond unambiguous range "
-                f"{attrs.max_range_m:.2f} m"
+                f"scatterer at {worst:.3g} m beyond unambiguous range "
+                f"{attrs.max_range_m:.3g} m"
             )
         theta_true = np.arctan2(dy, dx)
         theta = theta_true - frame.tilt_rad

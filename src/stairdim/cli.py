@@ -283,8 +283,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset_path = Path(args.dataset) if args.dataset else out_dir / "dataset.csv"
     train_split, _ = _read_split(dataset_path, args.split_seed)
     # numpy's overflow warnings on the way to a non-finite loss would print
-    # before the TrainingError that reports it
-    with np.errstate(all="ignore"):
+    # before the TrainingError that reports it; a refused column names the file
+    with np.errstate(all="ignore"), naming(dataset_path):
         result = train(train_split, cfg)
     fingerprint = dataset_fingerprint(dataset_path)
     save_model(result.model, out_dir / "model.json", train_config=cfg, fingerprint=fingerprint)

@@ -30,9 +30,9 @@ valid until the next call with that scratch.
 
 A dataset is a ``Dataset`` named tuple of column arrays, one field per
 ``dataset.csv`` column in file order. The sweep builds it once from per-frame
-row tuples, ``read_dataset`` parses a file with one ``np.loadtxt`` call (or
-the csv module, where numpy would read it otherwise), and the split, the
-training and the evaluation work on whole columns.
+row tuples, ``read_dataset`` reads a file's rows with the csv module and
+converts them column by column, and the split, the training and the
+evaluation work on whole columns.
 
 The pair is the one the initial estimator chose from the reported, bin-level
 detections, and its initial estimate uses those values. The network is fed
@@ -50,13 +50,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import count, islice
-from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,12 +150,6 @@ FEATURE_COLUMNS = (
 LABEL_COLUMNS = ("d_true_m", "h_true_m")
 _CELL_KINDS = tuple({"scenario_id": str, "frame_id": int}.get(c, float) for c in DATASET_COLUMNS)
 _COLUMN_DTYPES = tuple({str: object, int: np.int64}.get(k, float) for k in _CELL_KINDS)
-# a dataset row as loadtxt parses it: frame_id as text, which int() converts,
-# since numpy's int64 parser misreads (or crashes on) a non-ASCII cell
-_RECORD = np.dtype(
-    [(c, float if k is float else object) for c, k in zip(DATASET_COLUMNS, _CELL_KINDS)]
-)
-_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def sample_from_estimate(
@@ -206,102 +197,23 @@ def write_dataset(data: Dataset, path: str | Path) -> None:
 def read_dataset(path: str | Path) -> Dataset:
     """The columns of a ``write_dataset`` file; every numeric cell must be a finite number.
 
-    One ``np.loadtxt`` call parses the rows from the open file, with no copy
-    of its text: floats in C, ``frame_id`` as text then through ``int()``. A
-    file numpy cannot take, or would read otherwise than the csv module with
-    ``float()``/``int()`` (a blank line, which numpy skips; the separators
-    ``\\x1c``-``\\x1f`` around a float, or a cell over
-    ``csv.field_size_limit()``, which numpy takes), goes through the csv pass
-    instead. Either way a malformed file raises ValueError naming the file
-    and the line of the first bad row or cell. The text file is opened once:
-    the header, the loadtxt rows and the csv pass all read the one handle.
+    The csv module reads the rows from the one open file. Every row's width
+    is checked first, then each column cell by cell: ``float()`` must give a
+    finite number and ``int()`` an int64. A malformed file raises ValueError
+    naming the file and the line the first bad row or cell ends on; so does a
+    cell the csv module refuses, one longer than ``csv.field_size_limit()``.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = _csv_rows(path, fh)
-        header = next(rows, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected the dataset header")
-        if tuple(header[0]) != DATASET_COLUMNS:
-            raise ValueError(f"{path}: unexpected dataset columns {tuple(header[0])!r}")
-        if _loadtxt_reads_as_csv(path):
-            data = _parse_rows(fh)
-            if data is not None:
-                return data
-            fh.seek(0)  # loadtxt has read on: the csv pass starts over, past the header
-            rows = islice(_csv_rows(path, fh), 1, None)
-        return _read_cells(path, rows)
-
-
-def _csv_rows(path: str | Path, fh: IO[str]) -> Iterator[tuple[list[str], int]]:
-    """The csv module's rows of ``fh``, each with the line it ends on.
-
-    A cell the csv module refuses, one longer than ``csv.field_size_limit()``,
-    raises a ValueError naming its line.
-    """
-    reader = csv.reader(fh)
-    try:
-        for row in reader:
-            yield row, reader.line_num
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-
-
-def _loadtxt_reads_as_csv(path: str | Path) -> bool:
-    """Whether the file has no byte on which loadtxt may read otherwise than the csv pass.
-
-    Such bytes are ``\\x1c``-``\\x1f`` (whitespace to numpy's float parser,
-    not to ``float()``) and 64 KiB without a line break, which a cell over
-    the csv field limit of 128 Ki characters needs.
-    """
-    with open(path, "rb") as fh:
-        for chunk in iter(partial(fh.read, 1 << 16), b""):
-            if not (b"\n" in chunk or b"\r" in chunk) or any(c in chunk for c in _SEPARATORS):
-                return False
-    return True
-
-
-def _parse_rows(fh: Iterable[str]) -> Dataset | None:
-    """The rows of ``fh`` parsed by loadtxt, or None for the csv pass to read and judge.
-
-    None when loadtxt refuses a cell, a float is not finite, a ``frame_id``
-    is no int64 to ``int()``, or the rows are fewer than the lines (a blank
-    line skipped, or a quoted cell spanning lines).
-    """
-    lines = count()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # loadtxt's warning on a file of no rows
-            table = np.loadtxt(
-                map(itemgetter(0), zip(fh, lines)),  # counts the lines numpy reads
-                _RECORD, comments=None, delimiter=",", ndmin=1, quotechar='"',
-            )
-    except ValueError:
-        return None
-    if len(table) != next(lines):
-        return None
-    columns = []
-    for name, kind in zip(DATASET_COLUMNS, _CELL_KINDS):
-        cells = table[name]
-        if kind is int:
-            try:
-                values = np.fromiter(map(int, cells), np.int64, count=len(cells))
-            except (ValueError, OverflowError):
-                return None
-        else:
-            values = cells.copy()
-            if kind is float and not np.isfinite(values).all():
-                return None
-        columns.append(values)
-    return Dataset._make(columns)
-
-
-def _read_cells(path: str | Path, rows: Iterable[tuple[list[str], int]]) -> Dataset:
-    """The csv pass over the data rows with their lines: every width, then each column cell by cell.
-
-    A cell is converted by ``float()``, which must give a finite number, or
-    by ``int()``, which must give an int64.
-    """
-    rows = list(rows)
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected the dataset header")
+            if tuple(header) != DATASET_COLUMNS:
+                raise ValueError(f"{path}: unexpected dataset columns {tuple(header)!r}")
+            rows = [(cells, reader.line_num) for cells in reader]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     for cells, line in rows:
         if len(cells) != len(DATASET_COLUMNS):
             raise ValueError(f"{path}: line {line} has {len(cells)} cells")
@@ -661,17 +573,22 @@ def train(data: Dataset, cfg: TrainConfig = TrainConfig()) -> TrainResult:
     Labels are standardized during optimization for conditioning and
     the scale is folded back into the output layer before returning, so the
     model predicts meters directly and the recorded loss curves are in m².
-    Raises TrainingError if the loss goes non-finite.
+    Raises ValueError if the spread of a feature or label column leaves the
+    float range, and TrainingError if the loss goes non-finite.
     """
     if data.n_rows == 0:
         raise ValueError("empty dataset")
     x, y = data.features(), data.labels()
 
-    mean = x.mean(axis=0)
-    scale = x.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a spread beyond the floats is reported below
+        mean, scale = x.mean(axis=0), x.std(axis=0)
+        lmean, lscale = y.mean(axis=0), y.std(axis=0)
+    # a mean beyond the floats leaves the spread non-finite too
+    finite = np.isfinite(np.concatenate((scale, lscale)))
+    if not finite.all():
+        column = (FEATURE_COLUMNS + LABEL_COLUMNS)[int(np.argmin(finite))]
+        raise ValueError(f"the spread of {column} leaves the float range")
     scale = np.where(scale < 1e-9, 1.0, scale)
-    lmean = y.mean(axis=0)
-    lscale = y.std(axis=0)
     lscale = np.where(lscale < 1e-9, 1.0, lscale)
     y_std = (y - lmean) / lscale
     model = init_model([x.shape[1], *HIDDEN, y.shape[1]], mean, scale, cfg.seed)

@@ -20,11 +20,11 @@ bound is declared once, in its metadata (``codec.Bound``), and a value
 outside it is refused as ``<file>: <section>.<key> must be <rule>, got
 <value>``, in the file's key and units. Sizes and levels have fixed limits,
 far above the defaults, so that a file cannot exhaust memory or leave the
-float range: frames a walk, samples a cube, the AoA FFT length and its
-range-by-angle cells, and the SNR; every walk value, the radar's derived
-quantities, each CFAR threshold factor, the sway phase and the host speed
-must be finite. Each error names the file, those of building and
-synthesizing the walk too.
+float range: frames a walk, samples a cube, clutter points, the AoA FFT
+length and its range-by-angle cells, and the SNR; every walk value, the
+radar's derived quantities, each CFAR threshold factor, the sway phase and
+the host speed must be finite. Each error names the file, those of
+building and synthesizing the walk too.
 
 A walk's cubes come from :func:`walk_cubes`, the one iterator that
 ``run_scenario`` and ``stairdim simulate`` share, and become targets and
@@ -54,7 +54,7 @@ from .chirp_sim import (
     scene_arrays,
     synthesize_frame,
 )
-from .codec import NON_NEGATIVE, check_fields, from_dict, naming, read_json, to_dict
+from .codec import NON_NEGATIVE, Bound, check_fields, from_dict, naming, read_json, to_dict
 from .dimension import (
     SWEEP_STANDARDS,
     DimensionEstimate,
@@ -94,11 +94,15 @@ __all__ = [
 #: heights in 2 cm steps, 35 combinations.
 SWEEP_DEPTHS_M = tuple(round(0.26 + 0.02 * i, 2) for i in range(7))
 SWEEP_HEIGHTS_M = tuple(round(0.10 + 0.02 * i, 2) for i in range(5))
+#: Most clutter points a scenario may hold. Each costs about 5.7 KB of peak
+#: memory at the default radar, so the cap's 24 MB is of the order of one
+#: complex cube of ``rf_params.MAX_CUBE_SAMPLES`` (16 MiB).
+MAX_CLUTTER = 4096
 
 
 @dataclass(frozen=True)
 class ClutterConfig:
-    count: int = field(default=0, metadata={"check": NON_NEGATIVE})
+    count: int = field(default=0, metadata={"check": Bound(0, MAX_CLUTTER)})
     reflectivity: float = field(default=0.3, metadata={"check": NON_NEGATIVE})
 
     def __post_init__(self) -> None:

@@ -243,7 +243,7 @@ def generate_walk(
         reach = math.hypot(far[0] - x0, far[1])
         if reach > max_range_m:
             raise ValueError(
-                f"farthest corner at {reach:.2f} m exceeds max range {max_range_m:.2f} m "
+                f"farthest corner at {reach:.3g} m exceeds max range {max_range_m:.3g} m "
                 "at the starting standoff"
             )
 

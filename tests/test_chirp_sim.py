@@ -133,6 +133,9 @@ def test_snr_definition_at_nearest_scatterer():
 def test_synthesis_preconditions():
     with pytest.raises(ValueError):
         synthesize_frame(CFG, _frame(), [Scatterer(ATTRS.max_range_m + 0.5, 0.0)], NOISELESS)
+    # distances print with three significant digits, however large
+    with pytest.raises(ValueError, match=r"^scatterer at 1e\+300 m beyond unambiguous range 6 m$"):
+        synthesize_frame(CFG, _frame(), [Scatterer(1e300, 0.0)], NOISELESS)
     with pytest.raises(ValueError):
         synthesize_frame(CFG, _frame(), [Scatterer(0.0, 0.0)], NOISELESS)
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ import multiprocessing
 import operator
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stairdim import chirp_sim, cli, codec, dimension, dsp_chain, enhancer, parallel, scenario
@@ -476,12 +477,38 @@ def test_train_rejects_zero_epochs(tmp_path, capsys):
     assert "epochs must be >= 1" in _one_line_error(capsys)
 
 
-def test_train_reports_divergence_in_one_line(tmp_path, capsys):
-    # finite cells whose mean overflows: the loss is non-finite from the first step
+def test_train_reports_divergence_in_one_line(tmp_path, capsys, monkeypatch):
+    # no finite column the CLI accepts diverges at its learning rate, so the
+    # loss is made non-finite from the first step
+    real = enhancer.loss_and_gradients
+    monkeypatch.setattr(enhancer, "loss_and_gradients", lambda *a, **k: (math.nan, real(*a, **k)[1]))
     run = tmp_path / "run"
-    _write_splittable_dataset(run, r1_fine_m=1e308)
+    _write_splittable_dataset(run)
     assert cli.main(["train", "--out", str(run), "--epochs", "1"]) == 1
     assert "training diverged at epoch 0" in _one_line_error(capsys)
+    assert not (run / "model.json").exists()
+
+
+@pytest.mark.parametrize(
+    "column, value, walks",
+    [
+        ("r1_fine_m", "1e308", ("_w0", "_w1", "_w2")),  # a mean beyond the floats
+        ("gamma_rad", "1e300", ("_w0",)),  # a finite mean, a spread beyond the floats
+    ],
+)
+def test_train_refuses_a_dataset_whose_spread_leaves_the_float_range(tmp_path, capsys, column, value, walks):
+    run = tmp_path / "run"
+    _write_splittable_dataset(run)
+    path = run / "dataset.csv"
+    header, *lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        if cells[enhancer.DATASET_COLUMNS.index("scenario_id")].endswith(walks):
+            cells[enhancer.DATASET_COLUMNS.index(column)] = value
+            lines[i] = ",".join(cells)
+    path.write_text("\n".join([header, *lines]) + "\n")
+    assert cli.main(["train", "--out", str(run), "--epochs", "1"]) == 1
+    assert _one_line_error(capsys) == f"stairdim: {path}: the spread of {column} leaves the float range\n"
     assert not (run / "model.json").exists()
 
 
@@ -523,7 +550,7 @@ _STAIRS = {"depth_m": 0.3, "height_m": 0.15}
         ({"staircase": {**_STAIRS, "step_count": 4.7}}, "'staircase.step_count'"),
         ({"dsp": {"range_cfar": {"training_cells": 2.5}}}, "'dsp.range_cfar.training_cells'"),
         ({"dsp": {"aoa_cfar": {"scale_factor": 3.0}}}, "section 'dsp.aoa_cfar' has unknown key 'scale_factor'"),
-        ({"clutter": {"count": -3}}, "clutter.count must be >= 0, got -3"),
+        ({"clutter": {"count": -3}}, "clutter.count must be in [0, 4096], got -3"),
         ({"walk": {"sway_noise_sigma_deg": -1}}, "walk.sway_noise_sigma_deg must be >= 0, got -1.0"),
         ({"walk": {"imu_noise_sigma_deg": -1}}, "walk.imu_noise_sigma_deg must be >= 0, got -1.0"),
         ({"dsp": {"aoa_fft_len": 3}}, "aoa_fft_len 3 is shorter than the radar's 8 virtual antennas"),
@@ -774,6 +801,88 @@ def test_a_mutated_cube_file_exits_quietly_or_with_one_line_naming_it(short_walk
         assert len(err.splitlines()) == 1 and err.startswith(f"stairdim: {bad}: "), err
 
 
+_DATASET_MUTATIONS = st.one_of(
+    st.tuples(
+        st.just("cell"),
+        st.sampled_from(enhancer.DATASET_COLUMNS),
+        st.sampled_from(["nan", "inf", "-inf", "1e308", "1e400", "", "text"]),
+    ),
+    st.tuples(st.sampled_from(["cut", "separator"]), st.integers(0, 10**4), st.none()),
+)
+
+
+@pytest.fixture(scope="module")
+def swept_dataset(tmp_path_factory):
+    """A scratch root, the lines of a sweep's dataset cut to four rows a walk, and a model trained on them."""
+    root = tmp_path_factory.mktemp("swept")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["sweep", "--out", str(root / "sweep"), "--walks-per-combo", "2", "--seed", "0"]) == 0
+    header, *rows = (root / "sweep" / "dataset.csv").read_bytes().decode().splitlines(keepends=True)
+    walk = enhancer.DATASET_COLUMNS.index("scenario_id")
+    rows_of_walk = Counter()
+    lines = [header]
+    for row in rows:
+        scenario_id = row.split(",")[walk]
+        rows_of_walk[scenario_id] += 1
+        if rows_of_walk[scenario_id] <= 4:
+            lines.append(row)
+    (root / "clean.csv").write_text("".join(lines), newline="")
+    with contextlib.redirect_stdout(io.StringIO()):
+        argv = ["train", "--out", str(root / "clean"), "--dataset", str(root / "clean.csv"), "--epochs", "1"]
+        assert cli.main(argv) == 0
+    return root, lines
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(row=st.integers(0, 10**4), mutation=_DATASET_MUTATIONS)
+# a cell of a training row whose column's spread leaves the float range
+@example(row=0, mutation=("cell", "r1_fine_m", "1e308"))
+@example(row=8, mutation=("cell", "gamma_rad", "1e308"))
+def test_a_mutated_dataset_trains_and_evaluates_quietly_or_exits_with_one_line_naming_it(
+    swept_dataset, row, mutation
+):
+    """One cell of a sweep's dataset replaced, one row cut short, or one separator added.
+
+    ``train`` and then ``evaluate`` (on the model ``train`` wrote, else on
+    one trained from the unmutated rows) each succeed quietly, writing
+    strict JSON, or refuse in one line that names the dataset; no traceback
+    or numpy warning escapes.
+    """
+    root, lines = swept_dataset
+    lines = list(lines)
+    i = 1 + row % (len(lines) - 1)
+    line = lines[i].removesuffix("\r\n")
+    kind, at, value = mutation
+    if kind == "cell":
+        cells = line.split(",")
+        cells[enhancer.DATASET_COLUMNS.index(at)] = value
+        line = ",".join(cells)
+    elif kind == "cut":
+        line = line[: at % len(line)]
+    else:
+        at %= len(line) + 1
+        line = line[:at] + "," + line[at:]
+    lines[i] = line + "\r\n"
+    case = root / f"example{next(_EXAMPLE)}"
+    case.mkdir()
+    dataset = case / "dataset.csv"
+    dataset.write_text("".join(lines), newline="")
+    out = case / "out"
+    code, err = _run_quietly(["train", "--out", str(out), "--dataset", str(dataset), "--epochs", "1"])
+    model = out / "model.json" if code == 0 else root / "clean" / "model.json"
+    outcomes = [(code, err, (f"stairdim: {dataset}: ",))]
+    code, err = _run_quietly(["evaluate", "--out", str(out), "--dataset", str(dataset), "--model", str(model)])
+    outcomes.append((code, err, (f"stairdim: {dataset}: ", f"stairdim: {model} on {dataset}: ")))
+    for code, err, named in outcomes:
+        assert code in (0, 1, 2), err
+        if code == 0:
+            assert err == ""
+        else:
+            assert len(err.splitlines()) == 1 and err.startswith(named), err
+    for doc in out.rglob("*.json"):
+        json.loads(doc.read_text(), parse_constant=_no_constant)
+
+
 def _declared_bounds(cls, section=()):
     """(file path, field, whether an int, bound) of every bound declared in ``cls`` and its sections."""
     for f, key, tp in codec._fields(cls):
@@ -900,9 +1009,10 @@ def test_json_input_that_is_not_json_or_not_an_object_exits_with_one_line(
     "doc, fragment",
     [
         ({"walk": {"rate_hz": 5e-324}}, "walk must span at least 2 frames, got 0"),
-        ({"radar": {"samples_per_chirp": 1}}, "farthest corner at 4.94 m exceeds max range 0.04 m"),
+        ({"radar": {"samples_per_chirp": 1}}, "farthest corner at 4.94 m exceeds max range 0.0416 m"),
         ({"radar": {"carrier_frequency_hz": 1e15}}, "host speed 3.18 m/s reaches the velocity resolution 0.000293 m/s"),
         ({"noise": {"power": 1e300}}, "cube samples exceed the float32 wire range"),
+        ({"walk": {"start_standoff_m": 1e300}}, "farthest corner at 1e+300 m exceeds max range 6 m at"),
     ],
 )
 def test_a_refusal_while_building_or_synthesizing_the_walk_names_the_scenario_file(tmp_path, capsys, doc, fragment):
@@ -1244,6 +1354,34 @@ def test_sweep_train_evaluate_chain(tmp_path, capsys):
     rerun.mkdir()
     assert cli.main(["train", "--out", str(rerun), "--dataset", str(run / "dataset.csv"), "--epochs", "5"]) == 0
     assert (rerun / "model.json").read_bytes() == (run / "model.json").read_bytes()
+
+
+def test_train_evaluate_and_process_cubes_never_import_the_sweep_pool(tmp_path, short_config):
+    # only a sweep needs parallel; the commands that never sweep keep its import out of their memory
+    run = tmp_path / "run"
+    _write_splittable_dataset(run)
+    sim = tmp_path / "sim"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--config", str(short_config), "--out", str(sim)]) == 0
+    commands = [
+        ["train", "--out", str(run), "--epochs", "1"],
+        ["evaluate", "--out", str(run)],
+        ["process", "--cubes", str(sim), "--out", str(tmp_path / "process")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from stairdim import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert "stairdim.enhancer" in modules and parallel.__name__ not in modules
 
 
 _ESTIMATES = st.floats(-1.0, 1.0, allow_nan=False, width=32)

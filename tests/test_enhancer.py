@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stairdim import enhancer
 from stairdim.dimension import CorrectedTarget, DimensionEstimate
 from stairdim.enhancer import (
     ADAM_BETA1,
@@ -391,6 +390,22 @@ def test_train_validation_and_divergence_guards():
         TrainingError, match="training diverged"
     ):
         train(many, TrainConfig(epochs=3, learning_rate=1e100, seed=0))
+
+
+@pytest.mark.parametrize(
+    "column, rows, value",
+    [
+        ("r1_fine_m", slice(None), 1e308),  # a mean beyond the floats
+        ("gamma_rad", slice(5, 6), 1e300),  # a finite mean, a spread beyond the floats
+        ("h_true_m", slice(5, 6), 1e200),
+    ],
+)
+def test_train_refuses_a_column_whose_spread_leaves_the_float_range(column, rows, value):
+    rng = np.random.default_rng(89)
+    data = dataset_of([_random_sample(rng, fid=i) for i in range(40)])
+    getattr(data, column)[rows] = value
+    with pytest.raises(ValueError, match=f"^the spread of {column} leaves the float range$"):
+        train(data, TrainConfig(epochs=1))
 
 
 @pytest.mark.parametrize("seed", [2, 9])
@@ -798,16 +813,10 @@ def test_read_dataset_equals_naive_reader_on_hand_edited_files(
     assert got == expected
 
 
-def test_a_sweep_written_dataset_never_takes_the_csv_pass(tmp_path, monkeypatch):
-    # the csv pass may stay plain because what sweep writes goes through loadtxt
+def test_a_sweep_written_dataset_reads_back_column_for_column(tmp_path):
     data = assemble_dataset(build_sweep(base_seed=0, walks_per_combo=1)[:2])
     path = tmp_path / "dataset.csv"
     write_dataset(data, path)
-
-    def refuse(*args):
-        raise AssertionError("the csv pass read a sweep-written dataset")
-
-    monkeypatch.setattr(enhancer, "_read_cells", refuse)
     back = read_dataset(path)
     assert back.n_rows == data.n_rows > 0
     assert [c.tolist() if c.dtype == object else c.tobytes() for c in back] == [
